@@ -26,8 +26,9 @@ let json_line ~correct ~attempted ~failed metrics =
               m.value m.unit_)
           metrics))
 
-(* Times are scaled by the run's host speed factor (see [Common]); the
-   report line gives each raw figure beside it. *)
+(* Times are scaled by the run's host speed factor (see [Common]), set-up
+   times by the slices taken around each set-up; the report line gives
+   each raw figure beside it. *)
 let end_to_end (r : Workloads.result) =
   let n = Array.length r.lat_ms in
   let f = speed_factor () in
@@ -39,10 +40,19 @@ let end_to_end (r : Workloads.result) =
   let pct q = percentile q r.lat_ms in
   let rate = float r.attempted /. r.timed_s in
   [
-    time "setup_s" (median r.setups_s) "s"
-      (Printf.sprintf "median of %d set-ups: %s" (Array.length r.setups_s)
-         (String.concat " "
-            (Array.to_list (Array.map (Printf.sprintf "%.3f") r.setups_s))));
+    ( {
+        name = "setup_s";
+        value =
+          median
+            (Array.map2 (fun t c -> t *. calib_ref_ms /. c) r.setups_s
+               r.setup_calib_ms);
+        unit_ = "s";
+      },
+      Printf.sprintf "raw %.4g, median of %d set-ups, each scaled by its own slices: %s"
+        (median r.setups_s) (Array.length r.setups_s)
+        (String.concat " "
+           (Array.to_list
+              (Array.map2 (Printf.sprintf "%.3f@%.2fms") r.setups_s r.setup_calib_ms))) );
     ( { name = "jobs_per_s"; value = rate /. f; unit_ = "1/s" },
       Printf.sprintf "raw %.4g, %d jobs in %.3f s" rate r.attempted r.timed_s );
     time "job_ms_p50" (pct 0.5) "ms" (Printf.sprintf "n=%d" n);
@@ -117,8 +127,10 @@ let () =
   in
   Printf.printf "workload %s, seed %d, %.0f s timed%s\n" !workload seed seconds
     (if traced then ", traced replay" else "");
-  Printf.printf "  host: calibration slice %.4f ms (median of %d), times scaled by %.4f\n"
-    (calib_ms ()) (List.length !calib_samples) (speed_factor ());
+  Printf.printf
+    "  host: calibration slice %.4f ms CPU, %.4f ms wall (medians of %d), times scaled by %.4f\n"
+    (calib_ms ()) (median (Array.of_list !calib_wall_samples))
+    (List.length !calib_samples) (speed_factor ());
   List.iter
     (fun (m, note) ->
       Printf.printf "  %-26s %14.4f %-6s %s\n" m.name m.value m.unit_ note)

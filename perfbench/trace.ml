@@ -364,7 +364,7 @@ let fresh_pw2 ~seed =
   let engine = Engine.create ~cache_cap:Workloads.fresh_cache_cap () in
   let mirror = Store.create ~cap:Workloads.fresh_cache_cap () in
   replay_engine t ~engine ~mirror
-    (List.init Workloads.trace_sample (Workloads.pw2 ~tag:"f" ~seed));
+    (List.init Workloads.trace_sample (Workloads.fresh_order ~seed));
   (t, layer_metrics t)
 
 (* store [jobs] in both the engine and its mirror, untraced *)
@@ -392,13 +392,13 @@ let daemon_zipf ~seed ~server =
     (fun () ->
       Daemon.mkdir_p dir;
       let engine =
-        Engine.create ~cache_dir:(Filename.concat dir "e") ~write_batch:16 ()
+        Engine.create ~cache_dir:(Filename.concat dir "e") ~write_batch:Daemon.write_batch ()
       in
-      let mirror = Store.create ~dir:(Filename.concat dir "m") ~write_batch:16 () in
+      let mirror = Store.create ~dir:(Filename.concat dir "m") ~write_batch:Daemon.write_batch () in
       fill ~engine ~mirror (Daemon.hot_universe ());
-      let next = Daemon.stream ~seed in
       let t = create () in
-      replay_engine t ~engine ~mirror (List.init 512 (fun _ -> next ()));
+      replay_engine t ~engine ~mirror
+        (Daemon.window ~skip:(Daemon.window_start seed) 512);
       Engine.flush engine;
       Store.flush mirror;
       ( t,
