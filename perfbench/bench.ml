@@ -111,20 +111,24 @@ let () =
     | "delta_pw" -> Workloads.delta_pw ~seed ~seconds
     | _ -> Daemon.daemon_zipf ~probe:traced ~exe:!server ~seed ~seconds ()
   in
+  let trace_failures = ref [] in
   let metrics =
     if not traced then end_to_end r
     else
-      let t, layers =
+      let exe = !server in
+      let t, layers, failures =
         match !workload with
-        | "fresh_pw2" -> Trace.fresh_pw2 ~seed
-        | "warm_pw2" -> Trace.warm_pw2 ~seed
-        | "delta_pw" -> Trace.delta_pw ~seed
+        | "fresh_pw2" -> Trace.fresh_pw2 ~seed ~exe
+        | "warm_pw2" -> Trace.warm_pw2 ~seed ~exe
+        | "delta_pw" -> Trace.delta_pw ~seed ~exe
         | _ -> Trace.daemon_zipf ~seed ~server:r.server
       in
+      trace_failures := failures;
       List.map
         (fun m -> (m, ""))
         (layers @ Trace.summary t ~untraced_ms:r.untraced_ms)
   in
+  let failures = r.failures @ !trace_failures in
   Printf.printf "workload %s, seed %d, %.0f s timed%s\n" !workload seed seconds
     (if traced then ", traced replay" else "");
   Printf.printf
@@ -136,9 +140,9 @@ let () =
       Printf.printf "  %-26s %14.4f %-6s %s\n" m.name m.value m.unit_ note)
     metrics;
   List.iter (Printf.printf "  %s\n") r.notes;
-  List.iter (Printf.printf "  NOT OK: %s\n") r.failures;
-  let correct = r.failures = [] in
+  List.iter (Printf.printf "  NOT OK: %s\n") failures;
+  let correct = failures = [] in
   print_endline
     (json_line ~correct ~attempted:r.attempted
-       ~failed:(List.length r.failures) (List.map fst metrics));
+       ~failed:(List.length failures) (List.map fst metrics));
   exit (if correct then 0 else 1)

@@ -376,10 +376,10 @@ let last_served replies =
 
 (* Daemon-side figures for the trace: the server's own cost per job,
    client round trip minus the worker's [total_ms], over one-at-a-time
-   submissions of the first jobs of the seed's window; and the stats endpoint's
-   admission and supervision counters for the whole run. *)
-let server_probe d ~seed ~overloaded =
-  let replies = submit_all d (window ~skip:(window_start seed) 256) in
+   submissions of [jobs]; and the stats endpoint's admission and
+   supervision counters for the daemon's whole life. *)
+let server_probe d ~jobs ~overloaded =
+  let replies = submit_all d jobs in
   let overhead =
     List.filter_map
       (fun r -> Option.map (fun ms -> r.rtt_ms -. ms) (json_number r.json "total_ms"))
@@ -395,18 +395,38 @@ let server_probe d ~seed ~overloaded =
     ("server.restarts", num "restarts", "count");
   ] )
 
+(* On the way out of a run, whatever the path: kill a daemon still
+   [live] and its workers, and remove the run's directory. *)
+let kill_live live =
+  Option.iter
+    (fun d ->
+      let workers = children d.pid in
+      kill_quietly d.pid;
+      List.iter kill_quietly workers;
+      ignore (wait_exit d.pid 5.0))
+    !live;
+  remove_run_dir ()
+
+(* The server layer for a traced in-process workload, which has no
+   daemon of its own: a private daemon started for the purpose is sent
+   [jobs] one at a time, then shut down with the same checks as
+   daemon_zipf's. The replies and the server's figures. *)
+let companion ~exe jobs =
+  let live = ref None in
+  Fun.protect
+    ~finally:(fun () -> kill_live live)
+    (fun () ->
+      let d = spawn ~exe ~dir:(Filename.concat run_dir "companion") in
+      live := Some d;
+      let replies, server = server_probe d ~jobs ~overloaded:0 in
+      shutdown d;
+      live := None;
+      (replies, server))
+
 let daemon_zipf ?(probe = false) ~exe ~seed ~seconds () =
   let live = ref None in
   Fun.protect
-    ~finally:(fun () ->
-      Option.iter
-        (fun d ->
-          let workers = children d.pid in
-          kill_quietly d.pid;
-          List.iter kill_quietly workers;
-          ignore (wait_exit d.pid 5.0))
-        !live;
-      remove_run_dir ())
+    ~finally:(fun () -> kill_live live)
     (fun () ->
       let setups_s, setup_calib_ms, d =
         Workloads.repeat_setup ~setups:3
@@ -421,7 +441,9 @@ let daemon_zipf ?(probe = false) ~exe ~seed ~seconds () =
       let timed_s, replies, rss_mb = timed d ~seed ~seconds in
       let overloaded = List.fold_left (fun a r -> a + r.overloaded) 0 replies in
       let probed, server =
-        if probe then server_probe d ~seed ~overloaded else ([], [])
+        if probe then
+          server_probe d ~jobs:(window ~skip:(window_start seed) 256) ~overloaded
+        else ([], [])
       in
       let refs = submit_all d (reference_jobs ()) in
       shutdown d;

@@ -9,8 +9,10 @@ certd_server daemon from source with dune, runs one workload, and passes
 its report through. The last line of standard output is one JSON object
 with the keys correct, attempted, failed and metrics. The exit code is 0
 only when the run completed and every correctness check passed. A failed
-check prints the result with "correct": false and exits 1; a build
-failure, a timeout or a process left behind exits 1 without a result.
+check prints the result with "correct": false and exits 1; so does a
+result whose metrics are not exactly those BENCHMARK.json lists for the
+mode, in its units. A build failure, a timeout or a process left behind
+exits 1 without a result.
 """
 
 import argparse
@@ -44,6 +46,14 @@ def build():
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout)
         fail(f"build failed (dune exit {proc.returncode})")
+
+
+def manifest_units(trace):
+    """Name -> unit of every metric BENCHMARK.json lists for the mode."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        manifest = json.load(f)
+    return {m["name"]: m["unit"]
+            for m in manifest["per_layer" if trace else "end_to_end"]}
 
 
 def group_alive(pgid):
@@ -109,6 +119,12 @@ def main():
         sys.stdout.write(out)
         fail(f"no result line (benchmark exit {proc.returncode})")
     sys.stdout.write(out)
+    want = manifest_units(args.trace)
+    got = {name: m.get("unit") for name, m in result["metrics"].items()}
+    if got != want:
+        fail("metrics differ from BENCHMARK.json: missing "
+             f"{sorted(set(want) - set(got))}, extra {sorted(set(got) - set(want))}, "
+             f"unit differs {sorted(n for n in want if n in got and got[n] != want[n])}")
     if proc.returncode != 0 or not result["correct"]:
         fail(f"correctness checks failed (benchmark exit {proc.returncode})")
 

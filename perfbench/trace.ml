@@ -230,8 +230,10 @@ let layer_spans =
   ]
 
 (* Run each sample job whole through [engine], then replay it layer by
-   layer against [mirror], a store kept in the same state. *)
-let replay_engine t ~engine ~mirror jobs =
+   layer against [mirror], a store kept in the same state. Which of the
+   two runs first alternates, starting with the whole run when [first]
+   is even. *)
+let replay_engine ?(first = 0) t ~engine ~mirror jobs =
   let s0 = Store.stats (Engine.store engine) in
   let hits0 = s0.Store.hits and misses0 = s0.Store.misses in
   let skips0 = s0.Store.filter_skips and flushes0 = s0.Store.flushes in
@@ -246,7 +248,7 @@ let replay_engine t ~engine ~mirror jobs =
       in
       (* alternate which of the two runs first, so the caches the first
          one warms favour neither side of [engine.fixed_ms] *)
-      if i mod 2 = 0 then begin
+      if (first + i) mod 2 = 0 then begin
         whole ();
         replay_job t ~store:mirror job
       end
@@ -275,8 +277,7 @@ let c t name = Option.value ~default:0.0 (Hashtbl.find_opt t.counts name)
 let ratio a b = if b > 0.0 then a /. b else 0.0
 
 (* Every per-layer figure, each tied to the span whose calls it
-   describes: a figure is reported only when the sample made that call,
-   so a layer shows up exactly on the workloads where it runs. *)
+   describes: a figure is given only when the replay made that call. *)
 let layer_metrics t =
   let time name = (name ^ "_ms", "ms", name, fun () -> per_call t name) in
   let kw name = (name ^ "_kw", "kw", name, fun () -> kw_per_call t name) in
@@ -322,6 +323,10 @@ let layer_metrics t =
     time "store.add";
     ( "store.hit_ratio", "ratio", "store.find",
       fun () -> ratio (c t "store_hits") (c t "store_hits" +. c t "store_misses") );
+    (* 0 on a memory store: it has no filter and commits nothing *)
+    ( "store.filter_skip_ratio", "ratio", "store.find",
+      fun () -> ratio (c t "filter_skips") (c t "store_misses") );
+    ("store.flushes", "count", "store.find", fun () -> c t "flushes");
     ( "engine.run_job_ms", "ms", "engine.run_job",
       fun () -> per_job t (ms t "engine.run_job") );
     (* each job's whole time minus its replayed layer calls: a
@@ -346,77 +351,56 @@ let layer_metrics t =
 
 (* the sample size, the host's calibration slice time (layer times are
    not scaled by it), and the sample's median traced whole-job time
-   against the untraced median the timed phase measured *)
+   against the untraced median the timed phase measured. The slice time
+   is the mean, not the median the scaling uses: a slice is timed to the
+   microsecond, so the median of a run can repeat exactly in the next. *)
 let summary t ~untraced_ms =
+  let slices = !calib_samples in
   [
     m "trace.sample_jobs" (float t.jobs) "count";
-    m "host.calib_ms" (calib_ms ()) "ms";
+    m "host.calib_ms"
+      (List.fold_left ( +. ) 0.0 slices /. float (List.length slices))
+      "ms";
     m "trace.overhead_ratio"
       (median (Array.of_list !(t.run_job_ms)) /. untraced_ms)
       "ratio";
   ]
 
+(* The traced run reports every per-layer metric. One that the sample's
+   own calls do not give is taken from the first of [fallbacks] that
+   gives it: the workload's own set-up, then the companions below. *)
+let complete own fallbacks =
+  List.fold_left
+    (fun acc ms ->
+      acc
+      @ List.filter (fun x -> not (List.exists (fun a -> a.name = x.name) acc)) ms)
+    own fallbacks
+
+(* [Bundle.decode] of a bundle the replay stored: what a later hit on it
+   pays *)
+let decode_stored t g (bundle : Bundle.t) =
+  let (module P) = Option.get (Svc.Registry.find "connected") in
+  let decode_label = Lcp_cert.Certificate.decode ~decode_state:P.decode_state in
+  ignore (span t "bundle.decode" (fun () -> Bundle.decode ~decode_label g bundle))
+
+(* The server companion of an in-process workload: its sample jobs sent
+   one at a time to a private daemon; the server's figures, and a line
+   for each reply whose verdict is not the expected one. *)
+let server_companion ~exe jobs =
+  let replies, server = Daemon.companion ~exe jobs in
+  ( List.map (fun (name, value, unit_) -> m name value unit_) server,
+    Workloads.check_verdicts
+      (List.map (fun r -> (r.Daemon.job, r.Daemon.verdict)) replies) )
+
 (* ---------------------------------------------------------------- *)
 (* the workloads' traced replays                                     *)
-
-let fresh_pw2 ~seed =
-  let t = create () in
-  let engine = Engine.create ~cache_cap:Workloads.fresh_cache_cap () in
-  let mirror = Store.create ~cap:Workloads.fresh_cache_cap () in
-  replay_engine t ~engine ~mirror
-    (List.init Workloads.trace_sample (Workloads.fresh_order ~seed));
-  (t, layer_metrics t)
-
-(* store [jobs] in both the engine and its mirror, untraced *)
-let fill ~engine ~mirror jobs =
-  let scratch = create () in
-  List.iter
-    (fun j ->
-      ignore (Engine.run_job engine j);
-      replay_job scratch ~store:mirror j)
-    jobs
-
-let warm_pw2 ~seed =
-  (* the timed phase's first jobs, in the seed's replay order *)
-  let sample = List.init Workloads.trace_sample (Workloads.warm_order ~seed) in
-  let engine = Engine.create () and mirror = Store.create () in
-  fill ~engine ~mirror sample;
-  let t = create () in
-  replay_engine t ~engine ~mirror sample;
-  (t, layer_metrics t)
-
-let daemon_zipf ~seed ~server =
-  let dir = Filename.concat Daemon.run_dir "trace" in
-  Fun.protect
-    ~finally:Daemon.remove_run_dir
-    (fun () ->
-      Daemon.mkdir_p dir;
-      let engine =
-        Engine.create ~cache_dir:(Filename.concat dir "e") ~write_batch:Daemon.write_batch ()
-      in
-      let mirror = Store.create ~dir:(Filename.concat dir "m") ~write_batch:Daemon.write_batch () in
-      fill ~engine ~mirror (Daemon.hot_universe ());
-      let t = create () in
-      replay_engine t ~engine ~mirror
-        (Daemon.window ~skip:(Daemon.window_start seed) 512);
-      Engine.flush engine;
-      Store.flush mirror;
-      ( t,
-        layer_metrics t
-        @ [
-            m "store.filter_skip_ratio"
-              (ratio (c t "filter_skips") (c t "store_misses"))
-              "ratio";
-            m "store.flushes" (c t "flushes") "count";
-          ]
-        @ List.map (fun (name, value, unit_) -> m name value unit_) server ))
 
 (* delta_pw: a session of its own runs [cycles] cycles, each step timed
    whole; a mirror built from the same calls the session makes (apply,
    key, find, transplant, a session-long prover whose memo stays warm,
-   encode, verify, add) replays each step layer by layer *)
-let delta_pw ~seed =
-  let cycles = 6 in
+   encode, verify, add) replays each step layer by layer. The bundles
+   the mirror stores are decoded afterwards. *)
+let delta_replay ~cycles ~seed =
   let base = Workloads.delta_base in
   let d = Workloads.open_delta base ~seed in
   let (module P) = Option.get (Svc.Registry.find "connected") in
@@ -430,6 +414,7 @@ let delta_pw ~seed =
   in
   let mirror = Store.create () in
   let labels_of = Hashtbl.create 16 in
+  let stored = ref [] in
   let cur_graph = ref d.g0 in
   let cur_rep = ref (Svc.Delta.fresh_rep d.g0) in
   let certify t g rep cfg key =
@@ -452,6 +437,7 @@ let delta_pw ~seed =
             span t "store.add" (fun () ->
                 Store.add mirror
                   { Store.e_key = key; e_bundle = bundle; e_label_bits = label_bits });
+            stored := (g, bundle) :: !stored;
             Hashtbl.replace labels_of (Store.key_hex key) labels)
     | _ -> ()
   in
@@ -489,6 +475,7 @@ let delta_pw ~seed =
       ignore (Workloads.step d ops);
       mirror_step scratch ops)
     (Workloads.delta_steps d 1);
+  stored := [];
   let t = create () in
   List.iter
     (fun (ops, _) ->
@@ -507,4 +494,83 @@ let delta_pw ~seed =
       count t "verified" (float info.Svc.Delta.pi_verified);
       mirror_step t ops)
     (Workloads.delta_steps d cycles);
+  List.iter (fun (g, b) -> decode_stored t g b) (List.rev !stored);
   (t, layer_metrics t)
+
+(* The delta companion of the other workloads: one cycle of delta_pw's
+   session, for the delta layer's figures. *)
+let delta_companion ~seed = snd (delta_replay ~cycles:1 ~seed)
+
+let fresh_pw2 ~seed ~exe =
+  let t = create () in
+  let engine = Engine.create ~cache_cap:Workloads.fresh_cache_cap () in
+  let mirror = Store.create ~cap:Workloads.fresh_cache_cap () in
+  let sample = List.init Workloads.trace_sample (Workloads.fresh_order ~seed) in
+  replay_engine t ~engine ~mirror sample;
+  List.iter
+    (fun job ->
+      let g = Result.get_ok (graph_of_job job) in
+      let key = Store.key ~property:job.Manifest.property ~k:job.Manifest.k g in
+      Option.iter
+        (fun e -> decode_stored t g e.Store.e_bundle)
+        (Store.find mirror key))
+    sample;
+  let server, failures = server_companion ~exe sample in
+  (t, complete (layer_metrics t) [ server; delta_companion ~seed ], failures)
+
+(* store [jobs] in both the engine and its mirror, the mirror's calls
+   traced in [t] *)
+let fill t ~engine ~mirror jobs =
+  List.iter
+    (fun j ->
+      ignore (Engine.run_job engine j);
+      replay_job t ~store:mirror j)
+    jobs
+
+(* warm_pw2's sample only hits; the prover's layers, encode and store
+   add come from its set-up, which proves the stored set *)
+let warm_pw2 ~seed ~exe =
+  (* the timed phase's first jobs, in the seed's replay order *)
+  let sample = List.init Workloads.trace_sample (Workloads.warm_order ~seed) in
+  let engine = Engine.create () and mirror = Store.create () in
+  let setup = create () in
+  fill setup ~engine ~mirror sample;
+  let t = create () in
+  replay_engine t ~engine ~mirror sample;
+  let server, failures = server_companion ~exe sample in
+  ( t,
+    complete (layer_metrics t)
+      [ layer_metrics setup; server; delta_companion ~seed ],
+    failures )
+
+let daemon_zipf ~seed ~server =
+  let dir = Filename.concat Daemon.run_dir "trace" in
+  Fun.protect
+    ~finally:Daemon.remove_run_dir
+    (fun () ->
+      Daemon.mkdir_p dir;
+      let engine =
+        Engine.create ~cache_dir:(Filename.concat dir "e") ~write_batch:Daemon.write_batch ()
+      in
+      let mirror = Store.create ~dir:(Filename.concat dir "m") ~write_batch:Daemon.write_batch () in
+      fill (create ()) ~engine ~mirror (Daemon.hot_universe ());
+      let t = create () in
+      replay_engine t ~engine ~mirror
+        (Daemon.window ~skip:(Daemon.window_start seed) 512);
+      Engine.flush engine;
+      Store.flush mirror;
+      let server = List.map (fun (name, value, unit_) -> m name value unit_) server in
+      (t, complete (layer_metrics t) [ server; delta_companion ~seed ], []))
+
+(* delta_pw's session is opened through [Engine.run_job] on its base;
+   the engine's figures come from replaying that job, four times on a
+   cold engine *)
+let delta_pw ~seed ~exe =
+  let t, own = delta_replay ~cycles:6 ~seed in
+  let opening = create () in
+  for first = 0 to 3 do
+    replay_engine ~first opening ~engine:(Engine.create ()) ~mirror:(Store.create ())
+      [ Workloads.delta_base ]
+  done;
+  let server, failures = server_companion ~exe [ Workloads.delta_base ] in
+  (t, complete own [ layer_metrics opening; server ], failures)
