@@ -2536,6 +2536,19 @@ let perf () =
   op "e2e.pw2_128.prove_verify" ~iters:1 ~per:1 (fun () ->
       let labels = Option.get (t1_128.PLS.Scheme.es_prove cfg128) in
       ignore (PLS.Scheme.run_edge cfg128 t1_128 labels));
+  (* the bit coding of a fresh n=128 job: the bundle the engine stores
+     (its label bits come out of the same pass), the decode a warm hit
+     pays, and the re-encoding oracle [max_edge_label_bits] *)
+  let module Bundle = Lcp_service.Bundle in
+  let encode_label = t1_128.PLS.Scheme.es_encode in
+  let decode_label = Cert.decode ~decode_state:A.Connectivity.decode in
+  let bundle128 = Result.get_ok (Bundle.encode ~encode_label g128 labels128) in
+  op "bundle.encode.pw2_128" ~iters:5 ~per:1 (fun () ->
+      ignore (Bundle.encode_sized ~encode_label g128 labels128));
+  op "bundle.decode.pw2_128" ~iters:5 ~per:1 (fun () ->
+      ignore (Bundle.decode ~decode_label g128 bundle128));
+  op "labels.max_bits.pw2_128" ~iters:5 ~per:1 (fun () ->
+      sink := !sink + PLS.Scheme.max_edge_label_bits t1_128 labels128);
   ignore !sink;
   let ops = List.rev !ops in
   let find name = let _, ns, _ = List.find (fun (n, _, _) -> n = name) ops in ns in

@@ -673,7 +673,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
                      ?on_interrupt:
                        (Option.map
                           (fun dir () ->
-                            ignore (Service.Pool.sweep_tmp_files dir : int))
+                            ignore (Service.Cert_store.sweep_tmp_files dir))
                           cache_dir)
                      jobs
                  in
@@ -718,7 +718,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
                    ?on_interrupt:
                      (Option.map
                         (fun dir () ->
-                          ignore (Service.Pool.sweep_tmp_files dir : int))
+                          ignore (Service.Cert_store.sweep_tmp_files dir))
                         cache_dir)
                    produce
                in

@@ -118,6 +118,20 @@ let encode w st =
     st.classes;
   Bitenc.bit w st.odd
 
+(* [canonical] returns its input unchanged (structurally) exactly when
+   no class is empty, every class is sorted with a [false]-parity
+   minimum, and the classes are sorted: the sorts are stable and equal
+   elements are structurally equal. *)
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare a b <= 0 && sorted rest
+  | [] | [ _ ] -> true
+
+let is_canonical classes =
+  List.for_all
+    (function [] | (_, true) :: _ -> false | c -> sorted c)
+    classes
+  && sorted classes
+
 let rec read_n n f = if n <= 0 then [] else
   let x = f () in
   x :: read_n (n - 1) f
@@ -133,7 +147,8 @@ let decode r =
             (s, p)))
   in
   let odd = Bitenc.read_bit r in
-  { classes = canonical classes; odd }
+  let classes = if is_canonical classes then classes else canonical classes in
+  { classes; odd }
 
 let packed_layout = { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 3 }
 

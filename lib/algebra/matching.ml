@@ -115,7 +115,15 @@ let decode r =
         if b then s :: read_profile rest else read_profile rest
   in
   let profiles = read_n nprofiles (fun () -> read_profile slot_list) in
-  { slot_list; profiles = canonical profiles }
+  (* strictly increasing is exactly what [canonical] returns unchanged *)
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest
+    | [] | [ _ ] -> true
+  in
+  let profiles =
+    if increasing profiles then profiles else canonical profiles
+  in
+  { slot_list; profiles }
 
 let packed_layout = { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 8 }
 

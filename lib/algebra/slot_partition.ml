@@ -105,16 +105,37 @@ let encode w t =
       List.iter (fun s -> Lcp_util.Bitenc.varint w (abs s)) c)
     t
 
-let rec read_n n f = if n <= 0 then [] else
-  let x = f () in
-  x :: read_n (n - 1) f
+let rec read_slots r n =
+  if n <= 0 then []
+  else
+    let s = Lcp_util.Bitenc.read_varint r in
+    s :: read_slots r (n - 1)
+
+let rec read_classes r n =
+  if n <= 0 then []
+  else
+    let c = read_slots r (Lcp_util.Bitenc.read_varint r) in
+    c :: read_classes r (n - 1)
+
+(* [canonical t] is structurally equal to [t] exactly when no class is
+   empty, every class is sorted and the classes are sorted: the sorts
+   are stable and equal elements are structurally equal. *)
+let rec sorted_slots = function
+  | (a : int) :: (b :: _ as rest) -> a <= b && sorted_slots rest
+  | [] | [ _ ] -> true
+
+let rec is_canonical = function
+  | [] -> true
+  | c :: rest -> (
+      c <> [] && sorted_slots c
+      &&
+      match rest with
+      | c' :: _ -> compare c c' <= 0 && is_canonical rest
+      | [] -> true)
 
 let decode r =
-  let nclasses = Lcp_util.Bitenc.read_varint r in
-  canonical
-    (read_n nclasses (fun () ->
-         let size = Lcp_util.Bitenc.read_varint r in
-         read_n size (fun () -> Lcp_util.Bitenc.read_varint r)))
+  let t = read_classes r (Lcp_util.Bitenc.read_varint r) in
+  if is_canonical t then t else canonical t
 
 let pack buf t =
   Lcp_util.Packed_state.push_list buf

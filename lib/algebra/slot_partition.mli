@@ -5,6 +5,10 @@ type t
 (** A partition of a set of integer slots into classes, in canonical form
     (classes sorted by minimum element, elements sorted). *)
 
+val canonical : int list list -> t
+(** The reference normal form: drop empty classes, sort each class, sort
+    the classes. Duplicate slots and classes are kept. *)
+
 val empty : t
 val add_singleton : t -> int -> t
 val merge : t -> int -> int -> t
@@ -29,7 +33,8 @@ val encode : Lcp_util.Bitenc.writer -> t -> unit
 val decode : Lcp_util.Bitenc.reader -> t
 (** Inverse of {!encode} for partitions over non-negative slots (encode
     writes absolute values; certification slots are vertex identifiers,
-    which are non-negative). *)
+    which are non-negative). A decoded list already in canonical form is
+    returned as read; any other goes through {!canonical}. *)
 
 val pack : Lcp_util.Packed_state.Buf.t -> t -> unit
 (** Flat word encoding (class count, then per class: size and slots);

@@ -138,20 +138,24 @@ let certify_edge cfg scheme =
   | Some labels -> Ok labels
   | None -> Error (scheme.es_name ^ ": prover declined (property violated?)")
 
-let encode_bits encode l =
-  let w = Bitenc.writer () in
+(* Every label is encoded into the same writer, reset in between: the
+   buffer grows to the largest label once instead of once per label. *)
+let encode_bits w encode l =
+  Bitenc.reset w;
   encode w l;
   Bitenc.length_bits w
 
 let max_edge_label_bits scheme labels =
+  let w = Bitenc.writer () in
   List.fold_left
-    (fun acc (_, l) -> max acc (encode_bits scheme.es_encode l))
+    (fun acc (_, l) -> max acc (encode_bits w scheme.es_encode l))
     0
     (Edge_map.bindings labels)
 
 let max_vertex_label_bits scheme labels =
+  let w = Bitenc.writer () in
   Array.fold_left
-    (fun acc l -> max acc (encode_bits scheme.vs_encode l))
+    (fun acc l -> max acc (encode_bits w scheme.vs_encode l))
     0 labels
 
 (* Prop 2.1: move each edge label to the tail of a bounded-outdegree

@@ -18,10 +18,18 @@ let equal a b = a.bits = b.bits && Bytes.equal a.bytes b.bytes
 
 let size_bits t = t.bits
 
-let encode ~encode_label g labels =
+(* One pass yields the bundle and its largest label. A label's encoding
+   does not depend on the bit offset it starts at, so the writer
+   position after a label minus the position before it is exactly the
+   label's standalone size: for a labeling with one entry per edge of
+   [g], as a prover returns, the largest is the figure
+   [Scheme.max_edge_label_bits] gets by re-encoding each label on its
+   own. *)
+let encode_sized ~encode_label g labels =
   let w = Bitenc.writer () in
   Bitenc.varint w (Graph.n g);
   Bitenc.varint w (Graph.m g);
+  let label_bits = ref 0 in
   let missing =
     Graph.fold_edges
       (fun e missing ->
@@ -30,7 +38,9 @@ let encode ~encode_label g labels =
         | None -> (
             match EM.find labels e with
             | Some l ->
+                let start = Bitenc.length_bits w in
                 encode_label w l;
+                label_bits := max !label_bits (Bitenc.length_bits w - start);
                 None
             | None -> Some e))
       g None
@@ -38,7 +48,13 @@ let encode ~encode_label g labels =
   match missing with
   | Some (u, v) ->
       Error (Printf.sprintf "bundle: labeling is missing edge %d-%d" u v)
-  | None -> Ok { bytes = Bitenc.to_bytes w; bits = Bitenc.length_bits w }
+  | None ->
+      Ok
+        ( { bytes = Bitenc.to_bytes w; bits = Bitenc.length_bits w },
+          !label_bits )
+
+let encode ~encode_label g labels =
+  Result.map fst (encode_sized ~encode_label g labels)
 
 let decode ~decode_label g t =
   let r = Bitenc.reader t.bytes in

@@ -166,18 +166,57 @@ let disk_error t =
 
 let disk_ok t = t.disk_failures_in_row <- 0
 
-let is_tmp f = Filename.check_suffix f ".tmp"
+(* Spool files are named "<record>.<pid>.tmp" by [write_record]; the pid
+   names the writer, so a sweep can tell debris from live work. *)
+let tmp_owner f =
+  if not (Filename.check_suffix f ".tmp") then None
+  else
+    let stem = Filename.chop_suffix f ".tmp" in
+    match String.rindex_opt stem '.' with
+    | None -> None
+    | Some i ->
+        int_of_string_opt (String.sub stem (i + 1) (String.length stem - i - 1))
 
-let sweep_orphans t dir =
-  try
+let pid_alive pid =
+  match Unix.kill pid 0 with
+  | () -> true
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  | exception Unix.Unix_error _ -> true (* EPERM: alive, someone else's *)
+
+(** Remove the [.tmp] spool files under [dir] that no other live process
+    owns: those of this process and those whose owner pid is dead. A
+    disk tier may be shared by sibling [Pool] workers or a live daemon,
+    whose in-flight spool files are not ours to delete. [~unowned:true]
+    also removes [.tmp] files whose name carries no pid; no writer makes
+    such a name, so they are nobody's live work. Returns the number
+    removed and whether the sweep completed: it stops at the first
+    listing or removal that fails. *)
+let sweep_tmp_files ?(io = Blob.real) ?(unowned = false) dir =
+  let self = Unix.getpid () in
+  let debris f =
+    Filename.check_suffix f ".tmp"
+    &&
+    match tmp_owner f with
+    | Some pid -> pid = self || not (pid_alive pid)
+    | None -> unowned
+  in
+  let swept = ref 0 in
+  match
     Array.iter
       (fun f ->
-        if is_tmp f then begin
-          t.io.Blob.remove (Filename.concat dir f);
-          t.stats.orphans_swept <- t.stats.orphans_swept + 1
+        if debris f then begin
+          io.Blob.remove (Filename.concat dir f);
+          incr swept
         end)
-      (t.io.Blob.list_dir dir)
-  with Sys_error _ -> disk_error t
+      (io.Blob.list_dir dir)
+  with
+  | () -> (!swept, true)
+  | exception Sys_error _ -> (!swept, false)
+
+let sweep_orphans t dir =
+  let swept, complete = sweep_tmp_files ~io:t.io ~unowned:true dir in
+  t.stats.orphans_swept <- t.stats.orphans_swept + swept;
+  if not complete then disk_error t
 
 (* Seed the negative-lookup filter from the records already on disk:
    file names are the hex key hashes, so a directory listing is enough

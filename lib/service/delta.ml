@@ -355,8 +355,9 @@ let create ?retry engine (job : Manifest.job) =
                     else begin
                       match
                         Timing.time timing Timing.Encode (fun () ->
-                            Bundle.encode ~encode_label:scheme.Scheme.es_encode
-                              g1 patch.I.p_labels)
+                            Bundle.encode_sized
+                              ~encode_label:scheme.Scheme.es_encode g1
+                              patch.I.p_labels)
                       with
                       | Error e ->
                           commit ~graph:g1 ~rep:(Some rep1) ~labels:None
@@ -367,7 +368,7 @@ let create ?retry engine (job : Manifest.job) =
                               r_total_ms = now_ms () -. t0;
                             },
                             info )
-                      | Ok bundle -> (
+                      | Ok (bundle, label_bits) -> (
                           let verify_set =
                             if spliced then patch.I.p_verify else []
                           in
@@ -415,9 +416,6 @@ let create ?retry engine (job : Manifest.job) =
                                 },
                                 info )
                           | Scheme.Accepted ->
-                              let label_bits =
-                                Scheme.max_edge_label_bits scheme patch.I.p_labels
-                              in
                               remember key bundle patch.I.p_labels;
                               Timing.time timing Timing.Store (fun () ->
                                   Cert_store.add store

@@ -254,8 +254,8 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                   let prove_ms = now_ms () -. tp in
                   match
                     Timing.time t.timing Timing.Encode (fun () ->
-                        Bundle.encode ~encode_label:scheme.Scheme.es_encode g
-                          labels)
+                        Bundle.encode_sized ~encode_label:scheme.Scheme.es_encode
+                          g labels)
                   with
                   | Error e ->
                       {
@@ -263,7 +263,7 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                         r_prove_ms = prove_ms;
                         r_total_ms = now_ms () -. t0;
                       }
-                  | Ok bundle -> (
+                  | Ok (bundle, label_bits) -> (
                       match verify_labels labels with
                       | Scheme.Rejected rs, verify_ms ->
                           let reasons =
@@ -286,9 +286,6 @@ let run_once t (job : Manifest.job) : Stats.job_report =
                             r_total_ms = now_ms () -. t0;
                           }
                       | Scheme.Accepted, verify_ms ->
-                          let label_bits =
-                            Scheme.max_edge_label_bits scheme labels
-                          in
                           Timing.time t.timing Timing.Store (fun () ->
                               Cert_store.add t.store
                                 {

@@ -151,46 +151,6 @@ let empty_stats () =
     flushes = 0;
   }
 
-(* spool files are named "<record>.<pid>.tmp" by the store; the pid
-   names the owner, so a sweep can tell debris from live work *)
-let tmp_owner f =
-  if not (Filename.check_suffix f ".tmp") then None
-  else
-    let stem = Filename.chop_suffix f ".tmp" in
-    match String.rindex_opt stem '.' with
-    | None -> None
-    | Some i ->
-        int_of_string_opt (String.sub stem (i + 1) (String.length stem - i - 1))
-
-let pid_alive pid =
-  match Unix.kill pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-  | exception Unix.Unix_error _ -> true (* EPERM: alive, someone else's *)
-
-(** Remove the pid-unique [.tmp] spool files under a shared cache
-    directory — the debris a killed worker leaves between its
-    [write_file tmp] and the atomic rename. Only files owned by this
-    process or by a dead one are touched: the disk tier may be shared
-    with a live daemon whose in-flight spool files are not ours to
-    delete. Returns how many were removed; unreadable directories,
-    vanished files, and unparseable names count zero (cleanup must
-    never raise on the interrupt path). *)
-let sweep_tmp_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> 0
-  | files ->
-      let self = Unix.getpid () in
-      Array.fold_left
-        (fun acc f ->
-          match tmp_owner f with
-          | Some pid when pid = self || not (pid_alive pid) -> (
-              match Sys.remove (Filename.concat dir f) with
-              | () -> acc + 1
-              | exception Sys_error _ -> acc)
-          | Some _ | None -> acc)
-        0 files
-
 (* N = 1 runs in-process: same engine code, no fork, and [Crashed]
    propagates directly — byte-compatible with the sequential driver *)
 let run_inline ?timing ~make_engine emit jobs =

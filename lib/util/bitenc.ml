@@ -32,22 +32,41 @@ let reset w =
   Bytes.fill w.buf 0 (min (Bytes.length w.buf) ((w.len_bits + 7) / 8)) '\000';
   w.len_bits <- 0
 
+(* Out of line: the hot paths below only call it when a write can cross
+   the end of the buffer. *)
+let grow w needed_bytes =
+  let cap = max needed_bytes (2 * Bytes.length w.buf) in
+  let buf = Bytes.make cap '\000' in
+  Bytes.blit w.buf 0 buf 0 (Bytes.length w.buf);
+  w.buf <- buf
+
 let ensure w needed_bits =
   let needed_bytes = (w.len_bits + needed_bits + 7) / 8 in
-  if needed_bytes > Bytes.length w.buf then begin
-    let cap = max needed_bytes (2 * Bytes.length w.buf) in
-    let buf = Bytes.make cap '\000' in
-    Bytes.blit w.buf 0 buf 0 (Bytes.length w.buf);
-    w.buf <- buf
-  end
+  if needed_bytes > Bytes.length w.buf then grow w needed_bytes
 
 let bit w b =
-  ensure w 1;
-  if b then begin
-    let i = w.len_bits / 8 and off = w.len_bits mod 8 in
-    Bytes.set w.buf i (Char.chr (Char.code (Bytes.get w.buf i) lor (1 lsl off)))
-  end;
-  w.len_bits <- w.len_bits + 1
+  let pos = w.len_bits in
+  let i = pos lsr 3 in
+  if i >= Bytes.length w.buf then grow w (i + 1);
+  if b then
+    Bytes.unsafe_set w.buf i
+      (Char.unsafe_chr
+         (Char.code (Bytes.unsafe_get w.buf i) lor (1 lsl (pos land 7))));
+  w.len_bits <- pos + 1
+
+(* Fast path of [bits] for [1 <= width <= 8]: the bit-reversed value,
+   shifted to the write offset, spans at most two bytes. The second byte
+   lies past [len_bits], so it is still zero and is set, not OR-ed. *)
+let small_bits w width x =
+  let pos = w.len_bits in
+  let i = pos lsr 3 and off = pos land 7 in
+  let last = (pos + width - 1) lsr 3 in
+  if last >= Bytes.length w.buf then grow w (last + 1);
+  let v = (Array.unsafe_get rev8 x lsr (8 - width)) lsl off in
+  Bytes.unsafe_set w.buf i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get w.buf i) lor (v land 0xff)));
+  if last > i then Bytes.unsafe_set w.buf last (Char.unsafe_chr (v lsr 8));
+  w.len_bits <- pos + width
 
 (* Append the [width] low bits of [x], most-significant first. The chunk
    of [take] bits destined for byte [i] at offset [off] is the top [take]
@@ -56,28 +75,32 @@ let bit w b =
 let bits w ~width x =
   assert (width >= 0 && width <= 62);
   assert (x >= 0 && (width = 62 || x < 1 lsl width));
-  ensure w width;
-  let pos = ref w.len_bits and remaining = ref width in
-  while !remaining > 0 do
-    let i = !pos lsr 3 and off = !pos land 7 in
-    let take = min !remaining (8 - off) in
-    let chunk = (x lsr (!remaining - take)) land ((1 lsl take) - 1) in
-    let placed = Array.unsafe_get rev8 chunk lsr (8 - take) in
-    Bytes.unsafe_set w.buf i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get w.buf i) lor (placed lsl off)));
-    pos := !pos + take;
-    remaining := !remaining - take
-  done;
-  w.len_bits <- !pos
+  if width <= 8 then (if width > 0 then small_bits w width x)
+  else begin
+    ensure w width;
+    let pos = ref w.len_bits and remaining = ref width in
+    while !remaining > 0 do
+      let i = !pos lsr 3 and off = !pos land 7 in
+      let take = min !remaining (8 - off) in
+      let chunk = (x lsr (!remaining - take)) land ((1 lsl take) - 1) in
+      let placed = Array.unsafe_get rev8 chunk lsr (8 - take) in
+      Bytes.unsafe_set w.buf i
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get w.buf i) lor (placed lsl off)));
+      pos := !pos + take;
+      remaining := !remaining - take
+    done;
+    w.len_bits <- !pos
+  end
 
-(* LEB128-style groups, low group first; each 8-bit group is one [bits]
-   call: continuation flag in the stream-first (value-MSB) position. *)
+(* LEB128-style groups, low group first; each 8-bit group is one
+   [small_bits] write: continuation flag in the stream-first (value-MSB)
+   position. A value below 128 is a single group. *)
 let rec varint w x =
   assert (x >= 0);
-  if x < 128 then bits w ~width:8 x
+  if x < 128 then small_bits w 8 x
   else begin
-    bits w ~width:8 (0x80 lor (x land 0x7f));
+    small_bits w 8 (0x80 lor (x land 0x7f));
     varint w (x lsr 7)
   end
 
@@ -101,38 +124,64 @@ let reset_reader r data =
 let reader_of_writer w =
   { data = to_bytes w; total_bits = w.len_bits; pos = 0 }
 
+let out_of_data () = invalid_arg "Bitenc.read_bit: out of data"
+
+(* Every read checks [pos + width <= total_bits] first, and [total_bits]
+   never exceeds [8 * Bytes.length data], so the unchecked byte accesses
+   below stay inside the buffer. *)
 let read_bit r =
-  if r.pos >= r.total_bits then invalid_arg "Bitenc.read_bit: out of data";
-  let i = r.pos / 8 and off = r.pos mod 8 in
-  r.pos <- r.pos + 1;
-  Char.code (Bytes.get r.data i) land (1 lsl off) <> 0
+  let pos = r.pos in
+  if pos >= r.total_bits then out_of_data ();
+  r.pos <- pos + 1;
+  Char.code (Bytes.unsafe_get r.data (pos lsr 3)) land (1 lsl (pos land 7))
+  <> 0
+
+(* Fast path of [read_bits] for [1 <= width <= 8]: at most two bytes. *)
+let small_read r width =
+  let pos = r.pos in
+  if pos + width > r.total_bits then out_of_data ();
+  let i = pos lsr 3 and off = pos land 7 in
+  let lo = Char.code (Bytes.unsafe_get r.data i) in
+  let word =
+    if off + width > 8 then
+      lo lor (Char.code (Bytes.unsafe_get r.data (i + 1)) lsl 8)
+    else lo
+  in
+  r.pos <- pos + width;
+  Array.unsafe_get rev8 ((word lsr off) land ((1 lsl width) - 1))
+  lsr (8 - width)
 
 let read_bits r ~width =
   assert (width >= 0 && width <= 62);
-  if r.pos + width > r.total_bits then
-    invalid_arg "Bitenc.read_bit: out of data";
-  let acc = ref 0 in
-  let pos = ref r.pos and remaining = ref width in
-  while !remaining > 0 do
-    let i = !pos lsr 3 and off = !pos land 7 in
-    let take = min !remaining (8 - off) in
-    let chunk =
-      (Char.code (Bytes.unsafe_get r.data i) lsr off) land ((1 lsl take) - 1)
-    in
-    acc := (!acc lsl take) lor (Array.unsafe_get rev8 chunk lsr (8 - take));
-    pos := !pos + take;
-    remaining := !remaining - take
-  done;
-  r.pos <- !pos;
-  !acc
+  if width <= 8 then (if width = 0 then 0 else small_read r width)
+  else begin
+    if r.pos + width > r.total_bits then out_of_data ();
+    let acc = ref 0 in
+    let pos = ref r.pos and remaining = ref width in
+    while !remaining > 0 do
+      let i = !pos lsr 3 and off = !pos land 7 in
+      let take = min !remaining (8 - off) in
+      let chunk =
+        (Char.code (Bytes.unsafe_get r.data i) lsr off) land ((1 lsl take) - 1)
+      in
+      acc := (!acc lsl take) lor (Array.unsafe_get rev8 chunk lsr (8 - take));
+      pos := !pos + take;
+      remaining := !remaining - take
+    done;
+    r.pos <- !pos;
+    !acc
+  end
+
+(* Top-level recursion with explicit arguments, so a read allocates no
+   closure. *)
+let rec read_varint_groups r acc shift =
+  let y = small_read r 8 in
+  let acc = acc lor ((y land 0x7f) lsl shift) in
+  if y land 0x80 <> 0 then read_varint_groups r acc (shift + 7) else acc
 
 let read_varint r =
-  let rec go acc shift =
-    let y = read_bits r ~width:8 in
-    let acc = acc lor ((y land 0x7f) lsl shift) in
-    if y land 0x80 <> 0 then go acc (shift + 7) else acc
-  in
-  go 0 0
+  let y = small_read r 8 in
+  if y < 0x80 then y else read_varint_groups r (y land 0x7f) 7
 
 let bits_remaining r = r.total_bits - r.pos
 

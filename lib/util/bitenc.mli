@@ -7,7 +7,8 @@
 type writer
 (** Append-only bit buffer. Preallocated and growable; appends write
     whole bytes at a time (no per-bit closure or per-bit bounds check on
-    the [bits]/[varint] path). *)
+    the [bits]/[varint] path), and a field of at most 8 bits touches at
+    most two bytes. *)
 
 val writer : ?capacity:int -> unit -> writer
 (** [writer ~capacity ()] preallocates [capacity] bytes (default 16). *)
@@ -47,6 +48,10 @@ val reset_reader : reader -> bytes -> unit
 val read_bit : reader -> bool
 val read_bits : reader -> width:int -> int
 val read_varint : reader -> int
+(** The three reads raise [Invalid_argument] when fewer bits remain
+    than the field needs; a failing [read_bits] consumes nothing.
+    Decoders of untrusted bits (certificate bundles) rely on this to stay
+    total. *)
 
 val bits_remaining : reader -> int
 (** Bits not yet consumed (includes any zero padding from [to_bytes]). *)

@@ -174,6 +174,113 @@ let diameter_specifics () =
     (L2.decide_graph (G.disjoint_union (Gen.path 2) (Gen.path 2)));
   check "K4 diam 1 <= 2" true (L2.decide_graph (Gen.complete 4))
 
+(* ---------------------------------------------------------------- *)
+(* decode's canonical check: a decoded state already in canonical form
+   is kept as read, any other is re-canonicalized. Both branches must
+   give what the full re-canonicalization gives, on adversarial inputs
+   too: unsorted, duplicate and empty classes. *)
+
+module B = Lcp_util.Bitenc
+module SP = A.Slot_partition
+
+let arb_raw_classes =
+  QCheck.(
+    list_of_size Gen.(int_range 0 6)
+      (list_of_size Gen.(int_range 0 5) (int_bound 9)))
+
+(* the wire format of [Slot_partition.encode], written for arbitrary
+   class lists *)
+let write_classes w classes =
+  B.varint w (List.length classes);
+  List.iter
+    (fun c ->
+      B.varint w (List.length c);
+      List.iter (B.varint w) c)
+    classes
+
+let decode_with write x =
+  let w = B.writer () in
+  write w x;
+  B.reader_of_writer w
+
+let prop_slot_partition_decode =
+  qcheck ~count:500 "Slot_partition.decode = canonical, adversarial input"
+    arb_raw_classes (fun raw ->
+      let canon = SP.classes (SP.canonical raw) in
+      (* raw input: usually the re-canonicalizing branch *)
+      SP.classes (SP.decode (decode_with write_classes raw)) = canon
+      (* canonical input: the branch that keeps what it read *)
+      && SP.classes (SP.decode (decode_with write_classes canon)) = canon)
+
+(* a deterministic reshuffle that [canonical] undoes: classes reversed,
+   every class reversed *)
+let scramble classes = List.rev_map List.rev classes
+
+let prop_bipartite_decode =
+  qcheck ~count:300 "Bipartite.decode: canonical and scrambled input agree"
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 5)
+           (list_of_size Gen.(int_range 0 4) (pair (int_bound 9) bool)))
+        bool)
+    (fun (raw, odd) ->
+      let write w classes =
+        B.varint w (List.length classes);
+        List.iter
+          (fun c ->
+            B.varint w (List.length c);
+            List.iter
+              (fun (s, p) ->
+                B.varint w s;
+                B.bit w p)
+              c)
+          classes;
+        B.bit w odd
+      in
+      let read r =
+        let rec read_n n f = if n = 0 then [] else
+          let x = f () in
+          x :: read_n (n - 1) f
+        in
+        read_n (B.read_varint r) (fun () ->
+            read_n (B.read_varint r) (fun () ->
+                let s = B.read_varint r in
+                (s, B.read_bit r)))
+      in
+      let decode classes = A.Bipartite.decode (decode_with write classes) in
+      let st = decode raw in
+      (* the classes [st] holds, as the decoder will meet them again *)
+      let held =
+        let w = B.writer () in
+        A.Bipartite.encode w st;
+        read (B.reader_of_writer w)
+      in
+      st = decode (scramble raw) && decode held = decode (scramble held))
+
+let prop_matching_decode =
+  qcheck ~count:300 "Matching.decode: canonical and scrambled input agree"
+    QCheck.(
+      pair (int_range 0 4)
+        (list_of_size Gen.(int_range 0 6) (list_of_size (Gen.return 4) bool)))
+    (fun (nslots, bitmaps) ->
+      let write w bitmaps =
+        B.varint w nslots;
+        for s = 0 to nslots - 1 do
+          B.varint w (2 * s)
+        done;
+        B.varint w (List.length bitmaps);
+        List.iter
+          (fun bm -> List.iteri (fun i b -> if i < nslots then B.bit w b) bm)
+          bitmaps
+      in
+      let st = A.Matching.decode (decode_with write bitmaps) in
+      let w = B.writer () in
+      A.Matching.encode w st;
+      let st' = A.Matching.decode (B.reader_of_writer w) in
+      st = A.Matching.decode (decode_with write (List.rev bitmaps))
+      && st = A.Matching.decode (decode_with write (bitmaps @ bitmaps))
+      && st' = st)
+
 let suite =
   ( "algebra",
     List.map exhaustive_small catalogue
@@ -187,4 +294,7 @@ let suite =
         test "hamiltonicity specifics" hamiltonicity_specifics;
         clique_vs_triangle_free;
         test "diameter specifics" diameter_specifics;
+        prop_slot_partition_decode;
+        prop_bipartite_decode;
+        prop_matching_decode;
       ] )

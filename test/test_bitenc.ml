@@ -172,6 +172,117 @@ let writer_reset_reuse () =
   B.reset_reader r first;
   check_int "reader reset decodes" 987654 (B.read_varint r)
 
+(* The read fast paths (widths <= 8, one-group varints) against reads
+   of the stream one bit at a time, on streams of every length mod 8:
+   reads that end exactly at [total_bits], reads inside the last byte,
+   and reads past the end, which must raise [Invalid_argument] (bundle
+   decoding turns exactly that exception into an [Error]). *)
+let arb_stream_and_reads =
+  QCheck.(
+    pair
+      (list_of_size Gen.(int_range 1 120) bool)
+      (list_of_size Gen.(int_range 1 40)
+         (oneof
+            [
+              map (fun w -> `Bits w) (int_range 0 8);
+              map (fun w -> `Bits w) (int_range 9 62);
+              always `Varint;
+              always `Bit;
+            ])))
+
+let reads_match_stream stream_bits total reader ops =
+  let value pos width =
+    let acc = ref 0 in
+    for i = pos to pos + width - 1 do
+      acc := (!acc lsl 1) lor if stream_bits i then 1 else 0
+    done;
+    !acc
+  in
+  (* reference varint: 8-bit groups, flag first, low group first *)
+  let rec varint pos acc shift =
+    if pos + 8 > total then None
+    else
+      let y = value pos 8 in
+      let acc = acc lor ((y land 0x7f) lsl shift) in
+      if y land 0x80 <> 0 then varint (pos + 8) acc (shift + 7)
+      else Some (acc, pos + 8)
+  in
+  let out_of_data f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let rec go pos = function
+    | [] -> true
+    | op :: rest -> (
+        let expected =
+          match op with
+          | `Bit -> if pos < total then Some (value pos 1, pos + 1) else None
+          | `Bits w ->
+              if pos + w <= total then Some (value pos w, pos + w) else None
+          | `Varint -> varint pos 0 0
+        in
+        let read () =
+          match op with
+          | `Bit -> if B.read_bit reader then 1 else 0
+          | `Bits width -> B.read_bits reader ~width
+          | `Varint -> B.read_varint reader
+        in
+        match expected with
+        | None -> out_of_data read
+        | Some (v, pos') ->
+            read () = v
+            && B.bits_remaining reader = total - pos'
+            && go pos' rest)
+  in
+  go 0 ops
+
+let prop_fast_reads_vs_per_bit =
+  qcheck ~count:500 "fast reads = per-bit reads, to the last bit and past it"
+    arb_stream_and_reads (fun (bits, ops) ->
+      let w = B.writer () in
+      List.iter (B.bit w) bits;
+      let arr = Array.of_list bits in
+      let len = Array.length arr in
+      (* a writer's stream: [total_bits] need not be a multiple of 8 *)
+      reads_match_stream (fun i -> arr.(i)) len (B.reader_of_writer w) ops
+      (* the padded byte buffer: reads may end in its last byte *)
+      && reads_match_stream
+           (fun i -> i < len && arr.(i))
+           (8 * ((len + 7) / 8))
+           (B.reader (B.to_bytes w))
+           ops)
+
+let reads_end_exactly_at_total () =
+  for len = 1 to 24 do
+    let w = B.writer () in
+    for i = 0 to len - 1 do
+      B.bit w (i mod 3 = 0)
+    done;
+    for width = 1 to min len 8 do
+      let r = B.reader_of_writer w in
+      ignore (B.read_bits r ~width:(len - width) : int);
+      let v = B.read_bits r ~width in
+      let expected = ref 0 in
+      for i = len - width to len - 1 do
+        expected := (!expected lsl 1) lor if i mod 3 = 0 then 1 else 0
+      done;
+      check_int (Printf.sprintf "len %d: last %d bits" len width) !expected v;
+      check_int "nothing left" 0 (B.bits_remaining r);
+      check_int "a zero-width read at the end" 0 (B.read_bits r ~width:0);
+      Alcotest.check_raises "one bit past the end"
+        (Invalid_argument "Bitenc.read_bit: out of data") (fun () ->
+          ignore (B.read_bits r ~width:1 : int))
+    done
+  done;
+  (* a varint cut off inside its group is out of data, not a value *)
+  let w = B.writer () in
+  B.varint w 300;
+  let r = B.reader (Bytes.sub (B.to_bytes w) 0 1) in
+  Alcotest.check_raises "truncated varint"
+    (Invalid_argument "Bitenc.read_bit: out of data") (fun () ->
+      ignore (B.read_varint r : int))
+
 let suite =
   ( "bitenc",
     [
@@ -186,4 +297,6 @@ let suite =
       prop_word_vs_per_bit;
       prop_read_bits_vs_per_bit;
       test "writer/reader reset and reuse" writer_reset_reuse;
+      prop_fast_reads_vs_per_bit;
+      test "reads ending exactly at total_bits" reads_end_exactly_at_total;
     ] )

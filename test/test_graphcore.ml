@@ -288,10 +288,159 @@ let suite_memo =
       memo_equality;
   ]
 
+(* ---------------------------------------------------------------- *)
+(* label bits from the encode pass: the engine and delta miss paths
+   take a job's largest label from [Bundle.encode_sized]'s one pass;
+   it must equal the re-encoding oracle [Scheme.max_edge_label_bits]
+   exactly *)
+
+module Engine = Lcp_service.Engine
+module Delta = Lcp_service.Delta
+module Manifest = Lcp_service.Manifest
+module Stats = Lcp_service.Stats
+
+let property_names = Registry.names ()
+
+let oracle_scheme name ~k =
+  let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+  let module T1 = Lcp_cert.Theorem1.Make (P.A) in
+  let scheme = T1.edge_scheme ~rep:Engine.default_rep ~k () in
+  let decode_label = Lcp_cert.Certificate.decode ~decode_state:P.decode_state in
+  (* erase the state type: the checks only need bit counts *)
+  ( (fun cfg ->
+      Option.map
+        (fun labels ->
+          let g = PLS.Config.graph cfg in
+          ( S.max_edge_label_bits scheme labels,
+            Bundle.encode ~encode_label:scheme.S.es_encode g labels,
+            Bundle.encode_sized ~encode_label:scheme.S.es_encode g labels ))
+        (scheme.S.es_prove cfg)),
+    fun g bundle ->
+      match Bundle.decode ~decode_label g bundle with
+      | Ok labels -> S.max_edge_label_bits scheme labels
+      | Error e -> Alcotest.failf "stored bundle does not decode: %s" e )
+
+(* the one-pass figure equals the oracle, and the sized encode writes
+   the same bundle as [Bundle.encode] *)
+let one_pass_agrees (oracle, plain, sized) =
+  match (plain, sized) with
+  | Ok b, Ok (b', bits) -> bits = oracle && Bundle.equal b b'
+  | _ -> false
+
+(* light-mix jobs (n <= 8) through the engine's miss path: the report's
+   label bits against the oracle run on the same graph and ids *)
+let prop_engine_label_bits =
+  let families = [ "random"; "path"; "tree"; "cycle" ] in
+  qcheck ~count:150 "engine miss path: one-pass label bits = oracle (n <= 8)"
+    QCheck.(
+      quad
+        (int_bound (List.length property_names - 1))
+        (int_bound (List.length families - 1))
+        (int_range 3 8) (pair (int_range 1 2) (int_bound 10_000)))
+    (fun (pi, fi, n, (k, seed)) ->
+      let property = List.nth property_names pi in
+      let source =
+        Manifest.Generated { family = List.nth families fi; n; gen_seed = seed }
+      in
+      let job = { Manifest.job_id = "lb"; source; property; k; seed } in
+      let report = Engine.run_job (Engine.create ()) job in
+      match report.Stats.r_status with
+      | Stats.Served_fresh -> (
+          let g =
+            Result.get_ok (Engine.graph_of_source ~base_dir:"." ~k source)
+          in
+          let cfg = PLS.Config.random_ids (Random.State.make [| seed |]) g in
+          match fst (oracle_scheme property ~k) cfg with
+          | Some ((oracle, _, _) as r) ->
+              one_pass_agrees r && report.Stats.r_label_bits = oracle
+          | None -> false)
+      | _ -> true)
+
+(* n = 128: random pathwidth-2 graphs for connectivity; the properties
+   these graphs almost never have run on random pathwidth-1 graphs
+   (trees) and on the ladder, whose ids are still random *)
+let prop_pw2_128_label_bits =
+  qcheck ~count:15 "one-pass label bits = oracle on n=128, pathwidth <= 2"
+    QCheck.(pair (int_bound (List.length property_names - 1)) (int_bound 10_000))
+    (fun (pi, seed) ->
+      let property = List.nth property_names pi in
+      let rng = Random.State.make [| seed |] in
+      let g =
+        match property with
+        | "connected" -> fst (Gen.random_pathwidth rng ~n:128 ~k:2 ())
+        | "perfect_matching" -> Gen.ladder 64
+        | _ -> fst (Gen.random_pathwidth rng ~n:128 ~k:1 ())
+      in
+      let cfg = PLS.Config.random_ids rng g in
+      match fst (oracle_scheme property ~k:2) cfg with
+      | Some r -> one_pass_agrees r
+      | None -> Alcotest.failf "%s declined a graph it holds on" property)
+
+(* delta sessions on a 20-vertex path: every fresh (miss-path) step's
+   reported label bits against the oracle on the bundle it served. Each
+   edit yields a graph the session has not seen, so steps miss: chords
+   of length 2 (connected, pathwidth 2) or 3 (bipartite, pathwidth 3),
+   or deletions (acyclic). *)
+let delta_label_bits () =
+  let checked = ref 0 in
+  List.iter
+    (fun (property, k, edit) ->
+      let line =
+        Printf.sprintf "id=lb gen=path n=20 gseed=3 property=%s k=%d seed=5"
+          property k
+      in
+      let job =
+        match Manifest.parse line with
+        | Ok [ j ] -> j
+        | _ -> Alcotest.failf "bad job line %S" line
+      in
+      let s =
+        match Delta.create (Engine.create ()) job with
+        | Ok (s, _, _) -> s
+        | Error _ -> Alcotest.failf "session did not open: %s" line
+      in
+      let label_bits_of = snd (oracle_scheme property ~k) in
+      let starts = Array.init 16 Fun.id in
+      let rng = Random.State.make [| 11 |] in
+      for i = 15 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = starts.(i) in
+        starts.(i) <- starts.(j);
+        starts.(j) <- x
+      done;
+      Array.iteri
+        (fun step u ->
+          if step < 10 then begin
+            let ops = edit u in
+            let r, _ = Delta.step s ~full:false ops in
+            if r.Stats.r_status = Stats.Served_fresh then begin
+              incr checked;
+              check_int
+                (Printf.sprintf "%s after %s: label bits" property ops)
+                (label_bits_of (Delta.graph s) (Option.get (Delta.bundle s)))
+                r.Stats.r_label_bits
+            end
+          end)
+        starts)
+    [
+      ("connected", 2, fun u -> Printf.sprintf "add=%d-%d" u (u + 2));
+      ("bipartite", 3, fun u -> Printf.sprintf "add=%d-%d" u (u + 3));
+      ("acyclic", 2, fun u -> Printf.sprintf "del=%d-%d" u (u + 1));
+    ];
+  check "delta miss path exercised" true (!checked >= 20)
+
+let suite_label_bits =
+  [
+    prop_engine_label_bits;
+    prop_pw2_128_label_bits;
+    test "delta miss path: one-pass label bits = oracle" delta_label_bits;
+  ]
+
 let () =
   Alcotest.run "lcp-graphcore"
     [
       ("csr-vs-ref", suite_equiv);
       ("10k-regression", suite_10k);
       ("memo", suite_memo);
+      ("label-bits", suite_label_bits);
     ]

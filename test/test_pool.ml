@@ -283,10 +283,47 @@ let sweep_is_pid_aware () =
   touch (Printf.sprintf "c.cert.%d.tmp" 1); (* pid 1: alive, not ours *)
   touch "d.cert.tmp"; (* no owner pid parseable: left alone *)
   touch "e.cert"; (* not a tmp file at all *)
-  check_int "swept own + dead-owner files only" 2 (Pool.sweep_tmp_files dir);
+  check_int "swept own + dead-owner files only" 2
+    (fst (Store.sweep_tmp_files dir));
   let left = Sys.readdir dir |> Array.to_list |> List.sort compare in
   check "live-owner, unparseable, and real records survive" true
     (left = [ Printf.sprintf "c.cert.%d.tmp" 1; "d.cert.tmp"; "e.cert" ])
+
+(* every Pool worker creates its own store after fork, so a late
+   worker's start-up sweep runs while siblings are mid-write: it must
+   leave a live sibling's spool file alone, or the sibling's rename
+   fails and its record is silently lost *)
+let store_create_keeps_live_sibling_tmp () =
+  with_dir "create-sweep" @@ fun dir ->
+  let touch f = close_out (open_out (Filename.concat dir f)) in
+  let rd, wr = Unix.pipe () in
+  let sibling =
+    match Unix.fork () with
+    | 0 ->
+        (* stays alive until the parent closes its end of the pipe *)
+        Unix.close wr;
+        (try ignore (Unix.read rd (Bytes.create 1) 0 1)
+         with Unix.Unix_error _ -> ());
+        Unix._exit 0
+    | pid ->
+        Unix.close rd;
+        pid
+  in
+  let live = Printf.sprintf "a.cert.%d.tmp" sibling in
+  let own = Printf.sprintf "b.cert.%d.tmp" (Unix.getpid ()) in
+  touch live;
+  touch own;
+  touch "c.cert.tmp";
+  let st = Store.create ~cap:4 ~dir () in
+  Unix.close wr;
+  ignore (Unix.waitpid [] sibling);
+  check_int "own and pid-less spool files swept" 2
+    (Store.stats st).Store.orphans_swept;
+  check "the live sibling's spool file survives" true
+    (Sys.file_exists (Filename.concat dir live));
+  check "debris gone" false
+    (Sys.file_exists (Filename.concat dir own)
+    || Sys.file_exists (Filename.concat dir "c.cert.tmp"))
 
 let () =
   Alcotest.run "lcp-pool"
@@ -302,5 +339,7 @@ let () =
             jobs1_vs_jobs4_under_faults;
           test "crash in a worker kills the batch" crash_propagates;
           test "interrupt sweep is pid-aware" sweep_is_pid_aware;
+          test "store start-up sweep keeps a live sibling's spool file"
+            store_create_keeps_live_sibling_tmp;
         ] );
     ]
