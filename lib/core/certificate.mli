@@ -88,6 +88,21 @@ val decode :
   'state label
 (** Inverse of {!encode}, given the state decoder of the property algebra
     in use — certificates really are just the emitted bits (tested by
-    round-tripping full labelings). *)
+    round-tripping full labelings).
+
+    Partially applied, [decode ~decode_state] is a {e sharing} decoder:
+    over the labels it reads from one stream (one reader, between two
+    {!Lcp_util.Bitenc.reset_reader}s), a repeated info record is decoded
+    once and its later copies are skipped, and equal frames and equal
+    frame stacks ([frames], [vframes]) come back physically equal, so
+    the verifier's [==] short cuts apply. Each label is still exactly
+    the value a fresh decoder computes from its bits, and out-of-data
+    or invalid bits still raise [Invalid_argument]. The tables are
+    emptied when the decoder sees another reader, a repointed one, or a
+    position behind the furthest record it remembers; they keep the
+    last stream's buffer and values alive until then. A lookup compares
+    at most four candidates, so no stream costs more than a constant
+    factor over decoding it without sharing. [decode_state] must be a
+    pure function of the bits it reads. *)
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -215,8 +215,8 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   (* Labels are pure data (frames, pointer sub-labels, transported
      records, algebra states), so structural equality decides reuse. *)
-  let patch_labels ?strategy ~rep ~prev ~(delta : delta) cfg =
-    match P.prepare ?strategy ~rep cfg with
+  let patch_labels ?strategy ?max_lanes ~rep ~prev ~(delta : delta) cfg =
+    match P.prepare ?strategy ~rep ?max_lanes cfg with
     | Error _ as e -> e
     | Ok art ->
         let g = Config.graph cfg in

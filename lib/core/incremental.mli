@@ -74,6 +74,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
 
   val patch_labels :
     ?strategy:Prover.strategy ->
+    ?max_lanes:int ->
     rep:Representation.t ->
     prev:labeling option ->
     delta:delta ->
@@ -85,7 +86,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
       refreshed, and [p_verify] is the dirty-plus-boundary set to
       re-verify locally. With [prev = None] everything is new and
       [p_verify] is all vertices. [Error] mirrors [Prover.prepare]
-      (empty or disconnected graph). Keeping one functor instance per
-      session keeps the composition memo warm across edits — that is
-      where the locality pays. *)
+      (empty or disconnected graph, or more lanes than [max_lanes]).
+      Keeping one functor instance per session keeps the composition
+      memo warm across edits — that is where the locality pays. *)
 end

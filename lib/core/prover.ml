@@ -240,7 +240,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   (* ------------------------------------------------------------------ *)
 
-  let prepare ?(strategy = `Prop46) ?rep cfg =
+  let prepare ?(strategy = `Prop46) ?rep ?max_lanes cfg =
     let g = Config.graph cfg in
     if Graph.n g = 0 then Error "empty graph"
     else if not (Traversal.is_connected g) then Error "disconnected graph"
@@ -273,6 +273,10 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
             in
             (p, paths)
       in
+      let lanes = Lane_partition.lane_count partition in
+      if lanes > Option.value max_lanes ~default:max_int then
+        Error (Printf.sprintf "lane partition has %d lanes, more than allowed" lanes)
+      else
       let host = Completion.completion partition in
       let trace, to_host = Prop52.trace_of_partition partition in
       let hierarchy = Builder.of_trace_on ~host ~to_host trace in
@@ -366,8 +370,8 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
         }
     end
 
-  let prove ?strategy ?rep cfg =
-    match prepare ?strategy ?rep cfg with
+  let prove ?strategy ?rep ?max_lanes cfg =
+    match prepare ?strategy ?rep ?max_lanes cfg with
     | Error _ as e -> e
     | Ok art ->
         if art.holds then Ok art.labels else Error "property does not hold"

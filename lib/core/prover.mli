@@ -28,17 +28,23 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   val prepare :
     ?strategy:strategy ->
     ?rep:Lcp_interval.Representation.t ->
+    ?max_lanes:int ->
     Lcp_pls.Config.t ->
     (artifacts, string) result
   (** Build everything, including certificates, regardless of whether the
       property holds (used by soundness tests: an honest structure with a
       failing property must still be rejected via [accept_state]). When
       [rep] is omitted, the exact small-graph algorithm computes one.
-      The representation must belong to the configuration's graph. *)
+      The representation must belong to the configuration's graph.
+      With [max_lanes], a lane partition of more lanes is an [Error],
+      returned before the trace, the hierarchy and the certificates are
+      built: those grow with the lane count, and a verifier bounded by
+      [max_lanes] would reject the labels anyway. *)
 
   val prove :
     ?strategy:strategy ->
     ?rep:Lcp_interval.Representation.t ->
+    ?max_lanes:int ->
     Lcp_pls.Config.t ->
     (labeling, string) result
   (** [P]: like {!prepare}, but declines when the property does not hold

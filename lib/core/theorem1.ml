@@ -10,7 +10,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
     let max_lanes = max_lanes_for ~k in
     let prove cfg =
       let rep = match rep with None -> None | Some f -> f cfg in
-      match P.prove ?strategy ?rep cfg with
+      match P.prove ?strategy ?rep ~max_lanes cfg with
       | Ok labels -> Some labels
       | Error _ -> None
     in

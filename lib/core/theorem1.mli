@@ -20,7 +20,11 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   (** [~k] is the promised pathwidth bound; the verifier enforces
       lane indices < f(k+1) and stack depth ≤ 2·f(k+1). [rep] optionally
       supplies a width-(k+1) interval representation per configuration
-      (e.g. a generator witness); otherwise the exact algorithm runs. *)
+      (e.g. a generator witness); otherwise the exact algorithm runs.
+      The prover declines when the lane partition of that
+      representation has more than f(k+1) lanes (a representation
+      wider than k+1 can give one), before building the certificates
+      the verifier would reject. *)
 
   val vertex_scheme :
     ?strategy:Prover.strategy ->

@@ -145,13 +145,15 @@ type t = {
 
 (* creation failures must be loud and immediate: a store that cannot
    make its directory would otherwise fail later with a baffling rename
-   error on the first write *)
+   error on the first write. A directory that appears between the check
+   and the mkdir is no failure: sibling pool workers open stores on one
+   cache directory at the same moment. *)
 let mkdir_p io d =
   let rec go d =
     if not (io.Blob.file_exists d) then begin
       let parent = Filename.dirname d in
       if parent <> d then go parent;
-      io.Blob.mkdir d
+      try io.Blob.mkdir d with Sys_error _ when io.Blob.is_directory d -> ()
     end
     else if not (io.Blob.is_directory d) then
       raise (Sys_error (d ^ ": exists but is not a directory"))

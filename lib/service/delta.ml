@@ -164,9 +164,7 @@ let create ?retry engine (job : Manifest.job) =
           (* verify/encode only — proving goes through [I], whose
              composition memo stays warm across the session *)
           let scheme = T1.edge_scheme ~k:job.Manifest.k () in
-          let decode_label =
-            Lcp_cert.Certificate.decode ~decode_state:Pr.decode_state
-          in
+          let max_lanes = Some (T1.max_lanes_for ~k:job.Manifest.k) in
           (* memory-tier warm hits skip the bundle decode: the session
              remembers the labeling it decoded (or encoded) for each
              bundle value it has served, keyed by content hash and
@@ -248,6 +246,11 @@ let create ?retry engine (job : Manifest.job) =
                     match recall key entry.Cert_store.e_bundle with
                     | Some labels -> Ok labels
                     | None ->
+                        (* one sharing decoder per bundle: none outlives
+                           the decode, so the session keeps no tables *)
+                        let decode_label =
+                          Lcp_cert.Certificate.decode ~decode_state:Pr.decode_state
+                        in
                         Bundle.decode ~decode_label g1 entry.Cert_store.e_bundle
                   in
                   match decoded_labels with
@@ -299,7 +302,7 @@ let create ?retry engine (job : Manifest.job) =
                   Timing.time timing Timing.Prove (fun () ->
                       let rep1, transplanted = make_rep () in
                       let prev = if full then None else !cur_labels in
-                      ( I.patch_labels ~rep:rep1 ~prev ~delta cfg1,
+                      ( I.patch_labels ~rep:rep1 ~prev ~delta ?max_lanes cfg1,
                         rep1,
                         transplanted,
                         prev <> None ))
@@ -323,7 +326,8 @@ let create ?retry engine (job : Manifest.job) =
                 in
                 match outcome with
                 | Error _ ->
-                    (* empty/disconnected: the prover declines, as the
+                    (* empty/disconnected, or more lanes than the
+                       verifier allows: the prover declines, as the
                        engine's fresh path would *)
                     commit ~graph:g1 ~rep:(Some rep1) ~labels:None ~bundle:None;
                     ( {

@@ -184,9 +184,6 @@ let run_once t (job : Manifest.job) : Stats.job_report =
       | Some (module P) -> (
           let module T1 = Lcp_cert.Theorem1.Make (P.A) in
           let scheme = T1.edge_scheme ~rep:default_rep ~k:job.k () in
-          let decode_label =
-            Lcp_cert.Certificate.decode ~decode_state:P.decode_state
-          in
           let cfg = Config.random_ids (Random.State.make [| job.seed |]) g in
           let key = Cert_store.key ~property:job.property ~k:job.k g in
           let verify_labels labels =
@@ -205,6 +202,10 @@ let run_once t (job : Manifest.job) : Stats.job_report =
             with
             | None -> None
             | Some entry -> (
+                (* one sharing decoder for the bundle's labels *)
+                let decode_label =
+                  Lcp_cert.Certificate.decode ~decode_state:P.decode_state
+                in
                 match Bundle.decode ~decode_label g entry.Cert_store.e_bundle with
                 | Error e ->
                     Cert_store.remove t.store key;

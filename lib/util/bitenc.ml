@@ -112,17 +112,19 @@ type reader = {
   mutable data : Bytes.t;
   mutable total_bits : int;
   mutable pos : int;
+  mutable epoch : int;  (** bumped by [reset_reader] *)
 }
 
-let reader data = { data; total_bits = 8 * Bytes.length data; pos = 0 }
+let reader data = { data; total_bits = 8 * Bytes.length data; pos = 0; epoch = 0 }
 
 let reset_reader r data =
   r.data <- data;
   r.total_bits <- 8 * Bytes.length data;
-  r.pos <- 0
+  r.pos <- 0;
+  r.epoch <- r.epoch + 1
 
 let reader_of_writer w =
-  { data = to_bytes w; total_bits = w.len_bits; pos = 0 }
+  { data = to_bytes w; total_bits = w.len_bits; pos = 0; epoch = 0 }
 
 let out_of_data () = invalid_arg "Bitenc.read_bit: out of data"
 
@@ -184,6 +186,76 @@ let read_varint r =
   if y < 0x80 then y else read_varint_groups r (y land 0x7f) 7
 
 let bits_remaining r = r.total_bits - r.pos
+
+let position r = r.pos
+
+let epoch r = r.epoch
+
+let skip r n =
+  if n < 0 || r.pos + n > r.total_bits then out_of_data ();
+  r.pos <- r.pos + n
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Stream bits [pos, pos + width) of [data] as an int, stream bit [pos]
+   in bit 0 (raw stream order, not the MSB-first value order of
+   [read_bits]). [width <= 56], so with [pos land 7 <= 7] the field sits
+   in the low 63 bits of the 8-byte little-endian word at [pos / 8];
+   [Int64.to_int] keeps exactly those, and applied straight to the
+   unchecked load it compiles to a plain load, with no boxed int64.
+   Near the end of the buffer the word is assembled from the bytes that
+   exist. Callers keep [pos + width <= 8 * Bytes.length data]. *)
+let raw_chunk data pos width =
+  let i = pos lsr 3 in
+  let word =
+    if i + 8 <= Bytes.length data then
+      if Sys.big_endian then Int64.to_int (bswap64 (get64u data i))
+      else Int64.to_int (get64u data i)
+    else begin
+      let w = ref 0 in
+      for j = Bytes.length data - 1 downto i do
+        w := (!w lsl 8) lor Char.code (Bytes.unsafe_get data j)
+      done;
+      !w
+    end
+  in
+  (word lsr (pos land 7)) land ((1 lsl width) - 1)
+
+let chunk_bits = 56
+
+let in_stream r a len = a >= 0 && len >= 0 && a + len <= r.total_bits
+
+(* Top-level recursion with explicit arguments: a compare or a hash
+   allocates nothing. *)
+let rec chunks_equal data a b len k =
+  k >= len
+  ||
+  let w = min chunk_bits (len - k) in
+  raw_chunk data (a + k) w = raw_chunk data (b + k) w
+  && chunks_equal data a b len (k + w)
+
+let span_equal r a b ~len =
+  in_stream r a len && in_stream r b len
+  && (a = b || chunks_equal r.data a b len 0)
+
+(* One multiply per chunk, then a 64-bit finalizer cut to OCaml's
+   63-bit ints: multiplication only carries low bits upward, so the
+   shifts fold the high bits back into the low ones that a power-of-two
+   table indexes by. *)
+let rec hash_chunks data a len h k =
+  if k >= len then
+    let h = (h lxor (h lsr 32)) * 0x2545f4914f6cdd1d in
+    h lxor (h lsr 29)
+  else
+    let w = min chunk_bits (len - k) in
+    hash_chunks data a len
+      ((h lxor raw_chunk data (a + k) w) * 0x100000001b3)
+      (k + w)
+
+let span_hash r a ~len =
+  if not (in_stream r a len) then invalid_arg "Bitenc.span_hash: out of range";
+  hash_chunks r.data a len len 0
 
 let get_bit data pos =
   if pos < 0 || pos >= 8 * Bytes.length data then

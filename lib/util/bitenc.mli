@@ -43,7 +43,13 @@ val reader_of_writer : writer -> reader
 
 val reset_reader : reader -> bytes -> unit
 (** Repoint an existing reader at a new buffer, position 0 — reuse a
-    reader across decodes without reallocating. *)
+    reader across decodes without reallocating. Bumps {!epoch}. *)
+
+val epoch : reader -> int
+(** How many times {!reset_reader} has repointed this reader. A decoder
+    that caches values by stream position keys them on
+    (reader, epoch): the same reader at a new epoch may hold other
+    bits, even the same buffer changed in place. *)
 
 val read_bit : reader -> bool
 val read_bits : reader -> width:int -> int
@@ -55,6 +61,24 @@ val read_varint : reader -> int
 
 val bits_remaining : reader -> int
 (** Bits not yet consumed (includes any zero padding from [to_bytes]). *)
+
+val position : reader -> int
+(** Bits consumed so far: the stream offset of the next read. *)
+
+val skip : reader -> int -> unit
+(** [skip r n] consumes [n] bits without decoding them. Raises
+    [Invalid_argument] (consuming nothing) when fewer than [n] remain. *)
+
+val span_equal : reader -> int -> int -> len:int -> bool
+(** [span_equal r a b ~len]: stream bits [\[a, a+len)] and
+    [\[b, b+len)] of [r]'s buffer both lie within the stream and are
+    equal. Compares 56 bits at a time and stops at the first difference;
+    the reader's position does not move. *)
+
+val span_hash : reader -> int -> len:int -> int
+(** A hash of stream bits [\[a, a+len)] and of [len]: equal spans hash
+    equal. Costs one step per 56 bits. Raises [Invalid_argument] when
+    the span does not lie within the stream. *)
 
 val get_bit : bytes -> int -> bool
 (** Read bit [pos] of a buffer in stream order (bit [i] lives in byte

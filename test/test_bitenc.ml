@@ -283,6 +283,72 @@ let reads_end_exactly_at_total () =
     (Invalid_argument "Bitenc.read_bit: out of data") (fun () ->
       ignore (B.read_varint r : int))
 
+(* The span primitives of the sharing certificate decoder against
+   per-bit definitions, on a writer's stream (any length mod 8) and on
+   its padded byte buffer, so the end-of-buffer word assembly of
+   [span_equal]/[span_hash] is covered: two spans are equal iff every
+   bit agrees, equal spans hash equal, and a span not inside the stream
+   is never equal. Each stream repeats a prefix so that long equal spans
+   occur. *)
+let arb_span_stream =
+  let open QCheck in
+  let gen st =
+    let base = List.init (Random.State.int st 90) (fun _ -> Random.State.bool st) in
+    let bits = base @ base @ List.init (Random.State.int st 20) (fun _ -> Random.State.bool st) in
+    let len = List.length bits in
+    let pick () = Random.State.int st (len + 2) - 1 in
+    let spans = List.init 20 (fun _ -> (pick (), pick (), Random.State.int st 130)) in
+    let spans = (0, List.length base, List.length base) :: spans in
+    (bits, spans)
+  in
+  make
+    ~print:(fun (bits, _) -> Printf.sprintf "%d bits" (List.length bits))
+    gen
+
+let prop_span_primitives =
+  qcheck ~count:300 "span_equal/span_hash = per-bit spans, to the last byte"
+    arb_span_stream (fun (bits, spans) ->
+      let w = B.writer () in
+      List.iter (B.bit w) bits;
+      let arr = Array.of_list bits in
+      let check_reader r total =
+        let bit i = i < Array.length arr && arr.(i) in
+        let inside a len = a >= 0 && len >= 0 && a + len <= total in
+        List.for_all
+          (fun (a, b, len) ->
+            let expected =
+              inside a len && inside b len
+              && List.for_all (fun i -> bit (a + i) = bit (b + i)) (List.init len Fun.id)
+            in
+            B.span_equal r a b ~len = expected
+            && ((not expected) || B.span_hash r a ~len = B.span_hash r b ~len))
+          spans
+        && B.position r = 0
+      in
+      check_reader (B.reader_of_writer w) (List.length bits)
+      && check_reader (B.reader (B.to_bytes w)) (8 * Bytes.length (B.to_bytes w)))
+
+let position_skip_epoch () =
+  let w = B.writer () in
+  B.bits w ~width:12 0xabc;
+  B.varint w 300;
+  let r = B.reader_of_writer w in
+  check_int "starts at 0" 0 (B.position r);
+  B.skip r 12;
+  check_int "skip moves the position" 12 (B.position r);
+  check_int "the next field is read after the skip" 300 (B.read_varint r);
+  check_int "position = bits consumed" (B.length_bits w) (B.position r);
+  Alcotest.check_raises "skipping past the end"
+    (Invalid_argument "Bitenc.read_bit: out of data") (fun () -> B.skip r 1);
+  check_int "a failed skip consumes nothing" (B.length_bits w) (B.position r);
+  let e = B.epoch r in
+  B.reset_reader r (B.to_bytes w);
+  check_int "reset_reader bumps the epoch" (e + 1) (B.epoch r);
+  check_int "and rewinds" 0 (B.position r);
+  Alcotest.check_raises "a span past the end has no hash"
+    (Invalid_argument "Bitenc.span_hash: out of range") (fun () ->
+      ignore (B.span_hash r 20 ~len:100 : int))
+
 let suite =
   ( "bitenc",
     [
@@ -299,4 +365,6 @@ let suite =
       test "writer/reader reset and reuse" writer_reset_reuse;
       prop_fast_reads_vs_per_bit;
       test "reads ending exactly at total_bits" reads_end_exactly_at_total;
+      prop_span_primitives;
+      test "position, skip and epoch" position_skip_epoch;
     ] )

@@ -436,6 +436,268 @@ let suite_label_bits =
     test "delta miss path: one-pass label bits = oracle" delta_label_bits;
   ]
 
+(* ---------------------------------------------------------------- *)
+(* the sharing decoder: a partially applied [Certificate.decode] decodes
+   each repeated record of a stream once and hands out shared values.
+   Every label must still be exactly what a fresh decoder reads from
+   that label's bits alone, and the sharing must be complete on honest
+   bundles: one physical value per distinct info and frame. *)
+
+module Cert = Lcp_cert.Certificate
+module Bitenc = Lcp_util.Bitenc
+
+(* prove [name] on [cfg]; decode the bundle with one sharing decoder
+   and every label alone with a fresh one; true when the prover
+   declines *)
+let sharing_matches_fresh name ~k cfg =
+  let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+  let module T1 = Lcp_cert.Theorem1.Make (P.A) in
+  let scheme = T1.edge_scheme ~rep:Engine.default_rep ~k () in
+  match scheme.S.es_prove cfg with
+  | None -> true
+  | Some labels -> (
+      let g = PLS.Config.graph cfg in
+      let bundle =
+        Result.get_ok (Bundle.encode ~encode_label:scheme.S.es_encode g labels)
+      in
+      let decode_label = Cert.decode ~decode_state:P.decode_state in
+      match Bundle.decode ~decode_label g bundle with
+      | Error e -> Alcotest.failf "%s: bundle does not decode: %s" name e
+      | Ok decoded ->
+          List.for_all
+            (fun (e, l) ->
+              let w = Bitenc.writer () in
+              scheme.S.es_encode w l;
+              let alone =
+                Cert.decode ~decode_state:P.decode_state
+                  (Bitenc.reader_of_writer w)
+              in
+              S.Edge_map.find decoded e = Some alone)
+            (S.Edge_map.bindings labels))
+
+let prop_sharing_small =
+  let families = [ "random"; "path"; "tree"; "cycle" ] in
+  qcheck ~count:150 "sharing decode = label-alone decode (n <= 10)"
+    QCheck.(
+      quad
+        (int_bound (List.length property_names - 1))
+        (int_bound (List.length families - 1))
+        (int_range 2 10) (pair (int_range 1 2) (int_bound 10_000)))
+    (fun (pi, fi, n, (k, seed)) ->
+      let source =
+        Manifest.Generated { family = List.nth families fi; n; gen_seed = seed }
+      in
+      match Engine.graph_of_source ~base_dir:"." ~k source with
+      | Error _ -> true
+      | Ok g ->
+          sharing_matches_fresh (List.nth property_names pi) ~k
+            (PLS.Config.random_ids (Random.State.make [| seed |]) g))
+
+(* the n = 128 instances of [prop_pw2_128_label_bits] *)
+let graph_128 property rng =
+  match property with
+  | "connected" -> fst (Gen.random_pathwidth rng ~n:128 ~k:2 ())
+  | "perfect_matching" -> Gen.ladder 64
+  | _ -> fst (Gen.random_pathwidth rng ~n:128 ~k:1 ())
+
+let prop_sharing_128 =
+  qcheck ~count:10 "sharing decode = label-alone decode (n = 128, pw <= 2)"
+    QCheck.(pair (int_bound (List.length property_names - 1)) (int_bound 10_000))
+    (fun (pi, seed) ->
+      let property = List.nth property_names pi in
+      let rng = Random.State.make [| seed |] in
+      let g = graph_128 property rng in
+      sharing_matches_fresh property ~k:2 (PLS.Config.random_ids rng g))
+
+module Conn = Lcp_algebra.Connectivity
+module T1c = Lcp_cert.Theorem1.Make (Conn)
+
+let conn_bundle ~n ~seed =
+  let rng = Random.State.make [| seed |] in
+  let g = fst (Gen.random_pathwidth rng ~n ~k:2 ()) in
+  let cfg = PLS.Config.random_ids rng g in
+  let scheme = T1c.edge_scheme ~rep:Engine.default_rep ~k:2 () in
+  let labels = Option.get (scheme.S.es_prove cfg) in
+  (g, Result.get_ok (Bundle.encode ~encode_label:scheme.S.es_encode g labels))
+
+(* a decoder that shares nothing across labels: a new one per label *)
+let unshared r = Cert.decode ~decode_state:Conn.decode r
+
+(* all labels of a bundle read from [r] by [decode], after the header;
+   the exception a corrupt stream raises, as a value *)
+let read_all decode r m =
+  match
+    ignore (Bitenc.read_varint r : int);
+    ignore (Bitenc.read_varint r : int);
+    let rec go i acc = if i = m then List.rev acc else go (i + 1) (decode r :: acc) in
+    go 0 []
+  with
+  | labels -> Ok labels
+  | exception Invalid_argument e -> Error e
+
+let decoder_reuse () =
+  let shared = Cert.decode ~decode_state:Conn.decode in
+  let b1 = conn_bundle ~n:128 ~seed:1 and b2 = conn_bundle ~n:40 ~seed:2 in
+  List.iteri
+    (fun i (g, b) ->
+      let got = Bundle.decode ~decode_label:shared g b in
+      let want = Bundle.decode ~decode_label:unshared g b in
+      check
+        (Printf.sprintf "bundle %d: one decoder over several bundles" i)
+        true
+        (Result.map S.Edge_map.bindings got = Result.map S.Edge_map.bindings want))
+    [ b1; b2; b1; b2 ];
+  (* one reader repointed at a buffer that changes in place between
+     reads: every read must see the current bits only *)
+  let g, b = b2 in
+  let m = G.m g in
+  let bytes = Bytes.copy b.Bundle.bytes in
+  let r = Bitenc.reader bytes in
+  let clean = read_all shared r m in
+  check "clean stream decodes" true (Result.is_ok clean);
+  let total = 8 * Bytes.length bytes in
+  for i = 0 to 59 do
+    let pos = i * 7919 mod total in
+    Bitenc.flip_bit bytes pos;
+    Bitenc.reset_reader r bytes;
+    let got = read_all shared r m in
+    let want = read_all unshared (Bitenc.reader bytes) m in
+    check (Printf.sprintf "bit %d flipped in place" pos) true (got = want);
+    Bitenc.flip_bit bytes pos;
+    Bitenc.reset_reader r bytes;
+    check (Printf.sprintf "bit %d flipped back" pos) true (read_all shared r m = clean)
+  done
+
+let infos_of_frame = function
+  | Cert.T_frame { member = m, _; merged; children; _ } ->
+      m :: merged :: List.map snd children
+  | Cert.B_frame { bnode; left = l, _; right = r, _; _ } -> [ bnode; l; r ]
+
+(* (physically distinct, structurally distinct) values of [xs] *)
+let distinct xs =
+  let buckets = Hashtbl.create 1024 in
+  let phys = ref 0 and structural = ref 0 in
+  List.iter
+    (fun x ->
+      let h = Hashtbl.hash x in
+      let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+      if not (List.memq x bucket) then begin
+        incr phys;
+        if not (List.mem x bucket) then incr structural;
+        Hashtbl.replace buckets h (x :: bucket)
+      end)
+    xs;
+  (!phys, !structural)
+
+let sharing_is_complete () =
+  let g, b = conn_bundle ~n:128 ~seed:7 in
+  let labels =
+    List.map snd
+      (S.Edge_map.bindings
+         (Result.get_ok
+            (Bundle.decode ~decode_label:(Cert.decode ~decode_state:Conn.decode) g b)))
+  in
+  let stacks =
+    List.concat_map
+      (fun (l : Conn.state Cert.label) ->
+        l.Cert.frames :: List.map (fun v -> v.Cert.vframes) l.Cert.transported)
+      labels
+  in
+  let frames = List.concat stacks in
+  let infos = List.concat_map infos_of_frame frames in
+  let pi, si = distinct infos and pf, sf = distinct frames in
+  let ps, ss = distinct stacks in
+  check "many repeated infos" true (List.length infos > 4 * si);
+  check_int "one physical info per distinct info" si pi;
+  check_int "one physical frame per distinct frame" sf pf;
+  check_int "one physical stack per distinct stack" ss ps;
+  (* the records of one virtual edge, on the edges of its path *)
+  let by_edge = Hashtbl.create 256 in
+  List.iter
+    (fun (l : Conn.state Cert.label) ->
+      List.iter
+        (fun v ->
+          Hashtbl.replace by_edge (v.Cert.vu, v.Cert.vv)
+            (v :: Option.value ~default:[] (Hashtbl.find_opt by_edge (v.Cert.vu, v.Cert.vv))))
+        l.Cert.transported)
+    labels;
+  let longest = ref 0 in
+  Hashtbl.iter
+    (fun _ (records : Conn.state Cert.vrecord list) ->
+      longest := max !longest (List.length records);
+      match records with
+      | r0 :: rest ->
+          check "one virtual edge, one vframes value" true
+            (List.for_all (fun r -> r.Cert.vframes == r0.Cert.vframes) rest)
+      | [] -> ())
+    by_edge;
+  check "some virtual edge rides several edges" true (!longest >= 2)
+
+(* Every info below starts with the same 48 bits (node id 1, five lanes
+   0..3 then x), so all of them land in one bucket, which holds only a
+   few candidates: the rest are decoded each time and still equal. *)
+let crafted_prefix_collisions () =
+  let st =
+    let w = Bitenc.writer () in
+    Conn.encode w (Conn.add_edge (Conn.introduce (Conn.introduce Conn.empty 0) 1) 0 1);
+    Conn.decode (Bitenc.reader_of_writer w)
+  in
+  let info x =
+    { Cert.node_id = 1; lanes = [ 0; 1; 2; 3; x ]; t_in = [ (0, x) ]; t_out = []; state = st }
+  in
+  let rng = Random.State.make [| 48 |] in
+  let pick () = info (4 + Random.State.int rng 20) in
+  let frame () =
+    let member = pick () in
+    let merged = pick () in
+    let child = pick () in
+    Cert.T_frame
+      {
+        member = (member, Cert.KV);
+        merged;
+        is_tree_root = false;
+        member_real = [ true ];
+        children = [ (7, child) ];
+      }
+  in
+  let stack () = List.init (1 + Random.State.int rng 5) (fun _ -> frame ()) in
+  let label () =
+    let frames = stack () in
+    let vframes = stack () in
+    {
+      Cert.frames;
+      global_ptr = { PLS.Spanning_tree.target = 3; parent = None };
+      accept_state = true;
+      transported = [ { Cert.vu = 1; vv = 2; rank_fwd = 1; rank_bwd = 1; vframes } ];
+    }
+  in
+  let labels = List.init 12 (fun _ -> label ()) in
+  let w = Bitenc.writer () in
+  List.iter (Cert.encode ~encode_state:Conn.encode w) labels;
+  let r = Bitenc.reader_of_writer w in
+  let decode = Cert.decode ~decode_state:Conn.decode in
+  List.iteri
+    (fun i l ->
+      let got = decode r in
+      let alone =
+        let w = Bitenc.writer () in
+        Cert.encode ~encode_state:Conn.encode w l;
+        unshared (Bitenc.reader_of_writer w)
+      in
+      check (Printf.sprintf "label %d = its encoded value" i) true (got = l);
+      check (Printf.sprintf "label %d = label-alone decode" i) true (got = alone))
+    labels;
+  check_int "stream fully consumed" 0 (Bitenc.bits_remaining r)
+
+let suite_sharing =
+  [
+    prop_sharing_small;
+    prop_sharing_128;
+    test "one decoder across bundles and in-place flips" decoder_reuse;
+    test "n=128: one physical value per distinct record" sharing_is_complete;
+    test "infos sharing their first 48 bits" crafted_prefix_collisions;
+  ]
+
 let () =
   Alcotest.run "lcp-graphcore"
     [
@@ -443,4 +705,5 @@ let () =
       ("10k-regression", suite_10k);
       ("memo", suite_memo);
       ("label-bits", suite_label_bits);
+      ("sharing-decoder", suite_sharing);
     ]

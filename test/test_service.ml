@@ -326,6 +326,35 @@ let with_temp_dir f =
   in
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
+(* Two pool workers opening stores on one new cache directory race
+   between the existence check and the mkdir. The loser's mkdir fails
+   with EEXIST; that must not fail the store (it used to kill the worker
+   silently: `pool stream = batch at N in {1,2}` flaked under load). *)
+let store_mkdir_race () =
+  with_temp_dir (fun dir ->
+      let d = Filename.concat dir "cache" in
+      let lied = ref false in
+      let io =
+        {
+          Lcp_service.Blob_io.real with
+          file_exists =
+            (fun p ->
+              if p = d && not !lied then begin
+                (* a sibling creates it right after this check *)
+                lied := true;
+                Sys.mkdir dir 0o700;
+                Sys.mkdir d 0o755;
+                false
+              end
+              else Lcp_service.Blob_io.real.file_exists p);
+        }
+      in
+      let t = Store.create ~cap:4 ~dir:d ~io () in
+      check "the race was staged" true !lied;
+      let key = Store.key ~property:"bipartite" ~k:2 (Gen.ladder 4) in
+      Store.add t (dummy_entry key 7);
+      check "the store works" true (Store.find t key <> None))
+
 let store_disk () =
   with_temp_dir (fun dir ->
       let key = Store.key ~property:"bipartite" ~k:2 (Gen.ladder 4) in
@@ -447,6 +476,70 @@ let engine_rejects_unknowns () =
        (job (Manifest.File "does-not-exist.g6") "connected")
        "does-not-exist.g6")
 
+(* A 64-rung ladder (pathwidth 2) with its vertices shuffled by [seed].
+   The greedy layout of [Engine.default_rep] depends on vertex order:
+   on these three it returns widths 16, 15 and 12, whose lane
+   partitions exceed the f(3) = 18 lanes a k=2 verifier accepts. Proving
+   perfect_matching on them once ran past 1.5 GB; the prover must
+   decline before building certificates, in well under a second. *)
+let shuffled_ladder seed =
+  let g = Gen.ladder 64 in
+  let n = G.n g in
+  let rng = Random.State.make [| seed |] in
+  let p = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- x
+  done;
+  G.of_edges ~n (List.map (fun (u, v) -> (p.(u), p.(v))) (G.edges g))
+
+let wide_representation_declines () =
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o700;
+      List.iter
+        (fun seed ->
+          let g = shuffled_ladder seed in
+          let width =
+            match Engine.default_rep (Lcp_pls.Config.make g) with
+            | Some r -> Lcp_interval.Representation.width r
+            | None -> 0
+          in
+          check (Printf.sprintf "seed %d: width %d > k+1" seed width) true
+            (width > 3);
+          let file = Filename.concat dir (Printf.sprintf "ladder%d.g6" seed) in
+          (match Io.save_file file g with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "cannot write %s: %s" file e);
+          let job =
+            {
+              Manifest.job_id = Printf.sprintf "ladder%d" seed;
+              source = Manifest.File file;
+              property = "perfect_matching";
+              k = 2;
+              seed;
+            }
+          in
+          let t0 = Unix.gettimeofday () in
+          check
+            (Printf.sprintf "seed %d: engine declines" seed)
+            true
+            ((Engine.run_job (Engine.create ()) job).Stats.r_status
+            = Stats.Declined);
+          (match Lcp_service.Delta.create (Engine.create ()) job with
+          | Ok (_, r, _) ->
+              check
+                (Printf.sprintf "seed %d: delta session declines" seed)
+                true
+                (r.Stats.r_status = Stats.Declined)
+          | Error _ -> Alcotest.failf "seed %d: session did not open" seed);
+          check
+            (Printf.sprintf "seed %d: declined within 5 s" seed)
+            true
+            (Unix.gettimeofday () -. t0 < 5.0))
+        [ 1; 2; 3 ])
+
 let suite =
   ( "service",
     [
@@ -467,9 +560,12 @@ let suite =
       test "store keys" store_keys;
       test "store lru" store_lru;
       test "store disk tier" store_disk;
+      test "store survives a sibling creating its directory" store_mkdir_race;
       test "engine cold/warm" engine_cold_warm;
       test "engine surfaces memo/alloc counters" engine_counters;
       test "engine rejects unknowns" engine_rejects_unknowns;
+      test "prover declines lane partitions wider than k allows"
+        wide_representation_declines;
     ] )
 
 let () = Alcotest.run "lcp-service" [ suite ]
