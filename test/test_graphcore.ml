@@ -705,5 +705,5 @@ let () =
       ("10k-regression", suite_10k);
       ("memo", suite_memo);
       ("label-bits", suite_label_bits);
-      ("sharing-decoder", suite_sharing);
+      ("sharing", suite_sharing);
     ]
