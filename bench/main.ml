@@ -2158,20 +2158,18 @@ let e13_incr () =
   header "E13: incremental re-certification vs full reproof (dynamic graphs)";
   let quick = Array.length Sys.argv > 2 && Sys.argv.(2) = "quick" in
   let module Svc = Lcp_service in
-  let module Inc = Lcp_cert.Incremental in
   let now () = Unix.gettimeofday () in
   Printf.printf
     "  random single-edge edit streams against live delta sessions: a small\n\
     \  volatile pool of chord edges toggles on and off, so every state stays\n\
     \  connected and certifiable and revisited states are real.  incr = the\n\
     \  certd session path (content-addressed store, hits decoded and fully\n\
-    \  re-verified before serving; misses transplant + splice + localized\n\
-    \  verify).  full = the same session code forced to from-scratch\n\
-    \  recompute each step on a storeless engine.  Verdicts must agree on\n\
-    \  every step.\n\n";
-  Printf.printf "  %-12s %6s %7s %6s | %10s %10s %8s | %6s %7s %9s\n" "family"
-    "n" "m0" "steps" "full ms/st" "incr ms/st" "speedup" "hit%" "reuse%"
-    "memo hit%";
+    \  re-verified before serving; misses re-prove on the transplanted\n\
+    \  representation and verify in full).  full = the same session code\n\
+    \  on a storeless engine, so every step is a miss.  Verdicts must\n\
+    \  agree on every step.\n\n";
+  Printf.printf "  %-12s %6s %7s %6s | %10s %10s %8s | %6s %9s\n" "family"
+    "n" "m0" "steps" "full ms/st" "incr ms/st" "speedup" "hit%" "memo hit%";
   line ();
   let open_session ~cache line =
     let job =
@@ -2230,7 +2228,7 @@ let e13_incr () =
       Array.of_list (draw [] 0)
     in
     let t_full = ref 0.0 and t_inc = ref 0.0 in
-    let hits = ref 0 and reused = ref 0 and changed = ref 0 in
+    let hits = ref 0 in
     let memo_h = ref 0 and memo_m = ref 0 in
     let total = ref 0 in
     let run_step ops =
@@ -2250,8 +2248,6 @@ let e13_incr () =
       | `Served | `Declined -> ()
       | _ -> failwith ("e13: broken step: " ^ Svc.Stats.to_canonical_json ri));
       if ii.Svc.Delta.pi_mode = "cached" then incr hits;
-      reused := !reused + ii.Svc.Delta.pi_reused;
-      changed := !changed + ii.Svc.Delta.pi_changed;
       memo_h := !memo_h + ii.Svc.Delta.pi_memo_hits;
       memo_m := !memo_m + ii.Svc.Delta.pi_memo_misses
     in
@@ -2269,14 +2265,12 @@ let e13_incr () =
       run_step ops
     done;
     Printf.printf
-      "  %-12s %6d %7d %6d | %10.2f %10.2f %7.1fx | %5.1f%% %6.1f%% %8.1f%%\n%!"
+      "  %-12s %6d %7d %6d | %10.2f %10.2f %7.1fx | %5.1f%% %8.1f%%\n%!"
       family nb m0 !total
       (1000.0 *. !t_full /. float_of_int !total)
       (1000.0 *. !t_inc /. float_of_int !total)
       (!t_full /. !t_inc)
       (100.0 *. float_of_int !hits /. float_of_int !total)
-      (100.0 *. float_of_int !reused
-      /. float_of_int (max 1 (!reused + !changed)))
       (100.0 *. float_of_int !memo_h
       /. float_of_int (max 1 (!memo_h + !memo_m)))
   in

@@ -1,35 +1,25 @@
-(** Incremental re-certification for dynamic graphs (ROADMAP item 2).
+(** Edge deltas for dynamic graphs: the textual delta codec,
+    normalization, application, and the representation transplant.
 
-    The lane/window structure of Theorem 1 is local: the partition, the
-    completion host, and the hierarchy skeleton are functions of the
-    {e interval representation} alone — the concrete edge set enters
-    only through realness checks, spanning-tree labels, and embedding
-    paths. An edge delta that stays {e inside} the representation
-    (removals always do; an addition does iff its endpoints' intervals
-    already intersect) therefore leaves the skeleton, the node-id
-    assignment, and every composition state outside the dirty windows
-    untouched. Re-running the prover over the transplanted
-    representation recomputes exactly the same values for clean
-    subtrees — which the composition memo ([Compose.Make]) serves as
-    hits — and produces labels that are {e structurally identical}
-    outside the region the delta actually perturbed.
+    The lane/window structure of Theorem 1 is a function of the
+    {e interval representation}: the partition, the completion host and
+    the hierarchy skeleton. An edge delta that stays {e inside} the
+    representation (removals always do; an addition does iff its
+    endpoints' intervals already intersect) keeps the representation
+    valid, so a session can reuse it instead of computing a fresh one,
+    and its composition memo serves the subtrees the edit left alone.
 
-    The dirty-window invariant this module maintains: after a patch,
-    every edge whose label differs from the previous certified labeling
-    is incident to the delta's window-overlap closure, and the
-    localized verification set (the endpoints of the delta and of every
-    changed-label edge, plus their one-hop boundary) covers every
-    vertex whose local view changed. A vertex outside that set saw the
-    same id, degree, and incident labels it accepted before, so
-    skipping it cannot turn a rejection into an accept. The service
-    layer re-verifies exactly that set and anchors the whole claim
-    differentially against full recomputation (the [@incr] suite). *)
+    The labels themselves do not survive an edit: the Prop 4.6 spine is
+    a shortest path of the current graph and the pointer sub-labels
+    carry BFS distances, so one edit moves almost every label, and the
+    service re-proves and re-verifies the whole graph each step. The
+    dirty-window closure ([dirty_marks]) measures how far an edit
+    reaches in the representation; nothing relies on it for
+    soundness. *)
 
 module Graph = Lcp_graph.Graph
 module Interval = Lcp_interval.Interval
 module Representation = Lcp_interval.Representation
-module Config = Lcp_pls.Config
-module Scheme = Lcp_pls.Scheme
 
 type delta = { add : Graph.edge list; del : Graph.edge list }
 
@@ -150,9 +140,9 @@ let apply g d =
     Removals never invalidate a representation; an added edge is
     covered iff its endpoints' intervals intersect. On success the
     width — and with it the lane bound the verifier enforces — is
-    unchanged, the hierarchy skeleton is identical, and label reuse is
-    maximal. [Error] means the edit left the old windows (the caller
-    falls back to a fresh representation and a full rebuild). *)
+    unchanged and the hierarchy skeleton is identical. [Error] means
+    the edit left the old windows (the caller falls back to a fresh
+    representation). *)
 let transplant rep g' =
   let ivs = Representation.intervals rep in
   if Array.length ivs <> Graph.n g' then
@@ -171,7 +161,8 @@ let transplant rep g' =
     vertex whose interval intersects the interval of an endpoint of an
     added or removed edge. This is the region whose lane partitions
     and composition states the edit can perturb — the skeleton outside
-    it is a function of unchanged intervals and unchanged realness. *)
+    it is a function of unchanged intervals and unchanged realness.
+    The labels are not so confined (see the header). *)
 let dirty_marks rep d =
   let n = Graph.n (Representation.graph rep) in
   let marks = Array.make n false in
@@ -193,73 +184,12 @@ let dirty_count rep d =
   Array.fold_left (fun acc m -> if m then acc + 1 else acc) 0 (dirty_marks rep d)
 
 (* ---------------------------------------------------------------- *)
-(* the patch step                                                    *)
+(* the session prover                                                *)
 
+(* One prover instance per functor application: a caller that keeps
+   an instance keeps its composition memo. *)
 module Make (A : Lcp_algebra.Algebra_sig.S) = struct
   module P = Prover.Make (A)
 
   type labeling = P.labeling
-
-  type patch = {
-    p_labels : labeling;
-    p_holds : bool;
-    p_changed : int;  (** edges whose label differs from the previous one *)
-    p_reused : int;  (** edges whose label is structurally unchanged *)
-    p_verify : int list;
-        (** the localized verification set: endpoints of the delta and
-            of every changed-label edge, plus their one-hop boundary;
-            sorted, duplicate-free *)
-    p_dirty_windows : int;
-        (** vertices in the window-overlap closure of the delta *)
-  }
-
-  (* Labels are pure data (frames, pointer sub-labels, transported
-     records, algebra states), so structural equality decides reuse. *)
-  let patch_labels ?strategy ?max_lanes ~rep ~prev ~(delta : delta) cfg =
-    match P.prepare ?strategy ~rep ?max_lanes cfg with
-    | Error _ as e -> e
-    | Ok art ->
-        let g = Config.graph cfg in
-        let dirty_windows = dirty_count rep delta in
-        let patch =
-          match prev with
-          | None ->
-              (* no certified baseline: everything is new, everything
-                 gets verified *)
-              {
-                p_labels = art.P.labels;
-                p_holds = art.P.holds;
-                p_changed = Graph.m g;
-                p_reused = 0;
-                p_verify = Graph.fold_vertices (fun v acc -> v :: acc) g [];
-                p_dirty_windows = dirty_windows;
-              }
-          | Some old ->
-              let changed = ref [] and reused = ref 0 in
-              Graph.iter_edges
-                (fun e ->
-                  match
-                    (Scheme.Edge_map.find art.P.labels e, Scheme.Edge_map.find old e)
-                  with
-                  | Some l, Some l' when l = l' -> incr reused
-                  | _ -> changed := e :: !changed)
-                g;
-              let core =
-                List.concat_map
-                  (fun (u, v) -> [ u; v ])
-                  (delta.add @ delta.del @ !changed)
-              in
-              let with_boundary =
-                List.concat_map (fun v -> v :: Graph.neighbors g v) core
-              in
-              {
-                p_labels = art.P.labels;
-                p_holds = art.P.holds;
-                p_changed = List.length !changed;
-                p_reused = !reused;
-                p_verify = List.sort_uniq compare with_boundary;
-                p_dirty_windows = dirty_windows;
-              }
-        in
-        Ok patch
 end

@@ -1,14 +1,8 @@
-(** Incremental re-certification of edge deltas (the dynamic-graph
-    workload): transplant the interval representation across an edit,
-    re-run the prover with warm composition memo, and report exactly
-    which labels changed together with the localized verification set.
-
-    The dirty-window invariant: every changed label is incident to the
-    window-overlap closure of the delta, and [p_verify] covers every
-    vertex whose local view (id, degree, incident labels) differs from
-    the previously certified state — so verifying only [p_verify]
-    against a fully-verified baseline decides the whole labeling. The
-    service layer checks this differentially against full recompute. *)
+(** Edge deltas for dynamic graphs (the delta sessions of the
+    service): the textual delta codec, normalization, application, the
+    representation transplant, and the dirty-window closure of a delta,
+    which is reported but not relied on (a certificate is global, so a
+    session re-proves and re-verifies the whole graph each step). *)
 
 module Graph = Lcp_graph.Graph
 module Representation = Lcp_interval.Representation
@@ -60,33 +54,8 @@ val dirty_count : Representation.t -> delta -> int
 
 module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   module P : module type of Prover.Make (A)
+  (** A prover of its own: keeping one instance keeps its composition
+      memo warm across calls. *)
 
   type labeling = P.labeling
-
-  type patch = {
-    p_labels : labeling;
-    p_holds : bool;
-    p_changed : int;
-    p_reused : int;
-    p_verify : int list;
-    p_dirty_windows : int;
-  }
-
-  val patch_labels :
-    ?strategy:Prover.strategy ->
-    ?max_lanes:int ->
-    rep:Representation.t ->
-    prev:labeling option ->
-    delta:delta ->
-    Lcp_pls.Config.t ->
-    (patch, string) result
-  (** Recompute labels for [cfg] (the edited graph, under [rep]) and
-      splice against [prev]: [p_reused] labels are structurally
-      identical to the previous certified labeling, [p_changed] are
-      refreshed, and [p_verify] is the dirty-plus-boundary set to
-      re-verify locally. With [prev = None] everything is new and
-      [p_verify] is all vertices. [Error] mirrors [Prover.prepare]
-      (empty or disconnected graph, or more lanes than [max_lanes]).
-      Keeping one functor instance per session keeps the composition
-      memo warm across edits — that is where the locality pays. *)
 end

@@ -82,33 +82,6 @@ let run_edge cfg scheme labels =
   in
   match rejections with [] -> Accepted | rs -> Rejected (List.rev rs)
 
-(** Localized verification: run the per-vertex verifier only on [vs]
-    (deduplicated; out-of-range vertices are a caller bug and raise in
-    [edge_view]). Sound as a re-verification of a patched labeling
-    exactly when every vertex outside [vs] has an unchanged local view
-    — same id, degree, and incident labels — relative to a labeling
-    this configuration already accepted in full: the verifier is a
-    pure function of that view, so skipped vertices would repeat their
-    previous accept. *)
-let run_edge_on cfg scheme labels vs =
-  let seen = Hashtbl.create (List.length vs) in
-  let rejections =
-    List.fold_left
-      (fun acc v ->
-        if Hashtbl.mem seen v then acc
-        else begin
-          Hashtbl.add seen v ();
-          match edge_view cfg labels v with
-          | Error _ -> (v, missing_label) :: acc
-          | Ok view -> (
-              match scheme.es_verify view with
-              | Ok () -> acc
-              | Error reason -> (v, reason) :: acc)
-        end)
-      [] vs
-  in
-  match rejections with [] -> Accepted | rs -> Rejected (List.rev rs)
-
 let run_vertex cfg scheme labels =
   let g = Config.graph cfg in
   if Array.length labels <> Graph.n g then

@@ -76,16 +76,6 @@ val run_edge : Config.t -> 'l edge_scheme -> 'l Edge_map.t -> outcome
     rejects with {!missing_label} (the adversary may delete labels; the
     verifier must detect it rather than crash the simulation). *)
 
-val run_edge_on : Config.t -> 'l edge_scheme -> 'l Edge_map.t -> int list -> outcome
-(** Localized verification: run the verifier only at the listed
-    vertices (deduplicated). Sound as a re-verification of a patched
-    labeling exactly when every vertex outside the list has an
-    unchanged local view (id, degree, incident labels) relative to a
-    labeling this configuration already accepted in full — the
-    verifier is a pure function of the view, so a skipped vertex would
-    repeat its previous accept. The incremental service derives the
-    list from the dirty-window set plus its one-hop boundary. *)
-
 val run_vertex : Config.t -> 'l vertex_scheme -> 'l array -> outcome
 
 val certify_edge : Config.t -> 'l edge_scheme -> ('l Edge_map.t, string) result

@@ -1,63 +1,62 @@
-(** Delta sessions: incremental re-certification of an evolving graph
-    against the service engine.
+(** Delta sessions: re-certification of an evolving graph against the
+    service engine.
 
     A session pins one base job (graph source, property, k, id seed)
-    and holds the typed state the incremental core needs across edits —
-    the current graph, its (transplanted) interval representation, the
-    last {e verified} labeling, and one [Incremental.Make] instance
-    whose composition-memo tables stay warm for the session's life.
-    The property's algebra state type is existential (it comes out of
-    [Registry] as a first-class module), so the typed machinery hides
-    behind closures built once in [create].
+    and keeps what the engine cannot know across edits: the current
+    graph, its interval representation, the bundle last served, a table
+    of the labelings it decoded or proved, and one [Theorem1.Make]
+    instance whose composition-memo tables stay warm for the session's
+    life. The property's algebra state type is existential (it comes
+    out of [Registry] as a first-class module), so the typed machinery
+    hides behind closures built once in [create].
 
-    Every step follows the engine's serving discipline end to end:
+    A step is an ordinary engine job on the edited graph
+    ([Engine.certify], under [Engine.retrying]): store probe, decode
+    and full verify on a hit; prove, encode, full verify and store on
+    a miss or a rejected hit. What the session adds is its inputs:
 
-    - the edited graph is content-addressed in the [Cert_store]; a warm
-      hit is decoded and {e fully} re-verified before it is served
-      (and before its labels become the next splice baseline);
-    - a miss transplants the representation (falling back to a fresh
-      one when the edit escapes the old windows), re-runs the prover
-      with the warm memo, splices against the previous labeling, and
-      re-verifies the dirty region plus its boundary — or every vertex
-      when there is no fully-verified baseline or [full] recompute is
-      forced;
-    - the fresh bundle is verified before it is stored or served, and
-      every step runs under [Engine.run_delta_job]'s retry/deadline/
-      degraded machinery.
+    - the edited graph, the seed-drawn ids of the base (n is invariant
+      under edge edits, so these are the ids an engine job on the
+      edited graph draws);
+    - a representation hint: the previous representation transplanted
+      onto the edited graph, or a fresh one by the engine's policy
+      when the edit escapes the old windows;
+    - a decoder that first looks up the labeling the session already
+      holds for a bundle value, so memory-tier hits skip the decode.
 
-    [full:true] is the differential anchor: the same representation
-    policy and pipeline, but no splice baseline and whole-graph
-    verification — a from-scratch recompute whose canonical JSONL must
-    be byte-identical to the incremental path (the [@incr] suite and
-    the check.sh daemon smoke assert exactly that).
+    Certificates are global (the spine is a shortest path of the
+    current graph, pointer labels carry BFS distances), so one edit
+    moves almost every label: a step re-proves and re-verifies in
+    full, and the dirty-window count is reported, not used.
+
+    [full:true] only tags the step's mode [full]: the representation
+    policy and the pipeline are the same, so the canonical JSONL of a
+    [full] stream is byte-identical to the plain one (the [@incr] suite
+    and the check.sh daemon smoke assert exactly that).
 
     Session state only advances when a step returns a report
     (exceptions leave it untouched, so retried attempts rerun whole);
     a well-formed delta advances the graph even when the property no
     longer holds (Declined) — the stream's shape is the client's
-    business, judgements are ours. After a Declined or Unsound step
-    the labeling baseline is dropped and the next step rebuilds and
-    re-verifies in full. *)
+    business, judgements are ours. *)
 
 module Graph = Lcp_graph.Graph
-module PW = Lcp_interval.Pathwidth
 module Config = Lcp_pls.Config
-module Scheme = Lcp_pls.Scheme
 module Incr = Lcp_cert.Incremental
 module Memo = Lcp_cert.Memo
 
 type patch_info = {
   pi_mode : string;
-      (** [open]: base certification; [patched]: transplanted rep +
-          splice; [rebuilt]: fresh rep or no baseline, everything
-          recomputed; [full]: forced from-scratch recompute; [cached]:
-          store hit re-verified and served; [none]: nothing ran (bad
-          delta, retry exhaustion) *)
+      (** [open]: base certification; [patched]: miss on the
+          transplanted representation; [rebuilt]: miss on a fresh
+          representation; [full]: a miss forced to that tag;
+          [cached]: store hit re-verified and served; [none]: nothing
+          ran (bad delta, retry exhaustion) *)
   pi_edits : int;  (** operations in the normalized delta *)
   pi_dirty_windows : int;  (** window-overlap closure of the delta *)
-  pi_changed : int;  (** edge labels that differ from the baseline *)
-  pi_reused : int;  (** edge labels spliced through unchanged *)
-  pi_verified : int;  (** vertices re-verified locally *)
+  pi_changed : int;  (** edge labels proved this step: m on a miss *)
+  pi_reused : int;  (** always 0: every miss proves every label *)
+  pi_verified : int;  (** vertices verified: n when the step served *)
   pi_memo_hits : int;  (** composition-memo hits during this step *)
   pi_memo_misses : int;
 }
@@ -105,73 +104,49 @@ let bundle s = s.s_bundle ()
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
-(* the engine's representation policy, verbatim: sessions must be
-   byte-comparable with [Engine.run_job] on the same instance *)
-let fresh_rep g =
-  if Graph.n g <= 20 then PW.exact_interval_representation g
-  else PW.heuristic_interval_representation g
+let fresh_rep = Engine.fresh_rep
 
 let memo_totals () =
   let l = Memo.counters () in
   let get k = Option.value ~default:0 (List.assoc_opt k l) in
   (get "memo_hit", get "memo_miss")
 
-let base_report (job : Manifest.job) ~id ?(n = 0) ?(m = 0) ~t0 status =
-  {
-    Stats.r_id = id;
-    r_property = job.Manifest.property;
-    r_k = job.Manifest.k;
-    r_n = n;
-    r_m = m;
-    r_status = status;
-    r_cache_hit = false;
-    r_prove_ms = 0.0;
-    r_verify_ms = 0.0;
-    r_total_ms = now_ms () -. t0;
-    r_label_bits = 0;
-    r_bundle_bits = 0;
-    r_reject_reasons = [];
-    r_retries = 0;
-  }
+let input_error (job : Manifest.job) ~id ~n ~m e =
+  Engine.blank_report { job with job_id = id } ~n ~m ~t0:(now_ms ())
+    (Stats.Input_error e)
 
 let create ?retry engine (job : Manifest.job) =
   let t0 = now_ms () in
   let timing = engine.Engine.timing in
+  let fail ~n ~m e =
+    Error
+      ( Engine.blank_report job ~n ~m ~t0 (Stats.Input_error e),
+        no_info "none" )
+  in
   match
     Timing.time timing Timing.Parse (fun () ->
-        Engine.graph_of_source ~base_dir:(Engine.base_dir engine) ~k:job.Manifest.k
-          job.Manifest.source)
+        Engine.graph_of_source ~base_dir:(Engine.base_dir engine) ~k:job.k
+          job.source)
   with
-  | Error e ->
-      Error
-        ( base_report job ~id:job.Manifest.job_id ~t0 (Stats.Input_error e),
-          no_info "none" )
+  | Error e -> fail ~n:0 ~m:0 e
   | Ok g0 -> (
-      let n = Graph.n g0 and m = Graph.m g0 in
-      match Registry.find job.Manifest.property with
+      let n = Graph.n g0 in
+      match Registry.find job.property with
       | None ->
-          Error
-            ( base_report job ~id:job.Manifest.job_id ~n ~m ~t0
-                (Stats.Input_error
-                   (Printf.sprintf "unknown property %S; catalogue: %s"
-                      job.Manifest.property
-                      (String.concat ", " (Registry.names ())))),
-              no_info "none" )
-      | Some p ->
-          let (module Pr : Registry.PROPERTY) = p in
-          let module I = Incr.Make (Pr.A) in
+          fail ~n ~m:(Graph.m g0)
+            (Printf.sprintf "unknown property %S; catalogue: %s" job.property
+               (String.concat ", " (Registry.names ())))
+      | Some (module Pr) ->
+          (* one prover for the session: its composition memo stays
+             warm across steps *)
           let module T1 = Lcp_cert.Theorem1.Make (Pr.A) in
-          (* verify/encode only — proving goes through [I], whose
-             composition memo stays warm across the session *)
-          let scheme = T1.edge_scheme ~k:job.Manifest.k () in
-          let max_lanes = Some (T1.max_lanes_for ~k:job.Manifest.k) in
           (* memory-tier warm hits skip the bundle decode: the session
-             remembers the labeling it decoded (or encoded) for each
+             remembers the labeling it decoded (or proved) for each
              bundle value it has served, keyed by content hash and
              guarded by physical identity of the bundle — a disk-tier
-             reload is a fresh value and decodes as usual.  Serving
+             reload is a fresh value and decodes as usual. Serving
              still re-verifies the labeling in full either way. *)
-          let decoded : (string, Bundle.t * I.labeling) Hashtbl.t =
+          let decoded : (string, Bundle.t * T1.P.labeling) Hashtbl.t =
             Hashtbl.create 64
           in
           let remember key bundle labels =
@@ -183,272 +158,92 @@ let create ?retry engine (job : Manifest.job) =
             | Some (b, labels) when b == bundle -> Some labels
             | _ -> None
           in
-          let cfg0 =
-            Config.random_ids (Random.State.make [| job.Manifest.seed |]) g0
-          in
+          let cfg0 = Config.random_ids (Random.State.make [| job.seed |]) g0 in
           (* ids depend on n and the seed only; n is invariant under
              edge edits, so the assignment is reused verbatim — the
              same ids a fresh engine run of the edited graph draws *)
           let ids = Array.init n (Config.id cfg0) in
           let cur_graph = ref g0 in
-          let cur_rep : Lcp_interval.Representation.t option ref = ref None in
-          let cur_labels : I.labeling option ref = ref None in
-          let cur_bundle : Bundle.t option ref = ref None in
-          (* the step pipeline; effect-free until it returns (state
-             commits only with a report), so retries rerun it whole *)
-          let exec_once ~full ~id (delta : Incr.delta) :
-              Stats.job_report * patch_info =
+          let cur_rep = ref None in
+          let cur_bundle = ref None in
+          (* effect-free until it returns: state commits only with a
+             report, so retries rerun it whole *)
+          let exec_once ~full (step_job : Manifest.job) (delta : Incr.delta) =
             let t0 = now_ms () in
-            let g0 = !cur_graph in
-            let g1 = Timing.time timing Timing.Parse (fun () -> Incr.apply g0 delta) in
-            let n = Graph.n g1 and m = Graph.m g1 in
-            (* same n, same seed-drawn ids — the assignment a fresh
-               engine run of this very graph would use *)
-            let cfg1 = Config.make ~ids g1 in
-            let key =
-              Cert_store.key ~property:job.Manifest.property ~k:job.Manifest.k g1
+            let g1 =
+              Timing.time timing Timing.Parse (fun () ->
+                  Incr.apply !cur_graph delta)
             in
-            let store = Engine.store engine in
-            (* transplant-else-fresh, the session's representation
-               policy: deterministic in the edit stream, so full and
-               incremental runs of one stream agree byte-for-byte *)
-            let make_rep () =
-              match !cur_rep with
-              | None -> (fresh_rep g1, false)
-              | Some rep -> (
-                  match Incr.transplant rep g1 with
-                  | Ok rep1 -> (rep1, true)
-                  | Error _ -> (fresh_rep g1, false))
+            let cfg = Config.make ~ids g1 in
+            let key = Cert_store.key ~property:job.property ~k:job.k g1 in
+            (* transplant-else-fresh: deterministic in the edit stream.
+               A miss forces it inside the prover's timing, as the
+               engine's [default_rep]; a hit only to carry it on *)
+            let rep =
+              lazy
+                (match !cur_rep with
+                | None -> (fresh_rep g1, false)
+                | Some rep -> (
+                    match Incr.transplant rep g1 with
+                    | Ok rep1 -> (rep1, true)
+                    | Error _ -> (fresh_rep g1, false)))
             in
-            let commit ~graph ~rep ~labels ~bundle =
-              cur_graph := graph;
-              cur_rep := rep;
-              cur_labels := labels;
-              cur_bundle := bundle
+            let scheme =
+              T1.edge_scheme
+                ~rep:(fun _ -> Some (fst (Lazy.force rep)))
+                ~k:job.k ()
             in
-            let base ?(n = n) ?(m = m) status = base_report job ~id ~n ~m ~t0 status in
+            let decode bundle =
+              match recall key bundle with
+              | Some labels -> Ok labels
+              | None ->
+                  Bundle.decode
+                    ~decode_label:
+                      (Lcp_cert.Certificate.decode
+                         ~decode_state:Pr.decode_state)
+                    g1 bundle
+            in
+            let hit0, miss0 = memo_totals () in
+            let report, outcome =
+              Engine.certify engine ~job:step_job ~t0 ~cfg ~key scheme ~decode
+            in
+            let hit1, miss1 = memo_totals () in
+            let rep1, transplanted = Lazy.force rep in
+            let bundle =
+              match outcome with
+              | Engine.Served (labels, bundle) ->
+                  remember key bundle labels;
+                  Some bundle
+              | Engine.Unserved -> None
+            in
+            cur_graph := g1;
+            cur_rep := Some rep1;
+            cur_bundle := bundle;
+            let served = Option.is_some bundle in
+            let verified = if served then Graph.n g1 else 0 in
             let info =
-              {
-                (no_info "none") with
-                pi_edits = Incr.delta_size delta;
-              }
+              if report.Stats.r_cache_hit then
+                { (no_info "cached") with pi_verified = verified }
+              else
+                {
+                  (no_info
+                     (if full then "full"
+                      else if transplanted then "patched"
+                      else "rebuilt"))
+                  with
+                  pi_dirty_windows = Incr.dirty_count rep1 delta;
+                  pi_changed = (if served then Graph.m g1 else 0);
+                  pi_verified = verified;
+                  pi_memo_hits = hit1 - hit0;
+                  pi_memo_misses = miss1 - miss0;
+                }
             in
-            (* 1. cache tier: decode + full re-verify before serving,
-               exactly the engine's warm-hit discipline — a hit also
-               becomes the next verified splice baseline *)
-            let cached =
-              match
-                Timing.time timing Timing.Store (fun () -> Cert_store.find store key)
-              with
-              | None -> None
-              | Some entry -> (
-                  let decoded_labels =
-                    match recall key entry.Cert_store.e_bundle with
-                    | Some labels -> Ok labels
-                    | None ->
-                        (* one sharing decoder per bundle: none outlives
-                           the decode, so the session keeps no tables *)
-                        let decode_label =
-                          Lcp_cert.Certificate.decode ~decode_state:Pr.decode_state
-                        in
-                        Bundle.decode ~decode_label g1 entry.Cert_store.e_bundle
-                  in
-                  match decoded_labels with
-                  | Error e ->
-                      Cert_store.remove store key;
-                      Some (Error [ "bundle: " ^ e ])
-                  | Ok labels -> (
-                      let tv = now_ms () in
-                      match
-                        Timing.time timing Timing.Verify (fun () ->
-                            Scheme.run_edge cfg1 scheme labels)
-                      with
-                      | Scheme.Accepted ->
-                          remember key entry.Cert_store.e_bundle labels;
-                          Some (Ok (entry, labels, now_ms () -. tv))
-                      | Scheme.Rejected rs ->
-                          Cert_store.remove store key;
-                          Some
-                            (Error
-                               (List.sort_uniq compare
-                                  (List.map
-                                     (fun (_, reason) ->
-                                       Lcp_cert.Reject_reason.classify reason)
-                                     rs)))))
-            in
-            match cached with
-            | Some (Ok (entry, labels, verify_ms)) ->
-                let rep1, _ = make_rep () in
-                commit ~graph:g1 ~rep:(Some rep1) ~labels:(Some labels)
-                  ~bundle:(Some entry.Cert_store.e_bundle);
-                ( {
-                    (base Stats.Served_cached) with
-                    r_cache_hit = true;
-                    r_verify_ms = verify_ms;
-                    r_label_bits = entry.Cert_store.e_label_bits;
-                    r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
-                    r_total_ms = now_ms () -. t0;
-                  },
-                  { info with pi_mode = "cached"; pi_verified = n } )
-            | (None | Some (Error _)) as cache_outcome -> (
-                let reject_reasons =
-                  match cache_outcome with Some (Error rs) -> rs | _ -> []
-                in
-                (* 2. fresh path: transplant, patch-prove, splice,
-                   localized verify, store *)
-                let tp = now_ms () in
-                let hit0, miss0 = memo_totals () in
-                let patched =
-                  Timing.time timing Timing.Prove (fun () ->
-                      let rep1, transplanted = make_rep () in
-                      let prev = if full then None else !cur_labels in
-                      ( I.patch_labels ~rep:rep1 ~prev ~delta ?max_lanes cfg1,
-                        rep1,
-                        transplanted,
-                        prev <> None ))
-                in
-                let prove_ms = now_ms () -. tp in
-                let hit1, miss1 = memo_totals () in
-                let outcome, rep1, transplanted, spliced = patched in
-                let mode =
-                  if full then "full"
-                  else if not spliced then "rebuilt"
-                  else if transplanted then "patched"
-                  else "rebuilt"
-                in
-                let info =
-                  {
-                    info with
-                    pi_mode = mode;
-                    pi_memo_hits = hit1 - hit0;
-                    pi_memo_misses = miss1 - miss0;
-                  }
-                in
-                match outcome with
-                | Error _ ->
-                    (* empty/disconnected, or more lanes than the
-                       verifier allows: the prover declines, as the
-                       engine's fresh path would *)
-                    commit ~graph:g1 ~rep:(Some rep1) ~labels:None ~bundle:None;
-                    ( {
-                        (base Stats.Declined) with
-                        r_prove_ms = prove_ms;
-                        r_reject_reasons = reject_reasons;
-                        r_total_ms = now_ms () -. t0;
-                      },
-                      info )
-                | Ok patch ->
-                    let info =
-                      {
-                        info with
-                        pi_dirty_windows = patch.I.p_dirty_windows;
-                        pi_changed = patch.I.p_changed;
-                        pi_reused = patch.I.p_reused;
-                      }
-                    in
-                    if not patch.I.p_holds then begin
-                      commit ~graph:g1 ~rep:(Some rep1) ~labels:None ~bundle:None;
-                      ( {
-                          (base Stats.Declined) with
-                          r_prove_ms = prove_ms;
-                          r_reject_reasons = reject_reasons;
-                          r_total_ms = now_ms () -. t0;
-                        },
-                        info )
-                    end
-                    else begin
-                      match
-                        Timing.time timing Timing.Encode (fun () ->
-                            Bundle.encode_sized
-                              ~encode_label:scheme.Scheme.es_encode g1
-                              patch.I.p_labels)
-                      with
-                      | Error e ->
-                          commit ~graph:g1 ~rep:(Some rep1) ~labels:None
-                            ~bundle:None;
-                          ( {
-                              (base (Stats.Unsound e)) with
-                              r_prove_ms = prove_ms;
-                              r_total_ms = now_ms () -. t0;
-                            },
-                            info )
-                      | Ok (bundle, label_bits) -> (
-                          let verify_set =
-                            if spliced then patch.I.p_verify else []
-                          in
-                          let tv = now_ms () in
-                          let verdict =
-                            Timing.time timing Timing.Verify (fun () ->
-                                match verify_set with
-                                | [] -> Scheme.run_edge cfg1 scheme patch.I.p_labels
-                                | vs ->
-                                    Scheme.run_edge_on cfg1 scheme
-                                      patch.I.p_labels vs)
-                          in
-                          let verify_ms = now_ms () -. tv in
-                          let info =
-                            {
-                              info with
-                              pi_verified =
-                                (match verify_set with
-                                | [] -> n
-                                | vs -> List.length vs);
-                            }
-                          in
-                          match verdict with
-                          | Scheme.Rejected rs ->
-                              let reasons =
-                                List.sort_uniq compare
-                                  (List.map
-                                     (fun (_, reason) ->
-                                       Lcp_cert.Reject_reason.classify reason)
-                                     rs)
-                              in
-                              commit ~graph:g1 ~rep:(Some rep1) ~labels:None
-                                ~bundle:None;
-                              ( {
-                                  (base
-                                     (Stats.Unsound
-                                        (Printf.sprintf
-                                           "patched bundle rejected locally: %s"
-                                           (String.concat ", " reasons))))
-                                  with
-                                  r_prove_ms = prove_ms;
-                                  r_verify_ms = verify_ms;
-                                  r_reject_reasons = reject_reasons;
-                                  r_total_ms = now_ms () -. t0;
-                                },
-                                info )
-                          | Scheme.Accepted ->
-                              remember key bundle patch.I.p_labels;
-                              Timing.time timing Timing.Store (fun () ->
-                                  Cert_store.add store
-                                    {
-                                      Cert_store.e_key = key;
-                                      e_bundle = bundle;
-                                      e_label_bits = label_bits;
-                                    });
-                              commit ~graph:g1 ~rep:(Some rep1)
-                                ~labels:(Some patch.I.p_labels)
-                                ~bundle:(Some bundle);
-                              ( {
-                                  (base Stats.Served_fresh) with
-                                  r_prove_ms = prove_ms;
-                                  r_verify_ms = verify_ms;
-                                  r_label_bits = label_bits;
-                                  r_bundle_bits = Bundle.size_bits bundle;
-                                  r_reject_reasons = reject_reasons;
-                                  r_total_ms = now_ms () -. t0;
-                                },
-                                info )
-                        )
-                    end)
+            (report, { info with pi_edits = Incr.delta_size delta })
           in
           let exec ~retry ~full ~id delta =
-            Engine.run_delta_job ?retry engine ~job_id:id
-              ~property:job.Manifest.property ~k:job.Manifest.k
-              ~fallback_info:(no_info "none") (fun ~attempt:_ ->
-                exec_once ~full ~id delta)
+            let step_job = { job with job_id = id } in
+            Engine.retrying ?retry engine ~job:step_job ~fallback:(no_info "none")
+              (fun _ -> exec_once ~full step_job delta)
           in
           let session =
             {
@@ -460,7 +255,7 @@ let create ?retry engine (job : Manifest.job) =
             }
           in
           let report, info =
-            exec ~retry ~full:false ~id:job.Manifest.job_id Incr.empty_delta
+            exec ~retry ~full:false ~id:job.job_id Incr.empty_delta
           in
           let info =
             if info.pi_mode = "rebuilt" then { info with pi_mode = "open" }
@@ -471,19 +266,14 @@ let create ?retry engine (job : Manifest.job) =
 (** Apply one delta (already parsed) to the session. A malformed delta
     (self-loop, out-of-range vertex, add∩del conflict) is an
     [Input_error] and leaves the graph untouched; a well-formed one
-    advances it whatever the verdict. [full] forces the from-scratch
-    comparator path. *)
+    advances it whatever the verdict. [full] tags the step's mode. *)
 let step_delta ?retry s ~full (d : Incr.delta) =
   s.s_edits <- s.s_edits + 1;
   let id = Printf.sprintf "%s#e%04d" s.s_job.Manifest.job_id s.s_edits in
-  match Incr.normalize (s.s_graph ()) d with
+  let g = s.s_graph () in
+  match Incr.normalize g d with
   | Error e ->
-      ( base_report s.s_job ~id
-          ~n:(Graph.n (s.s_graph ()))
-          ~m:(Graph.m (s.s_graph ()))
-          ~t0:(now_ms ())
-          (Stats.Input_error e),
-        no_info "none" )
+      (input_error s.s_job ~id ~n:(Graph.n g) ~m:(Graph.m g) e, no_info "none")
   | Ok d -> s.s_exec ~retry ~full ~id d
 
 (** Parse and apply one textual edit line ("add=0-1,2-3 del=4-5"). *)
@@ -492,10 +282,6 @@ let step ?retry s ~full ops =
   | Error e ->
       s.s_edits <- s.s_edits + 1;
       let id = Printf.sprintf "%s#e%04d" s.s_job.Manifest.job_id s.s_edits in
-      ( base_report s.s_job ~id
-          ~n:(Graph.n (s.s_graph ()))
-          ~m:(Graph.m (s.s_graph ()))
-          ~t0:(now_ms ())
-          (Stats.Input_error e),
-        no_info "none" )
+      let g = s.s_graph () in
+      (input_error s.s_job ~id ~n:(Graph.n g) ~m:(Graph.m g) e, no_info "none")
   | Ok d -> step_delta ?retry s ~full d

@@ -142,254 +142,222 @@ let graph_of_source ~base_dir ~k source =
         | "random" -> Ok (fst (Gen.random_pathwidth rng ~n ~k ()))
         | _ -> assert false)
 
-let default_rep c =
-  let g = Config.graph c in
-  if Graph.n g <= 20 then Some (PW.exact_interval_representation g)
-  else Some (PW.heuristic_interval_representation g)
+(** The representation policy: the exact search on graphs of at most 20
+    vertices, the greedy heuristic above. Engine jobs and the fresh
+    representations of delta sessions both draw from it, so a session
+    step is byte-comparable with an engine job on the same graph. *)
+let fresh_rep g =
+  if Graph.n g <= 20 then PW.exact_interval_representation g
+  else PW.heuristic_interval_representation g
+
+let default_rep c = Some (fresh_rep (Config.graph c))
+
+(** [job]'s report with no work recorded yet, on a graph of [n]
+    vertices and [m] edges: [r_total_ms] is the time since [t0]. *)
+let blank_report (job : Manifest.job) ~n ~m ~t0 status =
+  {
+    Stats.r_id = job.job_id;
+    r_property = job.property;
+    r_k = job.k;
+    r_n = n;
+    r_m = m;
+    r_status = status;
+    r_cache_hit = false;
+    r_prove_ms = 0.0;
+    r_verify_ms = 0.0;
+    r_total_ms = now_ms () -. t0;
+    r_label_bits = 0;
+    r_bundle_bits = 0;
+    r_reject_reasons = [];
+    r_retries = 0;
+  }
+
+let classify rs =
+  List.sort_uniq compare
+    (List.map (fun (_, reason) -> Lcp_cert.Reject_reason.classify reason) rs)
+
+let verify_labels t cfg scheme labels =
+  let tv = now_ms () in
+  let outcome =
+    Timing.time t.timing Timing.Verify (fun () ->
+        Scheme.run_edge cfg scheme labels)
+  in
+  (outcome, now_ms () -. tv)
+
+(** What a job served: its labeling and bundle, or nothing. *)
+type 'l served = Unserved | Served of 'l EM.t * Bundle.t
+
+(** The job pipeline from the store probe on, and the one place where
+    a job's steps are ordered: probe the store for [key]; on a hit,
+    [decode] the bundle, verify the labeling in full under [cfg] and
+    serve it; on a miss or a rejected hit (whose entry is dropped),
+    prove with [scheme], encode, verify in full, and only then store
+    and serve. Returns [job]'s report, on the graph of [cfg], and what
+    it served. Engine jobs and delta-session steps both run it, and
+    differ only in [scheme]'s representation and in [decode]. *)
+let certify t ~(job : Manifest.job) ~t0 ~cfg ~key
+    (scheme : 'l Scheme.edge_scheme)
+    ~(decode : Bundle.t -> ('l EM.t, string) result) :
+    Stats.job_report * 'l served =
+  let g = Config.graph cfg in
+  let n = Graph.n g and m = Graph.m g in
+  (* 1. cache tier: decode + re-verify before serving *)
+  let cached =
+    match
+      Timing.time t.timing Timing.Store (fun () -> Cert_store.find t.store key)
+    with
+    | None -> None
+    | Some entry -> (
+        match decode entry.Cert_store.e_bundle with
+        | Error e ->
+            Cert_store.remove t.store key;
+            Some (Error [ "bundle: " ^ e ])
+        | Ok labels -> (
+            match verify_labels t cfg scheme labels with
+            | Scheme.Accepted, verify_ms -> Some (Ok (entry, labels, verify_ms))
+            | Scheme.Rejected rs, _ ->
+                Cert_store.remove t.store key;
+                Some (Error (classify rs))))
+  in
+  match cached with
+  | Some (Ok (entry, labels, verify_ms)) ->
+      ( {
+          (blank_report job ~n ~m ~t0 Stats.Served_cached) with
+          r_cache_hit = true;
+          r_verify_ms = verify_ms;
+          r_label_bits = entry.Cert_store.e_label_bits;
+          r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
+        },
+        Served (labels, entry.Cert_store.e_bundle) )
+  | (None | Some (Error _)) as cache_outcome -> (
+      let reject_reasons =
+        match cache_outcome with Some (Error rs) -> rs | _ -> []
+      in
+      (* 2. fresh path: prove, encode, verify, store *)
+      let tp = now_ms () in
+      match
+        Timing.time t.timing Timing.Prove (fun () -> scheme.Scheme.es_prove cfg)
+      with
+      | None ->
+          ( {
+              (blank_report job ~n ~m ~t0 Stats.Declined) with
+              r_prove_ms = now_ms () -. tp;
+              r_reject_reasons = reject_reasons;
+            },
+            Unserved )
+      | Some labels -> (
+          let prove_ms = now_ms () -. tp in
+          match
+            Timing.time t.timing Timing.Encode (fun () ->
+                Bundle.encode_sized ~encode_label:scheme.Scheme.es_encode g
+                  labels)
+          with
+          | Error e ->
+              ( { (blank_report job ~n ~m ~t0 (Stats.Unsound e)) with
+                  r_prove_ms = prove_ms },
+                Unserved )
+          | Ok (bundle, label_bits) -> (
+              match verify_labels t cfg scheme labels with
+              | Scheme.Rejected rs, verify_ms ->
+                  ( {
+                      (blank_report job ~n ~m ~t0
+                         (Stats.Unsound
+                            (Printf.sprintf "fresh bundle rejected locally: %s"
+                               (String.concat ", " (classify rs)))))
+                      with
+                      r_prove_ms = prove_ms;
+                      r_verify_ms = verify_ms;
+                      r_reject_reasons = reject_reasons;
+                    },
+                    Unserved )
+              | Scheme.Accepted, verify_ms ->
+                  Timing.time t.timing Timing.Store (fun () ->
+                      Cert_store.add t.store
+                        {
+                          Cert_store.e_key = key;
+                          e_bundle = bundle;
+                          e_label_bits = label_bits;
+                        });
+                  ( {
+                      (blank_report job ~n ~m ~t0 Stats.Served_fresh) with
+                      r_prove_ms = prove_ms;
+                      r_verify_ms = verify_ms;
+                      r_label_bits = label_bits;
+                      r_bundle_bits = Bundle.size_bits bundle;
+                      r_reject_reasons = reject_reasons;
+                    },
+                    Served (labels, bundle) ))))
 
 let run_once t (job : Manifest.job) : Stats.job_report =
   let t0 = now_ms () in
-  let base ?(n = 0) ?(m = 0) status =
-    {
-      Stats.r_id = job.job_id;
-      r_property = job.property;
-      r_k = job.k;
-      r_n = n;
-      r_m = m;
-      r_status = status;
-      r_cache_hit = false;
-      r_prove_ms = 0.0;
-      r_verify_ms = 0.0;
-      r_total_ms = now_ms () -. t0;
-      r_label_bits = 0;
-      r_bundle_bits = 0;
-      r_reject_reasons = [];
-      r_retries = 0;
-    }
-  in
   match
     Timing.time t.timing Timing.Parse (fun () ->
         graph_of_source ~base_dir:t.base_dir ~k:job.k job.source)
   with
-  | Error e -> base (Stats.Input_error e)
+  | Error e -> blank_report job ~n:0 ~m:0 ~t0 (Stats.Input_error e)
   | Ok g -> (
-      let n = Graph.n g and m = Graph.m g in
       match Registry.find job.property with
       | None ->
-          base ~n ~m
+          blank_report job ~n:(Graph.n g) ~m:(Graph.m g) ~t0
             (Stats.Input_error
                (Printf.sprintf "unknown property %S; catalogue: %s"
                   job.property
                   (String.concat ", " (Registry.names ()))))
-      | Some (module P) -> (
+      | Some (module P) ->
           let module T1 = Lcp_cert.Theorem1.Make (P.A) in
-          let scheme = T1.edge_scheme ~rep:default_rep ~k:job.k () in
           let cfg = Config.random_ids (Random.State.make [| job.seed |]) g in
           let key = Cert_store.key ~property:job.property ~k:job.k g in
-          let verify_labels labels =
-            let tv = now_ms () in
-            let outcome =
-              Timing.time t.timing Timing.Verify (fun () ->
-                  Scheme.run_edge cfg scheme labels)
-            in
-            (outcome, now_ms () -. tv)
+          (* one sharing decoder per bundle decoded *)
+          let decode bundle =
+            Bundle.decode
+              ~decode_label:
+                (Lcp_cert.Certificate.decode ~decode_state:P.decode_state)
+              g bundle
           in
-          (* 1. cache tier: decode + re-verify before serving *)
-          let cached =
-            match
-              Timing.time t.timing Timing.Store (fun () ->
-                  Cert_store.find t.store key)
-            with
-            | None -> None
-            | Some entry -> (
-                (* one sharing decoder for the bundle's labels *)
-                let decode_label =
-                  Lcp_cert.Certificate.decode ~decode_state:P.decode_state
-                in
-                match Bundle.decode ~decode_label g entry.Cert_store.e_bundle with
-                | Error e ->
-                    Cert_store.remove t.store key;
-                    Some (Error [ "bundle: " ^ e ])
-                | Ok labels -> (
-                    match verify_labels labels with
-                    | Scheme.Accepted, verify_ms ->
-                        Some (Ok (entry, verify_ms))
-                    | Scheme.Rejected rs, _ ->
-                        Cert_store.remove t.store key;
-                        Some
-                          (Error
-                             (List.sort_uniq compare
-                                (List.map
-                                   (fun (_, reason) ->
-                                     Lcp_cert.Reject_reason.classify reason)
-                                   rs)))))
-          in
-          match cached with
-          | Some (Ok (entry, verify_ms)) ->
-              {
-                (base ~n ~m Stats.Served_cached) with
-                r_cache_hit = true;
-                r_verify_ms = verify_ms;
-                r_label_bits = entry.Cert_store.e_label_bits;
-                r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
-                r_total_ms = now_ms () -. t0;
-              }
-          | (None | Some (Error _)) as cache_outcome -> (
-              let reject_reasons =
-                match cache_outcome with Some (Error rs) -> rs | _ -> []
-              in
-              (* 2. fresh path: prove, encode, verify, store *)
-              let tp = now_ms () in
-              match
-                Timing.time t.timing Timing.Prove (fun () ->
-                    scheme.Scheme.es_prove cfg)
-              with
-              | None ->
-                  {
-                    (base ~n ~m Stats.Declined) with
-                    r_prove_ms = now_ms () -. tp;
-                    r_reject_reasons = reject_reasons;
-                    r_total_ms = now_ms () -. t0;
-                  }
-              | Some labels -> (
-                  let prove_ms = now_ms () -. tp in
-                  match
-                    Timing.time t.timing Timing.Encode (fun () ->
-                        Bundle.encode_sized ~encode_label:scheme.Scheme.es_encode
-                          g labels)
-                  with
-                  | Error e ->
-                      {
-                        (base ~n ~m (Stats.Unsound e)) with
-                        r_prove_ms = prove_ms;
-                        r_total_ms = now_ms () -. t0;
-                      }
-                  | Ok (bundle, label_bits) -> (
-                      match verify_labels labels with
-                      | Scheme.Rejected rs, verify_ms ->
-                          let reasons =
-                            List.sort_uniq compare
-                              (List.map
-                                 (fun (_, reason) ->
-                                   Lcp_cert.Reject_reason.classify reason)
-                                 rs)
-                          in
-                          {
-                            (base ~n ~m
-                               (Stats.Unsound
-                                  (Printf.sprintf
-                                     "fresh bundle rejected locally: %s"
-                                     (String.concat ", " reasons))))
-                            with
-                            r_prove_ms = prove_ms;
-                            r_verify_ms = verify_ms;
-                            r_reject_reasons = reject_reasons;
-                            r_total_ms = now_ms () -. t0;
-                          }
-                      | Scheme.Accepted, verify_ms ->
-                          Timing.time t.timing Timing.Store (fun () ->
-                              Cert_store.add t.store
-                                {
-                                  Cert_store.e_key = key;
-                                  e_bundle = bundle;
-                                  e_label_bits = label_bits;
-                                });
-                          {
-                            (base ~n ~m Stats.Served_fresh) with
-                            r_prove_ms = prove_ms;
-                            r_verify_ms = verify_ms;
-                            r_label_bits = label_bits;
-                            r_bundle_bits = Bundle.size_bits bundle;
-                            r_reject_reasons = reject_reasons;
-                            r_total_ms = now_ms () -. t0;
-                          })))))
+          fst
+            (certify t ~job ~t0 ~cfg ~key
+               (T1.edge_scheme ~rep:default_rep ~k:job.k ())
+               ~decode))
 
-(* The total, retrying entry point: every job reaches a terminal status.
-   [?retry] overrides the engine's policy for this one job — the daemon
-   uses it to honor a per-job deadline carried in the request without
-   rebuilding the (long-lived, cache-warm) engine. *)
-let run_job ?retry:retry_override t (job : Manifest.job) : Stats.job_report =
+(** The total, retrying wrapper every job runs under, engine jobs and
+    delta steps alike: [attempt i] runs attempt [i] (from 0) and reruns
+    whole on any exception but
+    [Blob_io.Crashed], so it must be effect-free until it returns (a
+    delta step commits its session state exactly when it produces a
+    report). A job that exhausts its budget ends as [Failed], paired
+    with [fallback]; a success under a demoted (memory-only) store
+    reports [Served_degraded]. [?retry] overrides the engine's policy
+    for this one job: the daemon uses it to honor a per-job deadline
+    carried in the request without rebuilding its long-lived,
+    cache-warm engine. *)
+let retrying ?retry:retry_override t ~(job : Manifest.job) ~fallback attempt =
   let t0 = now_ms () in
   let retry = Option.value retry_override ~default:t.retry in
-  match with_retries ~retry ~now:now_ms (fun _attempt -> run_once t job) with
-  | Ok (report, retries) ->
+  match with_retries ~retry ~now:now_ms attempt with
+  | Ok ((report, x), retries) ->
       let report =
         { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
       in
-      (* a success under a demoted (memory-only) store is still a
-         success, but the operator must see it in the status *)
+      (* a success under a demoted store is still a success, but the
+         operator must see it in the status *)
       if
         Cert_store.degraded t.store
         &&
         match report.Stats.r_status with
         | Stats.Served_fresh | Stats.Served_cached -> true
         | _ -> false
-      then { report with Stats.r_status = Stats.Served_degraded }
-      else report
-  | Error (msg, retries) ->
-      {
-        Stats.r_id = job.job_id;
-        r_property = job.property;
-        r_k = job.k;
-        r_n = 0;
-        r_m = 0;
-        r_status = Stats.Failed msg;
-        r_cache_hit = false;
-        r_prove_ms = 0.0;
-        r_verify_ms = 0.0;
-        r_total_ms = now_ms () -. t0;
-        r_label_bits = 0;
-        r_bundle_bits = 0;
-        r_reject_reasons = [];
-        r_retries = retries;
-      }
-
-(* The delta-session entry point: the same totality/retry/degraded
-   contract as [run_job], for a step computed by the caller. [Delta]
-   sits above the engine in the module graph (it needs the registry and
-   the store), so the engine only sees "a job-shaped computation": the
-   step must be effect-free until it returns — a retried attempt reruns
-   it whole — and commits its session state exactly when it produces a
-   report. [Blob_io.Crashed] propagates, as everywhere. *)
-let run_delta_job ?retry:retry_override t ~job_id ~property ~k
-    ~(fallback_info : 'info) (step : attempt:int -> Stats.job_report * 'info) :
-    Stats.job_report * 'info =
-  let t0 = now_ms () in
-  let retry = Option.value retry_override ~default:t.retry in
-  match with_retries ~retry ~now:now_ms (fun attempt -> step ~attempt) with
-  | Ok ((report, info), retries) ->
-      let report =
-        { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
-      in
-      let report =
-        if
-          Cert_store.degraded t.store
-          &&
-          match report.Stats.r_status with
-          | Stats.Served_fresh | Stats.Served_cached -> true
-          | _ -> false
-        then { report with Stats.r_status = Stats.Served_degraded }
-        else report
-      in
-      (report, info)
+      then ({ report with Stats.r_status = Stats.Served_degraded }, x)
+      else (report, x)
   | Error (msg, retries) ->
       ( {
-          Stats.r_id = job_id;
-          r_property = property;
-          r_k = k;
-          r_n = 0;
-          r_m = 0;
-          r_status = Stats.Failed msg;
-          r_cache_hit = false;
-          r_prove_ms = 0.0;
-          r_verify_ms = 0.0;
-          r_total_ms = now_ms () -. t0;
-          r_label_bits = 0;
-          r_bundle_bits = 0;
-          r_reject_reasons = [];
-          r_retries = retries;
+          (blank_report job ~n:0 ~m:0 ~t0 (Stats.Failed msg))
+          with
+          Stats.r_retries = retries;
         },
-        fallback_info )
+        fallback )
+
+let run_job ?retry t (job : Manifest.job) : Stats.job_report =
+  fst (retrying ?retry t ~job ~fallback:() (fun _ -> (run_once t job, ())))
 
 (* Copy the process-global composition-memo counters and the GC minor
    allocation count into the timing sink, where they render next to the

@@ -18,19 +18,21 @@
        from it is re-verified by the reading worker before serving, so
        a concurrent writer can change {e latency} but never
        {e judgements}.}
-    {- {b Canonical merge.} Workers ship their reports back over a pipe
-       ([Marshal]); the parent concatenates, sorts by job id (the same
-       canonical order [Engine.run_jobs] emits), merges the raw timing
-       samples, and sums the per-store counters. The canonical
-       projection of the output ([Stats.to_canonical_json]) is
-       byte-identical across all N.}
+    {- {b Canonical merge.} Workers ship each report back over a pipe
+       as a framed [Marshal] message the moment its job finishes, and
+       sign off with their raw timing samples and store counters, which
+       the parent merges and sums. [run_stream] emits in feed order;
+       [run], its finite fold, sorts by job id (the same canonical
+       order [Engine.run_jobs] emits). The canonical projection of the
+       output ([Stats.to_canonical_json]) is byte-identical across all
+       N.}
     {- {b Crash semantics.} A worker that hits [Blob_io.Crashed] — a
        simulated process death — reports it instead of a result; after
        every worker is reaped the parent re-raises [Crashed], so a
        crash anywhere still kills the whole batch, exactly as in the
-       sequential path. Any other escaped exception in a worker (there
-       should be none: [Engine.run_job] is total) surfaces as
-       [Failure].}}
+       sequential path. Any other exception a worker raises (there
+       should be none once its engine is built: [Engine.run_job] is
+       total) surfaces as a [Failure] carrying its message.}}
 
     Workers are plain [Unix.fork] children: no threads, no domains, so
     this runs on any OCaml the container ships, and a wedged worker can
@@ -66,70 +68,12 @@ let default_workers () = max 1 (Domain.recommended_domain_count ())
 (* ---------------------------------------------------------------- *)
 (* the fork/pipe plumbing                                            *)
 
-type worker_payload =
-  | W_ok of
-      Stats.job_report list
-      * Timing.samples
-      * Cert_store.stats
-      * bool (* store degraded? *)
-  | W_crashed of string  (** simulated process death: path of the op *)
-  | W_error of string  (** an exception escaped Engine.run_job — a bug *)
-
 let write_all fd (b : Bytes.t) =
   let len = Bytes.length b in
   let off = ref 0 in
   while !off < len do
     off := !off + Unix.write fd b !off (len - !off)
   done
-
-let read_all fd =
-  let buf = Buffer.create 65536 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-  in
-  go ();
-  Buffer.to_bytes buf
-
-(* the whole life of a worker: fresh engine, run the shard, marshal the
-   payload up the pipe, and _exit without touching the parent's
-   buffered channels *)
-let worker_main ~make_engine ~timed shard wfd =
-  let payload =
-    try
-      let wt = if timed then Some (Timing.create ()) else None in
-      let engine = make_engine wt in
-      let reports = List.map (Engine.run_job engine) shard in
-      Engine.flush engine;
-      Engine.snapshot_counters engine;
-      let store = Engine.store engine in
-      W_ok
-        ( reports,
-          (match wt with
-          | Some t -> Timing.samples t
-          | None -> Timing.samples (Timing.create ())),
-          Cert_store.stats store,
-          Cert_store.degraded store )
-    with
-    | Blob_io.Crashed p -> W_crashed p
-    | e -> W_error (Printexc.to_string e)
-  in
-  (try write_all wfd (Marshal.to_bytes payload []) with _ -> ());
-  (try Unix.close wfd with Unix.Unix_error _ -> ())
-
-(* ---------------------------------------------------------------- *)
-(* the pool driver                                                   *)
-
-type outcome = {
-  reports : Stats.job_report list;  (** canonical order: sorted by job id *)
-  summary : Stats.summary;
-  store_stats : Cert_store.stats;  (** summed over every worker's store *)
-  degraded : bool;  (** did any worker's store demote to memory-only? *)
-}
 
 let empty_stats () =
   {
@@ -150,136 +94,6 @@ let empty_stats () =
     filter_fps = 0;
     flushes = 0;
   }
-
-(* N = 1 runs in-process: same engine code, no fork, and [Crashed]
-   propagates directly — byte-compatible with the sequential driver *)
-let run_inline ?timing ~make_engine emit jobs =
-  let engine = make_engine timing in
-  let reports = Stats.sort_reports (List.map (Engine.run_job engine) jobs) in
-  List.iter emit reports;
-  Engine.flush engine;
-  Engine.snapshot_counters engine;
-  let store = Engine.store engine in
-  {
-    reports;
-    summary = Stats.summarize reports;
-    store_stats = Cert_store.stats store;
-    degraded = Cert_store.degraded store;
-  }
-
-(** Run [jobs] across [workers] processes. [make_engine] is called once
-    {e inside} each worker (after the fork) with that worker's timing
-    sink, so every worker owns a private engine and memory tier; point
-    the engines at one cache directory to share the disk tier. [emit]
-    fires in the parent, once per report, in canonical (job-id) order,
-    after all workers finish. Raises [Blob_io.Crashed] if any worker
-    simulated a crash — after all workers were reaped.
-
-    While workers are alive, SIGINT is owned by the pool: the handler
-    kills and reaps every child (no orphans holding the shared cache
-    directory), runs [on_interrupt] (the driver passes a tmp-file sweep
-    of that directory here), and exits 130 — instead of the default
-    behavior, which killed the parent and left children running and
-    half-written [.tmp] files behind. *)
-let run ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
-    ~workers ~make_engine jobs =
-  let workers = max 1 workers in
-  if workers = 1 then run_inline ?timing ~make_engine emit jobs
-  else begin
-    let shards = shard ~workers jobs in
-    (* a child forked mid-buffer would duplicate whatever the parent
-       had not flushed yet *)
-    flush stdout;
-    flush stderr;
-    let spawned =
-      Array.to_list shards
-      |> List.filter_map (fun shard ->
-             if shard = [] then None
-             else begin
-               let rfd, wfd = Unix.pipe ~cloexec:false () in
-               match Unix.fork () with
-               | 0 ->
-                   (* child: run the shard, report, die quietly. _exit,
-                      not exit — at_exit handlers belong to the parent *)
-                   Unix.close rfd;
-                   worker_main ~make_engine
-                     ~timed:(timing <> None)
-                     shard wfd;
-                   Unix._exit 0
-               | pid ->
-                   Unix.close wfd;
-                   Some (pid, rfd)
-             end)
-    in
-    (* own SIGINT while children are alive: kill them, reap them, let
-       the driver sweep its cache debris, and exit with the
-       conventional 130 *)
-    let prev_int =
-      Sys.signal Sys.sigint
-        (Sys.Signal_handle
-           (fun _ ->
-             List.iter
-               (fun (pid, _) ->
-                 try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-               spawned;
-             List.iter
-               (fun (pid, _) ->
-                 try ignore (Unix.waitpid [] pid)
-                 with Unix.Unix_error _ -> ())
-               spawned;
-             (match on_interrupt with
-             | Some f -> ( try f () with _ -> ())
-             | None -> ());
-             exit 130))
-    in
-    Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint prev_int)
-    @@ fun () ->
-    (* drain every pipe before reaping: a worker blocked writing a large
-       payload must not deadlock against a parent blocked in waitpid *)
-    let payloads =
-      List.map
-        (fun (pid, rfd) ->
-          let bytes = read_all rfd in
-          Unix.close rfd;
-          let payload =
-            if Bytes.length bytes = 0 then
-              W_error "worker died before reporting"
-            else
-              try (Marshal.from_bytes bytes 0 : worker_payload)
-              with Failure _ ->
-                W_error "worker payload truncated or corrupt"
-          in
-          ignore (Unix.waitpid [] pid);
-          payload)
-        spawned
-    in
-    let crashed =
-      List.find_map
-        (function W_crashed p -> Some p | _ -> None)
-        payloads
-    in
-    (match crashed with Some p -> raise (Blob_io.Crashed p) | None -> ());
-    (match
-       List.find_map (function W_error e -> Some e | _ -> None) payloads
-     with
-    | Some e -> failwith (Printf.sprintf "Pool.run: worker failed: %s" e)
-    | None -> ());
-    let reports, store_stats, degraded =
-      List.fold_left
-        (fun (rs, ss, deg) -> function
-          | W_ok (wr, samples, wss, wdeg) ->
-              (match timing with
-              | Some t -> Timing.absorb t samples
-              | None -> ());
-              (wr @ rs, Cert_store.add_stats ss wss, deg || wdeg)
-          | W_crashed _ | W_error _ -> (rs, ss, deg))
-        ([], empty_stats (), false)
-        payloads
-    in
-    let reports = Stats.sort_reports reports in
-    List.iter emit reports;
-    { reports; summary = Stats.summarize reports; store_stats; degraded }
-  end
 
 (* ---------------------------------------------------------------- *)
 (* the streaming driver                                              *)
@@ -322,10 +136,10 @@ let frame (msg : stream_msg) =
 let stream_worker_main ~make_engine ~timed rfd wfd =
   let send msg = write_all wfd (frame msg) in
   (try
-     let wt = if timed then Some (Timing.create ()) else None in
-     let engine = make_engine wt in
-     let ic = Unix.in_channel_of_descr rfd in
      try
+       let wt = if timed then Some (Timing.create ()) else None in
+       let engine = make_engine wt in
+       let ic = Unix.in_channel_of_descr rfd in
        let rec loop () =
          match input_line ic with
          | exception End_of_file -> ()
@@ -381,12 +195,20 @@ let ws_pending w =
     the streamed JSONL byte-identical to the batch driver's at any
     worker count.)
 
-    Sharding, engine construction, crash semantics, and SIGINT
-    handling match {!run}: same FNV-1a shard function, one engine per
-    forked worker, [Blob_io.Crashed] re-raised after every worker is
-    reaped. At most [window] jobs are in flight (fed but not yet
-    emitted); the producer blocks when the window is full, so parent
-    memory is bounded by [window] reports regardless of corpus size. *)
+    Jobs shard by the FNV-1a function above. [make_engine] is called
+    once {e inside} each worker (after the fork) with that worker's
+    timing sink, so every worker owns a private engine and memory tier;
+    point the engines at one cache directory to share the disk tier.
+    At [workers = 1] the engine runs in-process, with no fork. Raises
+    [Blob_io.Crashed] if any worker simulated a crash, after every
+    worker is reaped. At most [window] jobs are in flight (fed but not
+    yet emitted); the producer blocks when the window is full, so
+    parent memory is bounded by [window] reports regardless of corpus
+    size.
+
+    While workers are alive, SIGINT is owned by the pool: the handler
+    kills and reaps every child (no orphans holding the shared cache
+    directory), runs [on_interrupt], and exits 130. *)
 let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
     ?window ~workers ~make_engine produce =
   let workers = max 1 workers in
@@ -677,3 +499,38 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
       stream_degraded = !degraded;
     }
   end
+
+(* ---------------------------------------------------------------- *)
+(* the batch driver: a fold over the stream                          *)
+
+type outcome = {
+  reports : Stats.job_report list;  (** canonical order: sorted by job id *)
+  summary : Stats.summary;
+  store_stats : Cert_store.stats;  (** summed over every worker's store *)
+  degraded : bool;  (** did any worker's store demote to memory-only? *)
+}
+
+(** Run [jobs] across [workers] processes: the finite fold of
+    {!run_stream}. The reports are collected, sorted by job id (the
+    canonical order [Engine.run_jobs] emits), and only then passed to
+    [emit], once each; the summary is taken over the sorted list.
+    Sharding, engine construction, [Blob_io.Crashed] and SIGINT
+    handling are [run_stream]'s; [on_interrupt] is where the driver
+    passes a tmp-file sweep of a shared cache directory. *)
+let run ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
+    ~workers ~make_engine jobs =
+  let collected = ref [] in
+  let out =
+    run_stream
+      ~emit:(fun r -> collected := r :: !collected)
+      ?timing ?on_interrupt ~workers ~make_engine
+      (fun feed -> List.iter feed jobs)
+  in
+  let reports = Stats.sort_reports !collected in
+  List.iter emit reports;
+  {
+    reports;
+    summary = Stats.summarize reports;
+    store_stats = out.stream_store;
+    degraded = out.stream_degraded;
+  }

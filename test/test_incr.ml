@@ -392,6 +392,108 @@ let stream_tests =
         properties)
     families
 
+(* A session step is an engine job: the open step equals
+   [Engine.run_job] on a fresh engine for the same job, and a step whose
+   transplant fails (so the session, like the engine, builds a fresh
+   representation) equals [Engine.run_job] on the edited graph written
+   out as a [file=] job with the same seed — same n, so the same ids. *)
+module Store = Lcp_service.Cert_store
+module Graph_io = Lcp_service.Graph_io
+module Traversal = Lcp_graph.Traversal
+
+let engine_run (job : Manifest.job) =
+  let e = Engine.create () in
+  let r = Engine.run_job e job in
+  let g =
+    match Engine.graph_of_source ~base_dir:"." ~k:job.k job.source with
+    | Ok g -> g
+    | Error e -> Alcotest.fail e
+  in
+  let bundle =
+    Option.map
+      (fun en -> en.Store.e_bundle)
+      (Store.find (Engine.store e) (Store.key ~property:job.property ~k:job.k g))
+  in
+  (r, bundle)
+
+let canonical_sans_id r = Stats.to_canonical_json { r with Stats.r_id = "" }
+
+let same_bundle what a b =
+  check what true
+    (match (a, b) with
+    | Some a, Some b -> Bundle.equal a b
+    | None, None -> true
+    | _ -> false)
+
+let session_step_is_engine_job () =
+  let edited_served = ref 0 in
+  List.iter
+    (fun property ->
+      let line =
+        Printf.sprintf "id=eq-%s gen=random n=24 gseed=5 property=%s k=2 seed=9"
+          property property
+      in
+      let s, r_open, _ = open_session line in
+      let job = Delta.base_job s in
+      let r_eng, b_eng = engine_run job in
+      check_str (property ^ ": open report = engine job") (canonical_sans_id r_eng)
+        (canonical_sans_id r_open);
+      same_bundle (property ^ ": open bundle = engine bundle") (Delta.bundle s) b_eng;
+      (* prune to a BFS spanning tree (removals always transplant), so
+         all three properties hold *)
+      let g0 = Delta.graph s in
+      let tree = Traversal.spanning_tree g0 ~root:0 in
+      let extra = List.filter (fun e -> not (List.mem e tree)) (G.edges g0) in
+      ignore (Delta.step s ~full:false (Incr.print_delta { Incr.add = []; del = extra }));
+      (* swap a tree edge for a chord outside the windows of the
+         session's representation: still a spanning tree, but the
+         transplant must fail *)
+      let t = Delta.graph s in
+      let rep0 = Delta.fresh_rep g0 in
+      let escapes (u, v) =
+        (not (G.mem_edge t u v))
+        && Result.is_error (Incr.transplant rep0 (G.add_edges t [ (u, v) ]))
+      in
+      let chord =
+        let n = G.n t in
+        List.find escapes
+          (List.concat_map (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1)))
+             (List.init n Fun.id))
+      in
+      let u, v = chord in
+      let p1 =
+        match Traversal.shortest_path t u v with
+        | Some (_ :: p1 :: _) -> p1
+        | _ -> Alcotest.fail "tree path missing"
+      in
+      let r_step, info =
+        Delta.step s ~full:false
+          (Incr.print_delta { Incr.add = [ chord ]; del = [ (u, p1) ] })
+      in
+      check_str (property ^ ": the transplant failed") "rebuilt" info.Delta.pi_mode;
+      let file =
+        Filename.temp_file (Printf.sprintf "lcp_incr_eq_%s_" property) ".dimacs"
+      in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          (match Graph_io.save_file file (Delta.graph s) with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          let r_file, b_file =
+            engine_run
+              { job with Manifest.job_id = r_step.Stats.r_id; source = Manifest.File file }
+          in
+          if served r_step then incr edited_served;
+          check_str (property ^ ": edited report = engine job")
+            (canonical_sans_id r_file) (canonical_sans_id r_step);
+          check_int (property ^ ": edited label bits = engine job")
+            r_file.Stats.r_label_bits r_step.Stats.r_label_bits;
+          same_bundle (property ^ ": edited bundle = engine bundle") (Delta.bundle s)
+            b_file))
+    properties;
+  check_int "every edited tree was served" (List.length properties) !edited_served
+
 (* a malformed edit is an input error both sessions must render
    identically, without advancing either graph *)
 let malformed_edit_agreement () =
@@ -424,7 +526,7 @@ let coverage_floors () =
   check "gate saw >= 500 batches" true (!total_batches >= 500);
   check "streams actually served" true (!served_batches >= 50);
   check "streams actually declined" true (!declined_batches >= 50);
-  check "splice path exercised (patched >= 20)" true (!patched_batches >= 20)
+  check "transplant path exercised (patched >= 20)" true (!patched_batches >= 20)
 
 let suite =
   ( "incremental",
@@ -443,6 +545,7 @@ let suite =
     @ [
         test "malformed edits: identical errors, graph untouched"
           malformed_edit_agreement;
+        test "a session step equals an engine job" session_step_is_engine_job;
         test "coverage floors (anti-vacuity)" coverage_floors;
       ] )
 

@@ -33,6 +33,11 @@ let check_str = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let test name f = Alcotest.test_case name `Quick f
 
+let contains s frag =
+  let ls = String.length s and lf = String.length frag in
+  let rec go i = i + lf <= ls && (String.sub s i lf = frag || go (i + 1)) in
+  go 0
+
 (* ---------------------------------------------------------------- *)
 (* scratch directories                                               *)
 
@@ -264,6 +269,29 @@ let crash_propagates () =
       check (Printf.sprintf "workers=%d: Crashed re-raised" n) true crashed)
     [ 1; 4 ]
 
+(* an engine that cannot be built (a cache directory that cannot be
+   made, say) must reach the parent as a Failure naming the cause —
+   never as a worker that exited without a word *)
+let make_engine_failure_reported () =
+  let jobs = corpus () in
+  let msg = "engine construction refused by the test" in
+  let make_engine _ = failwith msg in
+  let fails_with_msg name run =
+    match run () with
+    | () -> Alcotest.failf "%s: returned although no engine could be built" name
+    | exception Failure e ->
+        check
+          (Printf.sprintf "%s: the failure names the cause (got %S)" name e)
+          true
+          (contains e msg)
+  in
+  fails_with_msg "run_stream" (fun () ->
+      ignore
+        (Pool.run_stream ~workers:2 ~make_engine (fun feed ->
+             List.iter feed jobs)));
+  fails_with_msg "run" (fun () ->
+      ignore (Pool.run ~workers:2 ~make_engine jobs))
+
 (* the interrupt-path sweep must only touch spool files it owns (this
    pid) or whose owner is dead — a live daemon sharing the cache dir
    keeps its in-flight .tmp files *)
@@ -338,6 +366,8 @@ let () =
           test "fault plan armed per worker: verdicts and repaired store match"
             jobs1_vs_jobs4_under_faults;
           test "crash in a worker kills the batch" crash_propagates;
+          test "an engine that cannot be built fails the run with its cause"
+            make_engine_failure_reported;
           test "interrupt sweep is pid-aware" sweep_is_pid_aware;
           test "store start-up sweep keeps a live sibling's spool file"
             store_create_keeps_live_sibling_tmp;
