@@ -83,14 +83,28 @@ let encode_ptr w (p : Lcp_pls.Spanning_tree.label) =
       Bitenc.varint w d;
       Bitenc.varint w c
 
-let encode_frame encode_state w frame =
+let encode_opt_int w = function
+  | None -> Bitenc.bit w false
+  | Some x ->
+      Bitenc.bit w true;
+      Bitenc.varint w x
+
+let encode_opt_ptr w = function
+  | None -> Bitenc.bit w false
+  | Some p ->
+      Bitenc.bit w true;
+      encode_ptr w p
+
+(* [info] writes an info record: [encode_info encode_state] itself, or
+   the sharing encoder's memo of it. One frame layout serves both. *)
+let encode_frame info w frame =
   match frame with
   | T_frame { member = minfo, mkind; merged; is_tree_root; member_real; children }
     ->
       Bitenc.bit w false;
-      encode_info encode_state w minfo;
+      info w minfo;
       Bitenc.bits w ~width:3 (kind_code mkind);
-      encode_info encode_state w merged;
+      info w merged;
       Bitenc.bit w is_tree_root;
       Bitenc.varint w (List.length member_real);
       List.iter (fun b -> Bitenc.bit w b) member_real;
@@ -98,7 +112,7 @@ let encode_frame encode_state w frame =
       List.iter
         (fun (nid, cinfo) ->
           Bitenc.varint w nid;
-          encode_info encode_state w cinfo)
+          info w cinfo)
         children
   | B_frame
       {
@@ -115,36 +129,30 @@ let encode_frame encode_state w frame =
         right_ptr;
       } ->
       Bitenc.bit w true;
-      encode_info encode_state w bnode;
+      info w bnode;
       Bitenc.varint w i;
       Bitenc.varint w j;
-      encode_info encode_state w linfo;
+      info w linfo;
       Bitenc.bits w ~width:3 (kind_code lkind);
-      encode_info encode_state w rinfo;
+      info w rinfo;
       Bitenc.bits w ~width:3 (kind_code rkind);
       Bitenc.bit w bridge_real;
-      let opt_int = function
-        | None -> Bitenc.bit w false
-        | Some x ->
-            Bitenc.bit w true;
-            Bitenc.varint w x
-      in
-      opt_int left_root_member;
-      opt_int right_root_member;
+      encode_opt_int w left_root_member;
+      encode_opt_int w right_root_member;
       Bitenc.bits w ~width:2
         (match position with `Bridge -> 0 | `Left -> 1 | `Right -> 2);
-      let opt_ptr = function
-        | None -> Bitenc.bit w false
-        | Some p ->
-            Bitenc.bit w true;
-            encode_ptr w p
-      in
-      opt_ptr left_ptr;
-      opt_ptr right_ptr
+      encode_opt_ptr w left_ptr;
+      encode_opt_ptr w right_ptr
 
-let encode ~encode_state w label =
-  Bitenc.varint w (List.length label.frames);
-  List.iter (encode_frame encode_state w) label.frames;
+(* Own [frames] and transported [vframes] share one encoding: a count,
+   then the frames. *)
+let encode_stack frame w frames =
+  Bitenc.varint w (List.length frames);
+  List.iter (frame w) frames
+
+(* [vstack w v] writes [v.vframes] as a stack *)
+let encode_label frame vstack w label =
+  encode_stack frame w label.frames;
   encode_ptr w label.global_ptr;
   Bitenc.bit w label.accept_state;
   Bitenc.varint w (List.length label.transported);
@@ -154,9 +162,12 @@ let encode ~encode_state w label =
       Bitenc.varint w v.vv;
       Bitenc.varint w v.rank_fwd;
       Bitenc.varint w v.rank_bwd;
-      Bitenc.varint w (List.length v.vframes);
-      List.iter (encode_frame encode_state w) v.vframes)
+      vstack w v)
     label.transported
+
+let encode_plain ~encode_state =
+  let frame = encode_frame (encode_info encode_state) in
+  encode_label frame (fun w v -> encode_stack frame w v.vframes)
 
 (* List.init applies its function in unspecified order; decoding must read
    strictly left to right *)
@@ -274,11 +285,14 @@ let decode_frame info r =
    two records: a lookup costs at most a constant times decoding the
    record it finds. *)
 
-module Span_tbl = Hashtbl.Make (struct
+module Int_tbl = Hashtbl.Make (struct
   type t = int
 
   let equal = Int.equal
-  let hash = Fun.id (* keys are [Bitenc.span_hash] values, already mixed *)
+
+  (* keys are spread already: [Bitenc.span_hash] values here, node ids
+     and mixed virtual-edge ids in the sharing encoder below *)
+  let hash = Fun.id
 end)
 
 type 'a cand = { start : int; len : int; value : 'a }
@@ -286,7 +300,7 @@ type 'a cand = { start : int; len : int; value : 'a }
 let key_bits = 48
 let max_cands = 4
 
-let cands tbl key = match Span_tbl.find tbl key with cs -> cs | exception Not_found -> []
+let cands tbl key = match Int_tbl.find tbl key with cs -> cs | exception Not_found -> []
 
 (* the candidate whose bits recur at [pos]; [Not_found] if none *)
 let rec find_at r pos = function
@@ -299,9 +313,9 @@ type 'state tables = {
   mutable epoch : int;
   mutable high : int;  (** the furthest end of any remembered span *)
   mutable frame_key : int;  (** the span hash of the frame read last *)
-  infos : 'state info cand list Span_tbl.t;
-  frames : 'state frame cand list Span_tbl.t;
-  stacks : 'state frame list cand list Span_tbl.t;
+  infos : 'state info cand list Int_tbl.t;
+  frames : 'state frame cand list Int_tbl.t;
+  stacks : 'state frame list cand list Int_tbl.t;
 }
 
 let sharing_decoder decode_state =
@@ -311,9 +325,9 @@ let sharing_decoder decode_state =
       epoch = 0;
       high = 0;
       frame_key = 0;
-      infos = Span_tbl.create 16;
-      frames = Span_tbl.create 16;
-      stacks = Span_tbl.create 16;
+      infos = Int_tbl.create 16;
+      frames = Int_tbl.create 16;
+      stacks = Int_tbl.create 16;
     }
   in
   (* [cs]: the candidates already under [key] *)
@@ -321,7 +335,7 @@ let sharing_decoder decode_state =
     let stop = Bitenc.position r in
     if stop > t.high then t.high <- stop;
     if List.compare_length_with cs max_cands < 0 then
-      Span_tbl.replace tbl key ({ start; len = stop - start; value } :: cs)
+      Int_tbl.replace tbl key ({ start; len = stop - start; value } :: cs)
   in
   let info r =
     let pos = Bitenc.position r in
@@ -373,9 +387,9 @@ let sharing_decoder decode_state =
   fun r ->
     if r != t.reader || Bitenc.epoch r <> t.epoch || Bitenc.position r < t.high
     then begin
-      Span_tbl.clear t.infos;
-      Span_tbl.clear t.frames;
-      Span_tbl.clear t.stacks;
+      Int_tbl.clear t.infos;
+      Int_tbl.clear t.frames;
+      Int_tbl.clear t.stacks;
       t.reader <- r;
       t.epoch <- Bitenc.epoch r;
       t.high <- 0
@@ -406,3 +420,94 @@ let decode ~decode_state =
         let d = sharing_decoder decode_state in
         shared := Some d;
         d r
+
+(* ---------------------------------------------------------------- *)
+(* the sharing encoder                                               *)
+
+(* The mirror of the sharing decoder. The prover hands out one physical
+   value per info record and one [vframes] list per virtual edge, and the
+   sharing decoder hands out one per distinct record, so a bundle's
+   repeats are mostly the {e same} values. A partially applied
+   [encode ~encode_state] keeps two tables over the stream it writes:
+
+   - info records, keyed by [node_id];
+   - transported stacks, keyed by their virtual edge [(vu, vv)].
+
+   A candidate is served only when it is physically the value being
+   written ([==]); then the bits written for it the first time, at
+   [start, start + len) of the same writer's stream, are appended again
+   with [Bitenc.copy_span] instead of being re-encoded. The values are
+   immutable and [encode_state] is a function of its state alone, and a
+   record's encoding does not depend on the bit offset it starts at, so
+   the copy is exactly the bits a fresh encode would write: every byte,
+   every label's size and the bundle's size are those of
+   [encode_plain]. A miss, a key collision or a full bucket only costs
+   a plain encode. *)
+
+type 'state enc_tables = {
+  mutable writer : Bitenc.writer;
+  mutable wepoch : int;
+  mutable whigh : int;  (** the furthest end of any remembered span *)
+  e_infos : 'state info cand list Int_tbl.t;
+  e_stacks : 'state frame list cand list Int_tbl.t;
+}
+
+(* the candidate that is [v] itself; [Not_found] if none *)
+let rec find_phys v = function
+  | [] -> raise_notrace Not_found
+  | c :: rest -> if c.value == v then c else find_phys v rest
+
+let sharing_encoder encode_state =
+  let t =
+    {
+      writer = Bitenc.writer ~capacity:1 ();
+      wepoch = 0;
+      whigh = 0;
+      e_infos = Int_tbl.create 64;
+      e_stacks = Int_tbl.create 64;
+    }
+  in
+  (* the bits [v] was written as before, else [encode w v] *)
+  let memo tbl key encode w v =
+    let cs = cands tbl key in
+    match find_phys v cs with
+    | c -> Bitenc.copy_span w ~start:c.start ~len:c.len
+    | exception Not_found ->
+        let start = Bitenc.length_bits w in
+        encode w v;
+        let stop = Bitenc.length_bits w in
+        if stop > t.whigh then t.whigh <- stop;
+        if List.compare_length_with cs max_cands < 0 then
+          Int_tbl.replace tbl key ({ start; len = stop - start; value = v } :: cs)
+  in
+  let plain_info = encode_info encode_state in
+  let info w i = memo t.e_infos i.node_id plain_info w i in
+  let frame = encode_frame info in
+  let plain_stack = encode_stack frame in
+  let vstack w v =
+    memo t.e_stacks ((v.vu * 0x9e3779b1) lxor v.vv) plain_stack w v.vframes
+  in
+  fun w label ->
+    if
+      w != t.writer
+      || Bitenc.writer_epoch w <> t.wepoch
+      || Bitenc.length_bits w < t.whigh
+    then begin
+      Int_tbl.clear t.e_infos;
+      Int_tbl.clear t.e_stacks;
+      t.writer <- w;
+      t.wepoch <- Bitenc.writer_epoch w;
+      t.whigh <- 0
+    end;
+    encode_label frame vstack w label
+
+(* the tables are made at the first write, as the decoder's are *)
+let encode ~encode_state =
+  let shared = ref None in
+  fun w label ->
+    match !shared with
+    | Some e -> e w label
+    | None ->
+        let e = sharing_encoder encode_state in
+        shared := Some e;
+        e w label

@@ -80,7 +80,29 @@ val encode :
   Lcp_util.Bitenc.writer ->
   'state label ->
   unit
-(** Bit-exact serialization (for proof-size measurement). *)
+(** Bit-exact serialization (for proof-size measurement): the same bits
+    as {!encode_plain}.
+
+    Partially applied, [encode ~encode_state] is a {e sharing} encoder:
+    over the labels it writes to one stream (one writer, between two
+    {!Lcp_util.Bitenc.reset}s), an info record or a transported stack
+    that is physically ([==]) one it has written before is not encoded
+    again; the bits written for it the first time are copied
+    ({!Lcp_util.Bitenc.copy_span}). Since only identical immutable
+    values are copied, and a record's bits do not depend on where it
+    starts, the stream is byte for byte the one {!encode_plain} writes.
+    The tables are emptied when the encoder sees another writer, a reset
+    one, or a writer shorter than the furthest record it remembers; they
+    keep the last stream's writer and values alive until then.
+    [encode_state] must be a function of the state alone. *)
+
+val encode_plain :
+  encode_state:(Lcp_util.Bitenc.writer -> 'state -> unit) ->
+  Lcp_util.Bitenc.writer ->
+  'state label ->
+  unit
+(** The reference encoder: every record is encoded where it occurs, with
+    no state kept between labels. *)
 
 val decode :
   decode_state:(Lcp_util.Bitenc.reader -> 'state) ->

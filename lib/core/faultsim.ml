@@ -37,13 +37,13 @@ type instance = {
 
 let conn_codec =
   {
-    F.c_encode = (fun w l -> Certificate.encode ~encode_state:A.Connectivity.encode w l);
+    F.c_encode = Certificate.encode ~encode_state:A.Connectivity.encode;
     F.c_decode = (fun r -> Certificate.decode ~decode_state:A.Connectivity.decode r);
   }
 
 let acy_codec =
   {
-    F.c_encode = (fun w l -> Certificate.encode ~encode_state:A.Acyclicity.encode w l);
+    F.c_encode = Certificate.encode ~encode_state:A.Acyclicity.encode;
     F.c_decode = (fun r -> Certificate.decode ~decode_state:A.Acyclicity.decode r);
   }
 

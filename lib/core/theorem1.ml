@@ -18,7 +18,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
       Scheme.es_name = Printf.sprintf "theorem1(%s, pw<=%d)" A.name k;
       es_prove = prove;
       es_verify = V.verify ~max_lanes;
-      es_encode = (fun w l -> Certificate.encode ~encode_state:A.encode w l);
+      es_encode = Certificate.encode ~encode_state:A.encode;
     }
 
   let vertex_scheme ?strategy ?rep ~k () =

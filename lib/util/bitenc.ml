@@ -22,15 +22,19 @@ let rev8 =
 type writer = {
   mutable buf : Bytes.t;
   mutable len_bits : int;
+  mutable wepoch : int;  (** bumped by [reset] *)
 }
 
 let writer ?(capacity = 16) () =
-  { buf = Bytes.make (max capacity 1) '\000'; len_bits = 0 }
+  { buf = Bytes.make (max capacity 1) '\000'; len_bits = 0; wepoch = 0 }
 
 let reset w =
   (* only the used prefix can be nonzero (writes are OR-only) *)
   Bytes.fill w.buf 0 (min (Bytes.length w.buf) ((w.len_bits + 7) / 8)) '\000';
-  w.len_bits <- 0
+  w.len_bits <- 0;
+  w.wepoch <- w.wepoch + 1
+
+let writer_epoch w = w.wepoch
 
 (* Out of line: the hot paths below only call it when a write can cross
    the end of the buffer. *)
@@ -196,6 +200,7 @@ let skip r n =
   r.pos <- r.pos + n
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
 (* Stream bits [pos, pos + width) of [data] as an int, stream bit [pos]
@@ -223,6 +228,47 @@ let raw_chunk data pos width =
   (word lsr (pos land 7)) land ((1 lsl width) - 1)
 
 let chunk_bits = 56
+
+(* [copy_span] moves 48 bits a step: shifted to a destination offset of
+   at most 7, a chunk fills at most 55 bits of the 64-bit word it is
+   OR-ed into, so the word's top bit, which [Int64.to_int] drops and
+   [Int64.of_int] sign-extends, is never part of it. *)
+let copy_chunk_bits = 48
+
+(* OR [chunk] into the stream at bit [d]. Bits from [d] on are still
+   zero, so this fills the partly written byte of [d] and sets the
+   rest; callers keep [d / 8 + 8 <= Bytes.length buf]. *)
+let put_chunk buf d chunk =
+  let i = d lsr 3 in
+  if Sys.big_endian then
+    set64u buf i
+      (bswap64
+         (Int64.of_int
+            (Int64.to_int (bswap64 (get64u buf i)) lor (chunk lsl (d land 7)))))
+  else
+    set64u buf i
+      (Int64.of_int (Int64.to_int (get64u buf i) lor (chunk lsl (d land 7))))
+
+(* Top-level recursion with explicit arguments and no [min] (which
+   compares polymorphically): a copy allocates nothing. [src + len <=
+   dst], so no chunk reads bits this copy has written. *)
+let rec copy_chunks buf src dst len =
+  if len > copy_chunk_bits then begin
+    put_chunk buf dst (raw_chunk buf src copy_chunk_bits);
+    copy_chunks buf (src + copy_chunk_bits) (dst + copy_chunk_bits)
+      (len - copy_chunk_bits)
+  end
+  else put_chunk buf dst (raw_chunk buf src len)
+
+let copy_span w ~start ~len =
+  if start < 0 || len < 0 || start > w.len_bits - len then
+    invalid_arg "Bitenc.copy_span: out of range";
+  if len > 0 then begin
+    (* room for the 8-byte word under the last destination bit *)
+    ensure w (len + 64);
+    copy_chunks w.buf start w.len_bits len;
+    w.len_bits <- w.len_bits + len
+  end
 
 let in_stream r a len = a >= 0 && len >= 0 && a + len <= r.total_bits
 

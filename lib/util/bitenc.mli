@@ -15,7 +15,13 @@ val writer : ?capacity:int -> unit -> writer
 
 val reset : writer -> unit
 (** Forget the contents and start a fresh stream in the same buffer —
-    reuse a writer across encodes without reallocating. *)
+    reuse a writer across encodes without reallocating. Bumps
+    {!writer_epoch}. *)
+
+val writer_epoch : writer -> int
+(** How many times {!reset} has emptied this writer. An encoder that
+    remembers spans of the stream it writes keys them on
+    (writer, epoch): the same writer at a new epoch holds other bits. *)
 
 val bit : writer -> bool -> unit
 (** [bit w b] appends a single bit. *)
@@ -32,6 +38,12 @@ val varint : writer -> int -> unit
 
 val length_bits : writer -> int
 (** Number of bits appended so far. *)
+
+val copy_span : writer -> start:int -> len:int -> unit
+(** [copy_span w ~start ~len] appends a copy of the writer's own stream
+    bits [\[start, start+len)], 48 bits a step. Raises
+    [Invalid_argument], writing nothing, unless the span lies within the
+    bits written so far. *)
 
 val to_bytes : writer -> bytes
 (** Zero-padded little-endian-by-byte snapshot of the buffer. *)

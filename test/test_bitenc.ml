@@ -349,6 +349,88 @@ let position_skip_epoch () =
     (Invalid_argument "Bitenc.span_hash: out of range") (fun () ->
       ignore (B.span_hash r 20 ~len:100 : int))
 
+(* [copy_span] against a copy made one bit at a time: for every source
+   and destination alignment mod 8 and every length 0..300 (so every
+   multiple of the 48-bit step up to 288, and the lengths around them),
+   the writer holds the prefix followed by the span's bits, and nothing
+   else is set in its buffer. *)
+let copy_span_vs_per_bit () =
+  let rng = Random.State.make [| 8 |] in
+  let source = Array.init 320 (fun _ -> Random.State.bool rng) in
+  for src_align = 0 to 7 do
+    for dst_align = 0 to 7 do
+      (* a prefix of more than [src_align + 300] bits whose end sits at
+         [dst_align] mod 8, so every span below fits inside it *)
+      let prefix = 312 + dst_align in
+      for len = 0 to 300 do
+        let w = B.writer () and wr = B.writer () in
+        for i = 0 to prefix - 1 do
+          B.bit w source.(i);
+          B.bit wr source.(i)
+        done;
+        B.copy_span w ~start:src_align ~len;
+        for i = src_align to src_align + len - 1 do
+          B.bit wr source.(i)
+        done;
+        if
+          B.length_bits w <> B.length_bits wr
+          || not (Bytes.equal (B.to_bytes w) (B.to_bytes wr))
+        then
+          Alcotest.failf "copy of %d bits from offset %d to offset %d" len
+            src_align prefix
+      done
+    done
+  done
+
+(* a stream that copies itself whole, again and again, from a one-byte
+   buffer: every copy grows the buffer; and a span that ends exactly at
+   the last bit written *)
+let copy_span_growth_and_end () =
+  let w = B.writer ~capacity:1 () and wr = B.writer ~capacity:1 () in
+  let stream = ref [ true; false; true; true; false ] in
+  List.iter (B.bit w) !stream;
+  List.iter (B.bit wr) !stream;
+  for _ = 1 to 10 do
+    B.copy_span w ~start:0 ~len:(B.length_bits w);
+    List.iter (B.bit wr) !stream;
+    stream := !stream @ !stream
+  done;
+  check_int "5 * 2^10 bits" (5 * 1024) (B.length_bits w);
+  check "self-copies = the doubled stream" true
+    (Bytes.equal (B.to_bytes w) (B.to_bytes wr));
+  let total = B.length_bits w in
+  let tail = List.filteri (fun i _ -> i >= total - 77) !stream in
+  B.copy_span w ~start:(total - 77) ~len:77;
+  List.iter (B.bit wr) tail;
+  check "a span ending at length_bits" true
+    (B.length_bits w = B.length_bits wr
+    && Bytes.equal (B.to_bytes w) (B.to_bytes wr))
+
+let copy_span_out_of_range () =
+  let w = B.writer () in
+  B.varint w 300;
+  B.bits w ~width:5 17;
+  let before = B.to_bytes w and len = B.length_bits w in
+  List.iter
+    (fun (start, n) ->
+      Alcotest.check_raises
+        (Printf.sprintf "span [%d, %d + %d)" start start n)
+        (Invalid_argument "Bitenc.copy_span: out of range") (fun () ->
+          B.copy_span w ~start ~len:n);
+      check "nothing written" true
+        (B.length_bits w = len && Bytes.equal (B.to_bytes w) before))
+    [ (-1, 4); (0, -1); (0, len + 1); (len, 1); (len - 3, 4); (max_int, 2) ]
+
+let writer_epoch () =
+  let w = B.writer () in
+  let e = B.writer_epoch w in
+  B.varint w 5;
+  check_int "writing keeps the epoch" e (B.writer_epoch w);
+  B.reset w;
+  check_int "reset bumps the epoch" (e + 1) (B.writer_epoch w);
+  B.reset w;
+  check_int "every reset bumps it" (e + 2) (B.writer_epoch w)
+
 let suite =
   ( "bitenc",
     [
@@ -367,4 +449,8 @@ let suite =
       test "reads ending exactly at total_bits" reads_end_exactly_at_total;
       prop_span_primitives;
       test "position, skip and epoch" position_skip_epoch;
+      test "copy_span = per-bit copy, all alignments" copy_span_vs_per_bit;
+      test "copy_span: growth, span at the end" copy_span_growth_and_end;
+      test "copy_span out of range writes nothing" copy_span_out_of_range;
+      test "reset bumps the writer epoch" writer_epoch;
     ] )

@@ -301,6 +301,13 @@ module Stats = Lcp_service.Stats
 
 let property_names = Registry.names ()
 
+(* the n = 128 instances of [prop_pw2_128_label_bits] *)
+let graph_128 property rng =
+  match property with
+  | "connected" -> fst (Gen.random_pathwidth rng ~n:128 ~k:2 ())
+  | "perfect_matching" -> Gen.ladder 64
+  | _ -> fst (Gen.random_pathwidth rng ~n:128 ~k:1 ())
+
 let oracle_scheme name ~k =
   let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
   let module T1 = Lcp_cert.Theorem1.Make (P.A) in
@@ -429,11 +436,211 @@ let delta_label_bits () =
     ];
   check "delta miss path exercised" true (!checked >= 20)
 
+
+(* An oracle that shares nothing with the encoder under test: the
+   figures above come from [es_encode], which is the sharing
+   [Certificate.encode]; here every one is also taken with
+   [Certificate.encode_plain], the encoder that writes each record where
+   it occurs. The bundle (bytes and size), the one-pass label bits and
+   [Scheme.max_edge_label_bits] must all agree. *)
+
+module Plain = struct
+  type figures = { bundle : Bundle.t; label_bits : int; max_bits : int }
+
+  (* the figures of [labels] under the sharing and the plain encoder *)
+  let figures (type s) (module P : Registry.PROPERTY with type A.state = s)
+      (scheme : s Lcp_cert.Certificate.label S.edge_scheme) g labels =
+    let plain =
+      {
+        scheme with
+        S.es_encode = Lcp_cert.Certificate.encode_plain ~encode_state:P.A.encode;
+      }
+    in
+    let of_scheme sch =
+      match Bundle.encode_sized ~encode_label:sch.S.es_encode g labels with
+      | Ok (bundle, label_bits) ->
+          { bundle; label_bits; max_bits = S.max_edge_label_bits sch labels }
+      | Error e -> Alcotest.failf "bundle: %s" e
+    in
+    (of_scheme scheme, of_scheme plain)
+
+  let agree ctx (sharing, plain) =
+    check (ctx ^ ": bundle bytes") true (Bundle.equal sharing.bundle plain.bundle);
+    check_int (ctx ^ ": bundle bits") plain.bundle.Bundle.bits
+      sharing.bundle.Bundle.bits;
+    check_int (ctx ^ ": one-pass label bits") plain.label_bits sharing.label_bits;
+    check_int (ctx ^ ": max_edge_label_bits") plain.max_bits sharing.max_bits;
+    check_int (ctx ^ ": one pass = re-encoding") plain.max_bits plain.label_bits
+
+  (* prove [name] on [cfg] and compare; [None] when the prover declines *)
+  let prove_and_compare ctx name ~k cfg =
+    let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+    let module T1 = Lcp_cert.Theorem1.Make (P.A) in
+    let scheme = T1.edge_scheme ~rep:Engine.default_rep ~k () in
+    Option.map
+      (fun labels ->
+        let ((_, plain) as fs) =
+          figures (module P) scheme (PLS.Config.graph cfg) labels
+        in
+        agree ctx fs;
+        plain)
+      (scheme.S.es_prove cfg)
+end
+
+(* every registered property on small jobs (n <= 8), through the
+   engine's miss path too: its report's label and bundle bits *)
+let plain_oracle_small () =
+  let served = ref 0 in
+  List.iter
+    (fun property ->
+      List.iter
+        (fun family ->
+          List.iter
+            (fun (n, k, seed) ->
+              let source = Manifest.Generated { family; n; gen_seed = seed } in
+              let ctx = Printf.sprintf "%s %s n=%d k=%d" property family n k in
+              match Engine.graph_of_source ~base_dir:"." ~k source with
+              | Error _ -> ()
+              | Ok g -> (
+                  let cfg =
+                    PLS.Config.random_ids (Random.State.make [| seed |]) g
+                  in
+                  match Plain.prove_and_compare ctx property ~k cfg with
+                  | None -> ()
+                  | Some plain ->
+                      let job =
+                        { Manifest.job_id = "po"; source; property; k; seed }
+                      in
+                      let r = Engine.run_job (Engine.create ()) job in
+                      if r.Stats.r_status = Stats.Served_fresh then begin
+                        incr served;
+                        check_int (ctx ^ ": engine label bits") plain.Plain.max_bits
+                          r.Stats.r_label_bits;
+                        check_int (ctx ^ ": engine bundle bits")
+                          plain.Plain.bundle.Bundle.bits r.Stats.r_bundle_bits
+                      end))
+            [ (3, 1, 11); (5, 2, 12); (8, 1, 13); (8, 2, 14) ])
+        [ "random"; "path"; "tree"; "cycle" ])
+    property_names;
+  check "every property served some job" true (!served >= 20)
+
+let plain_oracle_128 () =
+  List.iter
+    (fun (property, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g = graph_128 property rng in
+      let cfg = PLS.Config.random_ids rng g in
+      match
+        Plain.prove_and_compare (Printf.sprintf "%s n=128" property) property
+          ~k:2 cfg
+      with
+      | Some _ -> ()
+      | None -> Alcotest.failf "%s declined a graph it holds on" property)
+    (List.mapi (fun i p -> (p, 40 + i)) property_names @ [ ("connected", 77) ])
+
+(* 30 delta-session steps (10 edits per property, as in
+   [delta_label_bits], on a 24-vertex path): every served step's bundle is the plain encoding
+   of the labeling it decodes to, and its label bits that labeling's
+   plain maximum *)
+let plain_oracle_delta () =
+  let served = ref 0 and fresh = ref 0 in
+  List.iter
+    (fun (property, k, edit) ->
+      let (module P : Registry.PROPERTY) = Option.get (Registry.find property) in
+      let line =
+        Printf.sprintf "id=po gen=path n=24 gseed=4 property=%s k=%d seed=6"
+          property k
+      in
+      let job =
+        match Manifest.parse line with
+        | Ok [ j ] -> j
+        | _ -> Alcotest.failf "bad job line %S" line
+      in
+      let s =
+        match Delta.create (Engine.create ()) job with
+        | Ok (s, _, _) -> s
+        | Error _ -> Alcotest.failf "session did not open: %s" line
+      in
+      let plain = Lcp_cert.Certificate.encode_plain ~encode_state:P.A.encode in
+      let decode_label =
+        Lcp_cert.Certificate.decode ~decode_state:P.decode_state
+      in
+      for step = 0 to 9 do
+        let ops = edit (1 + (step * 17 mod 16)) in
+        let r, _ = Delta.step s ~full:false ops in
+        match Delta.bundle s with
+        | Some b when r.Stats.r_status = Stats.Served_fresh
+                      || r.Stats.r_status = Stats.Served_cached ->
+            incr served;
+            if r.Stats.r_status = Stats.Served_fresh then incr fresh;
+            let g = Delta.graph s in
+            let ctx = Printf.sprintf "%s after %s" property ops in
+            let labels =
+              match Bundle.decode ~decode_label g b with
+              | Ok l -> l
+              | Error e -> Alcotest.failf "%s: %s" ctx e
+            in
+            let re, bits =
+              Result.get_ok (Bundle.encode_sized ~encode_label:plain g labels)
+            in
+            check (ctx ^ ": bundle = plain re-encoding") true (Bundle.equal b re);
+            check_int (ctx ^ ": bundle bits") re.Bundle.bits r.Stats.r_bundle_bits;
+            check_int (ctx ^ ": label bits") bits r.Stats.r_label_bits
+        | _ -> ()
+      done)
+    [
+      ("connected", 2, fun u -> Printf.sprintf "add=%d-%d" u (u + 2));
+      ("bipartite", 3, fun u -> Printf.sprintf "add=%d-%d" u (u + 3));
+      ("acyclic", 2, fun u -> Printf.sprintf "del=%d-%d" u (u + 1));
+    ];
+  check "delta steps served" true (!served >= 20);
+  check "most of them fresh (the sharing encoder's bundles)" true (!fresh >= 20)
+
+(* Prop 2.1's vertex labels carry several edge labels each, encoded
+   with the edge scheme's [es_encode] *)
+let plain_oracle_vertex () =
+  List.iter
+    (fun (property, n, seed) ->
+      let (module P : Registry.PROPERTY) = Option.get (Registry.find property) in
+      let module T1 = Lcp_cert.Theorem1.Make (P.A) in
+      let k = 2 in
+      let rng = Random.State.make [| seed |] in
+      let g =
+        if n = 128 then graph_128 property rng
+        else if property = "perfect_matching" then Gen.ladder (n / 2)
+        else fst (Gen.random_pathwidth rng ~n ~k:1 ())
+      in
+      let cfg = PLS.Config.random_ids rng g in
+      let vs = T1.vertex_scheme ~rep:Engine.default_rep ~k () in
+      let plain_vs =
+        S.edge_to_vertex ~d:(k + 1)
+          {
+            (T1.edge_scheme ~rep:Engine.default_rep ~k ()) with
+            S.es_encode =
+              Lcp_cert.Certificate.encode_plain ~encode_state:P.A.encode;
+          }
+      in
+      match vs.S.vs_prove cfg with
+      | None -> Alcotest.failf "%s declined n=%d" property n
+      | Some labels ->
+          check_int
+            (Printf.sprintf "%s n=%d: max_vertex_label_bits" property n)
+            (S.max_vertex_label_bits plain_vs labels)
+            (S.max_vertex_label_bits vs labels))
+    (List.concat_map
+       (fun p -> [ (p, 8, 3); (p, 20, 4) ])
+       property_names
+    @ [ ("connected", 128, 5) ])
+
 let suite_label_bits =
   [
     prop_engine_label_bits;
     prop_pw2_128_label_bits;
     test "delta miss path: one-pass label bits = oracle" delta_label_bits;
+    test "sharing = plain encode: 5 properties, n <= 8" plain_oracle_small;
+    test "sharing = plain encode: n=128" plain_oracle_128;
+    test "sharing = plain encode: 30 delta steps" plain_oracle_delta;
+    test "sharing = plain encode: vertex label bits" plain_oracle_vertex;
   ]
 
 (* ---------------------------------------------------------------- *)
@@ -492,13 +699,6 @@ let prop_sharing_small =
       | Ok g ->
           sharing_matches_fresh (List.nth property_names pi) ~k
             (PLS.Config.random_ids (Random.State.make [| seed |]) g))
-
-(* the n = 128 instances of [prop_pw2_128_label_bits] *)
-let graph_128 property rng =
-  match property with
-  | "connected" -> fst (Gen.random_pathwidth rng ~n:128 ~k:2 ())
-  | "perfect_matching" -> Gen.ladder 64
-  | _ -> fst (Gen.random_pathwidth rng ~n:128 ~k:1 ())
 
 let prop_sharing_128 =
   qcheck ~count:10 "sharing decode = label-alone decode (n = 128, pw <= 2)"
@@ -689,6 +889,83 @@ let crafted_prefix_collisions () =
     labels;
   check_int "stream fully consumed" 0 (Bitenc.bits_remaining r)
 
+
+(* ---------------------------------------------------------------- *)
+(* the sharing encoder against the tables it keeps: a decoded labeling
+   (maximally shared) re-encodes to its bundle, and no span remembered
+   from an earlier stream of the same writer is ever copied *)
+
+let plain_conn = Cert.encode_plain ~encode_state:Conn.encode
+
+let decoded_reencodes () =
+  List.iter
+    (fun (n, seed) ->
+      let g, b = conn_bundle ~n ~seed in
+      let decoded =
+        Result.get_ok
+          (Bundle.decode ~decode_label:(Cert.decode ~decode_state:Conn.decode) g b)
+      in
+      let sharing = Cert.encode ~encode_state:Conn.encode in
+      List.iter
+        (fun (what, encode_label) ->
+          match Bundle.encode_sized ~encode_label g decoded with
+          | Ok (b', _) ->
+              check
+                (Printf.sprintf "n=%d: %s re-encoding = stored bundle" n what)
+                true (Bundle.equal b b')
+          | Error e -> Alcotest.failf "%s" e)
+        [ ("sharing", sharing); ("plain", plain_conn); ("sharing again", sharing) ])
+    [ (128, 3); (40, 4); (8, 5) ]
+
+let small_conn_labels () =
+  let rng = Random.State.make [| 21 |] in
+  let g = fst (Gen.random_pathwidth rng ~n:24 ~k:2 ()) in
+  let cfg = PLS.Config.random_ids rng g in
+  let scheme = T1c.edge_scheme ~rep:Engine.default_rep ~k:2 () in
+  List.map snd (S.Edge_map.bindings (Option.get (scheme.S.es_prove cfg)))
+
+(* [raw] bits of filler, then [labels] *)
+let filler_then encode w raw labels =
+  for i = 0 to raw - 1 do
+    Bitenc.bit w (i mod 3 <> 1)
+  done;
+  List.iter (encode w) labels
+
+let stale_tables () =
+  let labels = small_conn_labels () in
+  let encode = Cert.encode ~encode_state:Conn.encode in
+  let w = Bitenc.writer () in
+  List.iter (encode w) labels;
+  let high = Bitenc.length_bits w in
+  (* the same writer, reset and refilled past the old high-water mark:
+     every span the encoder remembers now holds filler bits, and the
+     labels share their infos and stacks with the ones written before *)
+  Bitenc.reset w;
+  filler_then encode w (high + 100) labels;
+  let wp = Bitenc.writer () in
+  filler_then plain_conn wp (high + 100) labels;
+  check "after reset and refill = plain" true
+    (Bitenc.length_bits w = Bitenc.length_bits wp
+    && Bytes.equal (Bitenc.to_bytes w) (Bitenc.to_bytes wp));
+  (* one encoder, two writers taking turns *)
+  let w1 = Bitenc.writer () and w2 = Bitenc.writer () in
+  filler_then encode w2 13 [];
+  List.iter
+    (fun l ->
+      encode w1 l;
+      encode w2 l)
+    labels;
+  let p1 = Bitenc.writer () and p2 = Bitenc.writer () in
+  filler_then plain_conn p2 13 [];
+  List.iter
+    (fun l ->
+      plain_conn p1 l;
+      plain_conn p2 l)
+    labels;
+  check "two writers in turn = plain" true
+    (Bytes.equal (Bitenc.to_bytes w1) (Bitenc.to_bytes p1)
+    && Bytes.equal (Bitenc.to_bytes w2) (Bitenc.to_bytes p2))
+
 let suite_sharing =
   [
     prop_sharing_small;
@@ -696,6 +973,8 @@ let suite_sharing =
     test "one decoder across bundles and in-place flips" decoder_reuse;
     test "n=128: one physical value per distinct record" sharing_is_complete;
     test "infos sharing their first 48 bits" crafted_prefix_collisions;
+    test "a decoded labeling re-encodes to its bundle" decoded_reencodes;
+    test "no stale span after reset or another writer" stale_tables;
   ]
 
 let () =
