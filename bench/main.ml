@@ -654,7 +654,7 @@ let e16_stream ~quick ~update =
     (match read_vm_hwm_kb () with
     | Some k -> Printf.sprintf "; VmHWM %d kB" k
     | None -> "");
-  let s = outcome.Svc.Pool.stream_summary in
+  let s = outcome.Svc.Pool.summary in
   check
     (s.Svc.Stats.s_jobs = total)
     (Printf.sprintf "E16a: stream lost jobs (%d of %d)" s.Svc.Stats.s_jobs
@@ -663,7 +663,7 @@ let e16_stream ~quick ~update =
     (heap_growth < heap_budget)
     "E16a: heap grew past the fixed budget — something materialized the \
      corpus";
-  let st = outcome.Svc.Pool.stream_store in
+  let st = outcome.Svc.Pool.store_stats in
   Printf.printf
     "store: insertions=%d filter_skips=%d filter_hits=%d filter_fps=%d \
      flushes=%d\n"
@@ -712,11 +712,11 @@ let e16_stream ~quick ~update =
       ~cache_dir:(Filename.concat dir ("cache_" ^ tag))
       ~base_dir:dir ~write_batch:16 ?timing:wt ()
   in
-  let batch_outcome =
+  let batch_reports, _ =
     Svc.Pool.run ~workers:1 ~make_engine:(fresh_engine "b1") batch_jobs
   in
   let batch_digest =
-    Digest.string (Svc.Stats.canonical_lines batch_outcome.Svc.Pool.reports)
+    Digest.string (Svc.Stats.canonical_lines batch_reports)
   in
   let sweep = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
   List.iter
@@ -733,7 +733,7 @@ let e16_stream ~quick ~update =
       in
       let d = Digest.string (Buffer.contents buf) in
       Printf.printf "N=%d: %d jobs, canonical digest %s %s\n" n
-        outcome.Svc.Pool.stream_summary.Svc.Stats.s_jobs (Digest.to_hex d)
+        outcome.Svc.Pool.summary.Svc.Stats.s_jobs (Digest.to_hex d)
         (if d = batch_digest then "== batch" else "DIFFERS from batch");
       check (d = batch_digest)
         (Printf.sprintf
@@ -774,10 +774,10 @@ let e16_stream ~quick ~update =
        | Ok jobs -> jobs
        | Error e -> failwith e
      in
-     let batch =
+     let batch_reports, _ =
        Svc.Pool.run ~workers:1 ~make_engine:(fresh_engine "c1") cjobs
      in
-     let batch_lines = Svc.Stats.canonical_lines batch.Svc.Pool.reports in
+     let batch_lines = Svc.Stats.canonical_lines batch_reports in
      let socket_path = Filename.concat dir "e16.sock" in
      let cfg =
        {
@@ -906,7 +906,7 @@ let e16_stream ~quick ~update =
           ~base_dir:dir ~write_batch:16 ?timing:wt ())
       (fun feed -> Svc.Workload.iter specd ~f:feed)
   in
-  let sd = outcome_d.Svc.Pool.stream_store in
+  let sd = outcome_d.Svc.Pool.store_stats in
   let negatives = sd.Svc.Cert_store.filter_skips + sd.Svc.Cert_store.filter_fps in
   Printf.printf
     "pressure (cap=256, u=%d, t=%d): disk_loads=%d filter_hits=%d \
@@ -926,7 +926,7 @@ let e16_stream ~quick ~update =
        < 0.05)
     "E16d: filter false-positive rate above 5%";
   check
-    (outcome_d.Svc.Pool.stream_summary.Svc.Stats.s_jobs = totald)
+    (outcome_d.Svc.Pool.summary.Svc.Stats.s_jobs = totald)
     "E16d: pressure run lost jobs";
   print_newline ();
   !fail
@@ -956,12 +956,12 @@ let scale () =
       Svc.Engine.create ~cache_cap:1024 ~cache_dir ~base_dir:dir ?timing:wt ()
     in
     let t0 = Unix.gettimeofday () in
-    let outcome = Svc.Pool.run ~timing ~workers:n ~make_engine jobs in
+    let reports, outcome = Svc.Pool.run ~timing ~workers:n ~make_engine jobs in
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     let snap =
       Svc.Cert_store.disk_snapshot (Svc.Cert_store.create ~dir:cache_dir ())
     in
-    (n, wall_ms, outcome, Svc.Stats.canonical_lines outcome.Svc.Pool.reports,
+    (n, wall_ms, outcome, Svc.Stats.canonical_lines reports,
      snap, Svc.Timing.report timing)
   in
   let results = List.map run_at sweep in

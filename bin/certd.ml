@@ -636,6 +636,36 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
         | _ -> ());
         exit code
       in
+      (* on Ctrl-C the pool reaps its workers, then this sweep removes
+         their half-written .tmp spool files from the shared disk tier *)
+      let on_interrupt =
+        Option.map
+          (fun dir () -> ignore (Service.Cert_store.sweep_tmp_files dir))
+          cache_dir
+      in
+      (* every pass through the pool: workers build their own engines
+         (with fresh fault-plan counters), so the probe engine's store
+         counters are folded into the cold pass's footer *)
+      let sharded_passes run_pass =
+        let probe_stats =
+          Service.Cert_store.stats (Service.Engine.store first_engine)
+        in
+        for pass = 1 to passes do
+          if not quiet && passes > 1 then
+            Printf.printf "--- pass %d/%d %s\n" pass passes
+              (if pass = 1 then "(cold)" else "(warm via shared disk tier)");
+          let outcome = run_pass () in
+          Format.printf "%a@." Service.Stats.pp_summary
+            outcome.Service.Pool.summary;
+          let stats =
+            if pass = 1 then
+              Service.Cert_store.add_stats probe_stats
+                outcome.Service.Pool.store_stats
+            else outcome.Service.Pool.store_stats
+          in
+          last_store := Some (stats, outcome.Service.Pool.degraded)
+        done
+      in
       (try
          match jobs_or_stream with
          | `Jobs jobs ->
@@ -656,38 +686,11 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
                        Service.Cert_store.degraded store )
                done
              end
-             else begin
-               let probe_stats =
-                 Service.Cert_store.stats (Service.Engine.store first_engine)
-               in
-               for pass = 1 to passes do
-                 if not quiet && passes > 1 then
-                   Printf.printf "--- pass %d/%d %s\n" pass passes
-                     (if pass = 1 then "(cold)"
-                      else "(warm via shared disk tier)");
-                 let outcome =
-                   (* on Ctrl-C the pool reaps its workers, then this
-                      sweep removes their half-written .tmp spool files
-                      from the shared disk tier *)
-                   Service.Pool.run ~emit ~timing ~workers ~make_engine
-                     ?on_interrupt:
-                       (Option.map
-                          (fun dir () ->
-                            ignore (Service.Cert_store.sweep_tmp_files dir))
-                          cache_dir)
-                     jobs
-                 in
-                 Format.printf "%a@." Service.Stats.pp_summary
-                   outcome.Service.Pool.summary;
-                 let stats =
-                   if pass = 1 then
-                     Service.Cert_store.add_stats probe_stats
-                       outcome.Service.Pool.store_stats
-                   else outcome.Service.Pool.store_stats
-                 in
-                 last_store := Some (stats, outcome.Service.Pool.degraded)
-               done
-             end
+             else
+               sharded_passes (fun () ->
+                   snd
+                     (Service.Pool.run ~emit ~timing ~workers ~make_engine
+                        ?on_interrupt jobs))
          | `Stream ->
              (* corpus-scale path: never a whole-corpus job list. Jobs
                 stream from the manifest (or the workload generator)
@@ -705,33 +708,9 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
                    | Ok () -> ()
                    | Error e -> raise (Stream_input e))
              in
-             let probe_stats =
-               Service.Cert_store.stats (Service.Engine.store first_engine)
-             in
-             for pass = 1 to passes do
-               if not quiet && passes > 1 then
-                 Printf.printf "--- pass %d/%d %s\n" pass passes
-                   (if pass = 1 then "(cold)"
-                    else "(warm via shared disk tier)");
-               let outcome =
+             sharded_passes (fun () ->
                  Service.Pool.run_stream ~emit ~timing ~workers ~make_engine
-                   ?on_interrupt:
-                     (Option.map
-                        (fun dir () ->
-                          ignore (Service.Cert_store.sweep_tmp_files dir))
-                        cache_dir)
-                   produce
-               in
-               Format.printf "%a@." Service.Stats.pp_summary
-                 outcome.Service.Pool.stream_summary;
-               let stats =
-                 if pass = 1 then
-                   Service.Cert_store.add_stats probe_stats
-                     outcome.Service.Pool.stream_store
-                 else outcome.Service.Pool.stream_store
-               in
-               last_store := Some (stats, outcome.Service.Pool.stream_degraded)
-             done
+                   ?on_interrupt produce)
        with
        | Service.Blob_io.Crashed p ->
            Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;

@@ -117,6 +117,28 @@ type stats = {
   mutable flushes : int;  (** group commits of the batched write path *)
 }
 
+(** A fresh all-zero counter record: a new store's, and the identity of
+    [add_stats]. *)
+let zero_stats () =
+  {
+    hits = 0;
+    misses = 0;
+    insertions = 0;
+    evictions = 0;
+    disk_loads = 0;
+    drops = 0;
+    disk_errors = 0;
+    corrupt = 0;
+    quarantined = 0;
+    orphans_swept = 0;
+    gc_evictions = 0;
+    quarantine_evictions = 0;
+    filter_hits = 0;
+    filter_skips = 0;
+    filter_fps = 0;
+    flushes = 0;
+  }
+
 type t = {
   cap : int;
   dir : string option;
@@ -274,25 +296,7 @@ let create ?(cap = 4096) ?dir ?(disk_cap = 0) ?(quarantine_cap = 64)
       dirty = Hashtbl.create 64;
       dirty_q = Queue.create ();
       filter;
-      stats =
-        {
-          hits = 0;
-          misses = 0;
-          insertions = 0;
-          evictions = 0;
-          disk_loads = 0;
-          drops = 0;
-          disk_errors = 0;
-          corrupt = 0;
-          quarantined = 0;
-          orphans_swept = 0;
-          gc_evictions = 0;
-          quarantine_evictions = 0;
-          filter_hits = 0;
-          filter_skips = 0;
-          filter_fps = 0;
-          flushes = 0;
-        };
+      stats = zero_stats ();
     }
   in
   (match dir with

@@ -359,27 +359,31 @@ let retrying ?retry:retry_override t ~(job : Manifest.job) ~fallback attempt =
 let run_job ?retry t (job : Manifest.job) : Stats.job_report =
   fst (retrying ?retry t ~job ~fallback:() (fun _ -> (run_once t job, ())))
 
-(* Copy the process-global composition-memo counters and the GC minor
-   allocation count into the timing sink, where they render next to the
-   histogram and merge across pool workers. Counters are process-wide
-   cumulative totals, so [set_counter] (overwrite) keeps one snapshot
-   per process; the pool's [absorb] then sums across processes. *)
+(* The counters a run reports besides the composition memo's: the
+   negative-lookup filter and group-commit traffic, so the certd footer
+   and --server-stats can show disk probes saved/paid, and the GC minor
+   allocation count. All are cumulative totals of this process. *)
+let process_counters t =
+  let s = Cert_store.stats t.store in
+  [
+    ("filter_hit", s.Cert_store.filter_hits);
+    ("filter_skip", s.Cert_store.filter_skips);
+    ("filter_fp", s.Cert_store.filter_fps);
+    ("store_flush", s.Cert_store.flushes);
+    ("minor_words", int_of_float (Gc.minor_words ()));
+  ]
+
+(* Copy the process-global composition-memo counters and
+   [process_counters] into the timing sink, where they render next to
+   the histogram. Counters are cumulative totals, so [set_counter]
+   (overwrite) keeps one snapshot per run. *)
 let snapshot_counters t =
   match t.timing with
   | None -> ()
   | Some timing ->
       List.iter
         (fun (name, v) -> Timing.set_counter timing name v)
-        (Lcp_cert.Memo.counters ());
-      (* negative-lookup filter and group-commit traffic, so the certd
-         footer and --server-stats can show disk probes saved/paid *)
-      let s = Cert_store.stats t.store in
-      Timing.set_counter timing "filter_hit" s.Cert_store.filter_hits;
-      Timing.set_counter timing "filter_skip" s.Cert_store.filter_skips;
-      Timing.set_counter timing "filter_fp" s.Cert_store.filter_fps;
-      Timing.set_counter timing "store_flush" s.Cert_store.flushes;
-      Timing.set_counter timing "minor_words"
-        (int_of_float (Gc.minor_words ()))
+        (Lcp_cert.Memo.counters () @ process_counters t)
 
 (* Reports are emitted and returned in canonical order (sorted by job
    id), not arrival order, so the JSONL stream of a sequential run is

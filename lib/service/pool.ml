@@ -18,25 +18,26 @@
        from it is re-verified by the reading worker before serving, so
        a concurrent writer can change {e latency} but never
        {e judgements}.}
-    {- {b Canonical merge.} Workers ship each report back over a pipe
-       as a framed [Marshal] message the moment its job finishes, and
-       sign off with their raw timing samples and store counters, which
-       the parent merges and sums. [run_stream] emits in feed order;
-       [run], its finite fold, sorts by job id (the same canonical
-       order [Engine.run_jobs] emits). The canonical projection of the
-       output ([Stats.to_canonical_json]) is byte-identical across all
-       N.}
-    {- {b Crash semantics.} A worker that hits [Blob_io.Crashed] — a
-       simulated process death — reports it instead of a result; after
-       every worker is reaped the parent re-raises [Crashed], so a
-       crash anywhere still kills the whole batch, exactly as in the
-       sequential path. Any other exception a worker raises (there
-       should be none once its engine is built: [Engine.run_job] is
-       total) surfaces as a [Failure] carrying its message.}}
+    {- {b Canonical merge.} Workers speak the [Worker] protocol: each
+       job goes down as a [Job] frame and its report comes back in a
+       [Done] frame the moment it finishes, with that job's timing
+       samples; after [Quit] each worker signs off with [Bye], carrying
+       its store counters. The parent merges samples and sums counters.
+       [run_stream] emits in feed order; [run], its finite fold, sorts
+       by job id (the same canonical order [Engine.run_jobs] emits).
+       The canonical projection of the output
+       ([Stats.to_canonical_json]) is byte-identical across all N.}
+    {- {b Failure semantics.} Here every fault is fatal to the run. A
+       worker that hits [Blob_io.Crashed] — a simulated process death —
+       reports [Crashed]; after every worker is reaped the parent
+       re-raises [Crashed], so a crash anywhere still kills the whole
+       batch, exactly as in the sequential path. A worker that reports
+       [Failed] (its engine could not be built), or reaches EOF without
+       [Bye], surfaces as a [Failure] carrying the cause.}}
 
-    Workers are plain [Unix.fork] children: no threads, no domains, so
-    this runs on any OCaml the container ships, and a wedged worker can
-    be killed without taking the parent down. *)
+    Workers are forked processes ([Worker.spawn]): no threads, no
+    domains, so this runs on any OCaml 5 install, and a wedged worker
+    can be killed without taking the parent down. *)
 
 module Hash64 = Lcp_util.Hash64
 
@@ -66,125 +67,17 @@ let shard ~workers jobs =
 let default_workers () = max 1 (Domain.recommended_domain_count ())
 
 (* ---------------------------------------------------------------- *)
-(* the fork/pipe plumbing                                            *)
-
-let write_all fd (b : Bytes.t) =
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (len - !off)
-  done
-
-let empty_stats () =
-  {
-    Cert_store.hits = 0;
-    misses = 0;
-    insertions = 0;
-    evictions = 0;
-    disk_loads = 0;
-    drops = 0;
-    disk_errors = 0;
-    corrupt = 0;
-    quarantined = 0;
-    orphans_swept = 0;
-    gc_evictions = 0;
-    quarantine_evictions = 0;
-    filter_hits = 0;
-    filter_skips = 0;
-    filter_fps = 0;
-    flushes = 0;
-  }
-
-(* ---------------------------------------------------------------- *)
 (* the streaming driver                                              *)
 
-(** Outcome of a streaming run: only aggregates — the reports were
-    emitted one at a time and never accumulated. *)
-type stream_outcome = {
-  stream_summary : Stats.summary;
-  stream_store : Cert_store.stats;  (** summed over every worker's store *)
-  stream_degraded : bool;
+(** Aggregates of a run: the reports themselves were emitted one at a
+    time. *)
+type outcome = {
+  summary : Stats.summary;
+  store_stats : Cert_store.stats;  (** summed over every worker's store *)
+  degraded : bool;  (** did any worker's store demote to memory-only? *)
 }
-
-(* Worker-to-parent protocol of the streaming pool: each report ships
-   as its own frame the moment the job finishes, so the parent can
-   emit in feed order while the stream is still being produced. A
-   frame is a 4-byte big-endian length followed by the marshalled
-   message. *)
-type stream_msg =
-  | S_report of Stats.job_report
-  | S_done of Timing.samples * Cert_store.stats * bool (* degraded? *)
-  | S_crashed of string
-  | S_error of string
 
 exception Stream_stop
-
-let frame (msg : stream_msg) =
-  let b = Marshal.to_bytes msg [] in
-  let n = Bytes.length b in
-  let out = Bytes.create (4 + n) in
-  Bytes.set out 0 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set out 1 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set out 2 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set out 3 (Char.chr (n land 0xff));
-  Bytes.blit b 0 out 4 n;
-  out
-
-(* A streaming worker reads manifest lines (one job each) until EOF,
-   answers every job with an [S_report] frame immediately, and signs
-   off with [S_done] carrying its timing samples and store counters. *)
-let stream_worker_main ~make_engine ~timed rfd wfd =
-  let send msg = write_all wfd (frame msg) in
-  (try
-     try
-       let wt = if timed then Some (Timing.create ()) else None in
-       let engine = make_engine wt in
-       let ic = Unix.in_channel_of_descr rfd in
-       let rec loop () =
-         match input_line ic with
-         | exception End_of_file -> ()
-         | line -> (
-             match Manifest.parse line with
-             | Ok [ job ] ->
-                 send (S_report (Engine.run_job engine job));
-                 loop ()
-             | Ok _ | Error _ ->
-                 failwith ("stream worker: unparseable job line: " ^ line))
-       in
-       loop ();
-       Engine.flush engine;
-       Engine.snapshot_counters engine;
-       let store = Engine.store engine in
-       send
-         (S_done
-            ( (match wt with
-              | Some t -> Timing.samples t
-              | None -> Timing.samples (Timing.create ())),
-              Cert_store.stats store,
-              Cert_store.degraded store ))
-     with
-     | Blob_io.Crashed p -> send (S_crashed p)
-     | e -> send (S_error (Printexc.to_string e))
-   with _ -> ());
-  try Unix.close wfd with Unix.Unix_error _ -> ()
-
-(* Parent-side view of one streaming worker. *)
-type wstream = {
-  ws_pid : int;
-  ws_rfd : Unix.file_descr;  (** results in *)
-  ws_wfd : Unix.file_descr;  (** job lines out; nonblocking *)
-  ws_out_q : string Queue.t;  (** job lines not yet started *)
-  mutable ws_out : string;  (** line currently being written *)
-  mutable ws_out_pos : int;
-  ws_in : Buffer.t;  (** unparsed inbound bytes *)
-  ws_reports : Stats.job_report Queue.t;  (** decoded, unemitted *)
-  mutable ws_open : bool;  (** our write end still open *)
-  mutable ws_done : bool;  (** S_done/S_crashed/S_error seen *)
-  mutable ws_eof : bool;  (** read side drained *)
-}
-
-let ws_pending w =
-  w.ws_out_pos < String.length w.ws_out || not (Queue.is_empty w.ws_out_q)
 
 (** Run a stream of jobs across [workers] processes in constant
     memory: [produce feed] calls [feed job] once per job, in workload
@@ -200,11 +93,11 @@ let ws_pending w =
     timing sink, so every worker owns a private engine and memory tier;
     point the engines at one cache directory to share the disk tier.
     At [workers = 1] the engine runs in-process, with no fork. Raises
-    [Blob_io.Crashed] if any worker simulated a crash, after every
-    worker is reaped. At most [window] jobs are in flight (fed but not
-    yet emitted); the producer blocks when the window is full, so
-    parent memory is bounded by [window] reports regardless of corpus
-    size.
+    [Blob_io.Crashed] if any worker simulated a crash, and [Failure] if
+    one failed or died without signing off, after every worker is
+    reaped. At most [window] jobs are in flight (fed but not yet
+    emitted); the producer blocks when the window is full, so parent
+    memory is bounded by [window] reports regardless of corpus size.
 
     While workers are alive, SIGINT is owned by the pool: the handler
     kills and reaps every child (no orphans holding the shared cache
@@ -227,59 +120,19 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
     Engine.snapshot_counters engine;
     let store = Engine.store engine in
     {
-      stream_summary = !summary;
-      stream_store = Cert_store.stats store;
-      stream_degraded = Cert_store.degraded store;
+      summary = !summary;
+      store_stats = Cert_store.stats store;
+      degraded = Cert_store.degraded store;
     }
   end
   else begin
-    flush stdout;
-    flush stderr;
-    (* two pipes per worker; children close every parent-side fd
-       created for earlier siblings, or EOF on a sibling's job pipe
-       would never arrive *)
-    let parent_fds = ref [] in
     let ws =
       Array.init workers (fun _ ->
-          let jr, jw = Unix.pipe ~cloexec:false () in
-          let rr, rw = Unix.pipe ~cloexec:false () in
-          match Unix.fork () with
-          | 0 ->
-              Unix.close jw;
-              Unix.close rr;
-              List.iter
-                (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-                !parent_fds;
-              stream_worker_main ~make_engine ~timed:(timing <> None) jr rw;
-              Unix._exit 0
-          | pid ->
-              Unix.close jr;
-              Unix.close rw;
-              Unix.set_nonblock jw;
-              parent_fds := jw :: rr :: !parent_fds;
-              {
-                ws_pid = pid;
-                ws_rfd = rr;
-                ws_wfd = jw;
-                ws_out_q = Queue.create ();
-                ws_out = "";
-                ws_out_pos = 0;
-                ws_in = Buffer.create 4096;
-                ws_reports = Queue.create ();
-                ws_open = true;
-                ws_done = false;
-                ws_eof = false;
-              })
+          Worker.spawn ~inherited:[] ~make_engine ~timed:(timing <> None))
     in
     let kill_all () =
-      Array.iter
-        (fun w ->
-          try Unix.kill w.ws_pid Sys.sigkill with Unix.Unix_error _ -> ())
-        ws;
-      Array.iter
-        (fun w ->
-          try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ())
-        ws
+      Array.iter Worker.kill ws;
+      Array.iter Worker.reap ws
     in
     let prev_int =
       Sys.signal Sys.sigint
@@ -291,19 +144,24 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
              | None -> ());
              exit 130))
     in
-    (* a worker can die while we hold pending lines for it; the write
-       must surface as EPIPE, not kill the parent *)
+    (* a worker can die while we hold frames for it; the write must
+       surface as EPIPE, not kill the parent *)
     let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
     Fun.protect
       ~finally:(fun () ->
+        (* a no-op unless [produce] raised *)
+        kill_all ();
         Sys.set_signal Sys.sigint prev_int;
         Sys.set_signal Sys.sigpipe prev_pipe)
     @@ fun () ->
     let summary = ref Stats.summary_zero in
-    let store_stats = ref (empty_stats ()) in
+    let store_stats = ref (Cert_store.zero_stats ()) in
     let degraded = ref false in
     let crashed = ref None in
     let errored = ref None in
+    let failed () = !crashed <> None || !errored <> None in
+    let signed_off = Array.make workers false in
+    let reports = Array.init workers (fun _ -> Queue.create ()) in
     let feed_order = Queue.create () in
     let in_flight = ref 0 in
     (* feed-order emission: reports come back per-worker FIFO, so the
@@ -316,7 +174,7 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
         match Queue.peek_opt feed_order with
         | None -> ()
         | Some i -> (
-            match Queue.take_opt ws.(i).ws_reports with
+            match Queue.take_opt reports.(i) with
             | None -> ()
             | Some r ->
                 ignore (Queue.pop feed_order);
@@ -326,165 +184,77 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
                 progress := true)
       done
     in
-    let mark_done i =
-      if not ws.(i).ws_done then begin
-        ws.(i).ws_done <- true;
-        if !crashed = None && !errored = None then
-          errored := Some "stream worker died before reporting"
-      end
+    let absorb samples =
+      match timing with Some t -> Timing.absorb t samples | None -> ()
     in
-    let handle i (msg : stream_msg) =
+    let handle i (msg : Worker.from_worker) =
       match msg with
-      | S_report r -> Queue.push r ws.(i).ws_reports
-      | S_done (samples, stats, deg) ->
-          ws.(i).ws_done <- true;
-          (match timing with Some t -> Timing.absorb t samples | None -> ());
-          store_stats := Cert_store.add_stats !store_stats stats;
-          degraded := !degraded || deg
-      | S_crashed p ->
-          ws.(i).ws_done <- true;
-          if !crashed = None then crashed := Some p
-      | S_error e ->
-          ws.(i).ws_done <- true;
-          if !errored = None then errored := Some e
-    in
-    let parse_frames i =
-      let w = ws.(i) in
-      let s = Buffer.contents w.ws_in in
-      let len = String.length s in
-      let pos = ref 0 in
-      let continue = ref true in
-      while !continue do
-        if len - !pos < 4 then continue := false
-        else begin
-          let flen =
-            (Char.code s.[!pos] lsl 24)
-            lor (Char.code s.[!pos + 1] lsl 16)
-            lor (Char.code s.[!pos + 2] lsl 8)
-            lor Char.code s.[!pos + 3]
-          in
-          if len - !pos - 4 < flen then continue := false
-          else begin
-            handle i (Marshal.from_string s (!pos + 4) : stream_msg);
-            pos := !pos + 4 + flen
-          end
-        end
-      done;
-      if !pos > 0 then begin
-        let rest = String.sub s !pos (len - !pos) in
-        Buffer.clear w.ws_in;
-        Buffer.add_string w.ws_in rest
-      end
-    in
-    let chunk = Bytes.create 65536 in
-    let pump_read i =
-      let w = ws.(i) in
-      match Unix.read w.ws_rfd chunk 0 (Bytes.length chunk) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | 0 ->
-          w.ws_eof <- true;
-          (try Unix.close w.ws_rfd with Unix.Unix_error _ -> ());
-          mark_done i
-      | n ->
-          Buffer.add_subbytes w.ws_in chunk 0 n;
-          parse_frames i
-    in
-    let pump_write i =
-      let w = ws.(i) in
-      try
-        let more = ref true in
-        while !more do
-          if w.ws_out_pos >= String.length w.ws_out then
-            match Queue.take_opt w.ws_out_q with
-            | Some s ->
-                w.ws_out <- s;
-                w.ws_out_pos <- 0
-            | None -> more := false
-          else
-            let n =
-              Unix.write_substring w.ws_wfd w.ws_out w.ws_out_pos
-                (String.length w.ws_out - w.ws_out_pos)
-            in
-            w.ws_out_pos <- w.ws_out_pos + n
-        done
-      with
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | Unix.Unix_error (Unix.EPIPE, _, _) ->
-          (* dead worker: drop its backlog; the read side reports it *)
-          Queue.clear w.ws_out_q;
-          w.ws_out <- "";
-          w.ws_out_pos <- 0
+      | Worker.Ready -> ()
+      | Worker.Done { report; samples; _ } ->
+          absorb samples;
+          Queue.push report reports.(i)
+      | Worker.Bye { samples; store_stats = s; degraded = d } ->
+          signed_off.(i) <- true;
+          absorb samples;
+          store_stats := Cert_store.add_stats !store_stats s;
+          degraded := !degraded || d
+      | Worker.Crashed p -> if !crashed = None then crashed := Some p
+      | Worker.Failed e -> if !errored = None then errored := Some e
     in
     let pump block =
       let rfds = ref [] and wfds = ref [] in
       Array.iter
         (fun w ->
-          if not w.ws_eof then rfds := w.ws_rfd :: !rfds;
-          if w.ws_open && ws_pending w then wfds := w.ws_wfd :: !wfds)
+          if w.Worker.reading then rfds := w.Worker.from_fd :: !rfds;
+          if Worker.pending w then wfds := w.Worker.to_fd :: !wfds)
         ws;
       (if !rfds <> [] || !wfds <> [] then
          let timeout = if block then -1.0 else 0.0 in
          match Unix.select !rfds !wfds [] timeout with
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
          | r, wr, _ ->
-             Array.iteri (fun i w -> if List.memq w.ws_wfd wr then pump_write i) ws;
-             Array.iteri (fun i w -> if List.memq w.ws_rfd r then pump_read i) ws);
+             Array.iter
+               (fun w -> if List.memq w.Worker.to_fd wr then Worker.pump w)
+               ws;
+             Array.iteri
+               (fun i w ->
+                 if
+                   List.memq w.Worker.from_fd r
+                   && (not (Worker.read w (handle i)))
+                   && (not signed_off.(i))
+                   && not (failed ())
+                 then errored := Some "stream worker died before reporting")
+               ws);
       try_emit ()
     in
     let live_input () =
-      Array.exists (fun w -> not w.ws_eof) ws
-      || Array.exists (fun w -> not (Queue.is_empty w.ws_reports)) ws
+      Array.exists (fun w -> w.Worker.reading) ws
+      || Array.exists (fun q -> not (Queue.is_empty q)) reports
     in
     let feed (job : Manifest.job) =
-      if !crashed <> None || !errored <> None then raise Stream_stop;
-      let id = job.Manifest.job_id in
-      String.iter
-        (fun c ->
-          if c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '#' then
-            invalid_arg
-              (Printf.sprintf
-                 "Pool.run_stream: job id %S cannot cross a stream pipe" id))
-        id;
-      let i = shard_of ~workers id in
-      Queue.push (Manifest.print_job job ^ "\n") ws.(i).ws_out_q;
+      if failed () then raise Stream_stop;
+      let i = shard_of ~workers job.Manifest.job_id in
+      Worker.send ws.(i) (Worker.Job { token = 0; job; deadline_ms = 0. });
       Queue.push i feed_order;
       incr in_flight;
       pump false;
-      while
-        !in_flight >= window
-        && !crashed = None
-        && !errored = None
-        && live_input ()
-      do
+      while !in_flight >= window && (not (failed ())) && live_input () do
         pump true
       done
     in
     (try produce feed with Stream_stop -> ());
-    (* drain the backlog, then EOF every job pipe so workers finish *)
-    while
-      Array.exists (fun w -> w.ws_open && ws_pending w) ws
-      && !crashed = None
-      && !errored = None
-    do
+    (* drain the backlog, then EOF every input so workers sign off; a
+       worker still holding jobs after a failure stops at once *)
+    Array.iter (fun w -> Worker.send w Worker.Quit) ws;
+    while Array.exists Worker.pending ws && not (failed ()) do
       pump true
     done;
-    Array.iter
-      (fun w ->
-        if w.ws_open then begin
-          w.ws_open <- false;
-          try Unix.close w.ws_wfd with Unix.Unix_error _ -> ()
-        end)
-      ws;
-    while Array.exists (fun w -> not w.ws_eof) ws do
+    Array.iter Worker.close_out ws;
+    while Array.exists (fun w -> w.Worker.reading) ws do
       pump true
     done;
     try_emit ();
-    Array.iter
-      (fun w ->
-        try ignore (Unix.waitpid [] w.ws_pid) with Unix.Unix_error _ -> ())
-      ws;
+    Array.iter Worker.reap ws;
     (match !crashed with
     | Some p -> raise (Blob_io.Crashed p)
     | None -> ());
@@ -493,30 +263,20 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
     | None -> ());
     if !in_flight <> 0 then
       failwith "Pool.run_stream: workers exited with reports outstanding";
-    {
-      stream_summary = !summary;
-      stream_store = !store_stats;
-      stream_degraded = !degraded;
-    }
+    { summary = !summary; store_stats = !store_stats; degraded = !degraded }
   end
 
 (* ---------------------------------------------------------------- *)
 (* the batch driver: a fold over the stream                          *)
 
-type outcome = {
-  reports : Stats.job_report list;  (** canonical order: sorted by job id *)
-  summary : Stats.summary;
-  store_stats : Cert_store.stats;  (** summed over every worker's store *)
-  degraded : bool;  (** did any worker's store demote to memory-only? *)
-}
-
 (** Run [jobs] across [workers] processes: the finite fold of
     {!run_stream}. The reports are collected, sorted by job id (the
     canonical order [Engine.run_jobs] emits), and only then passed to
-    [emit], once each; the summary is taken over the sorted list.
-    Sharding, engine construction, [Blob_io.Crashed] and SIGINT
-    handling are [run_stream]'s; [on_interrupt] is where the driver
-    passes a tmp-file sweep of a shared cache directory. *)
+    [emit], once each; they are returned in that order beside the
+    outcome, whose summary is taken over the sorted list. Sharding,
+    engine construction, [Blob_io.Crashed] and SIGINT handling are
+    [run_stream]'s; [on_interrupt] is where the driver passes a
+    tmp-file sweep of a shared cache directory. *)
 let run ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
     ~workers ~make_engine jobs =
   let collected = ref [] in
@@ -528,9 +288,4 @@ let run ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
   in
   let reports = Stats.sort_reports !collected in
   List.iter emit reports;
-  {
-    reports;
-    summary = Stats.summarize reports;
-    store_stats = out.stream_store;
-    degraded = out.stream_degraded;
-  }
+  (reports, { out with summary = Stats.summarize reports })

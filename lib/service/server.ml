@@ -15,18 +15,21 @@
     client and drain through select's write set, and a client that
     stops reading its replies past a byte cap is dropped.
 
-    {b Worker supervision.} Workers are forked once and live for the
-    daemon's whole life, amortizing the per-batch fork cost of the old
-    one-shot driver to zero and keeping each worker's in-memory cache
-    tier warm across jobs. The parent watches every worker pipe; EOF
-    means the worker died (a real crash, or [Blob_io.Crashed] — a
-    worker that sees a simulated process death [_exit]s, because a
-    dead process does not handle exceptions). The supervisor reaps the
-    corpse, requeues the in-flight job ({e once} — a job that kills
-    two workers is reported [Failed], not retried forever), and forks
-    a replacement into the same slot. A slot whose worker dies three
-    times before ever signalling readiness (e.g. an uncreatable cache
-    directory) is stopped rather than respawned in a hot loop.
+    {b Worker supervision.} Workers are [Worker] processes, the same
+    fork and protocol [Pool] drives, forked once and living for the
+    daemon's whole life, which keeps each worker's in-memory cache tier
+    warm across jobs. The parent watches every worker pipe; EOF means
+    the worker died (a real crash, or [Blob_io.Crashed] — a worker that
+    sees a simulated process death reports [Crashed] and exits, because
+    a dead process does not handle exceptions; the daemon needs no more
+    than the EOF). The supervisor reaps the corpse, requeues the
+    in-flight job ({e once} — a job that kills two workers is reported
+    [Failed], not retried forever; a job whose frame never fully left
+    the parent goes back without spending that retry), and forks a
+    replacement into the same slot. A slot whose worker dies three
+    times before ever sending [Ready] (e.g. an uncreatable cache
+    directory, reported as [Failed]) is stopped rather than respawned
+    in a hot loop.
 
     {b Graceful degradation and observability.} A worker whose store
     demoted to memory-only keeps serving — its reports carry
@@ -85,173 +88,6 @@ let default_queue_cap = 64
 let default_client_cap cap = max 1 (cap / 4)
 
 (* ---------------------------------------------------------------- *)
-(* parent <-> worker messages (Marshal inside Wire frames)           *)
-
-type delta_op =
-  | Dopen of Manifest.job  (** (re)open the client's delta session *)
-  | Dedit of { full : bool; ops : string }  (** one edit batch *)
-
-type to_worker =
-  | Job of { token : int; job : Manifest.job; deadline_ms : float }
-  | Delta_job of {
-      token : int;
-      client : int;  (** sessions are keyed by client id in the worker *)
-      deadline_ms : float;
-      op : delta_op;
-    }
-  | Delta_close of { client : int }
-      (** drop the client's session (disconnect, or re-open that landed
-          on another slot); no reply *)
-  | Quit
-
-type from_worker =
-  | Ready  (** engine built; the slot may receive jobs *)
-  | Done of {
-      token : int;
-      report : Stats.job_report;
-      patch : string option;  (** patch-info JSON for delta jobs *)
-      samples : Timing.samples;
-      store_stats : Cert_store.stats;
-      degraded : bool;
-    }
-
-(* a Dedit that arrives with no live session (its open failed, or a
-   prior incarnation of this slot held it) must still answer *)
-let no_session_report =
-  {
-    Stats.r_id = "-";
-    r_property = "-";
-    r_k = 0;
-    r_n = 0;
-    r_m = 0;
-    r_status = Stats.Failed "no open delta session; send a dopen first";
-    r_cache_hit = false;
-    r_prove_ms = 0.0;
-    r_verify_ms = 0.0;
-    r_total_ms = 0.0;
-    r_label_bits = 0;
-    r_bundle_bits = 0;
-    r_reject_reasons = [];
-    r_retries = 0;
-  }
-
-(* the whole life of a worker incarnation: build the engine, announce
-   readiness, then serve jobs until Quit/EOF. A simulated process death
-   (Blob_io.Crashed) exits the process — that is its meaning — and the
-   supervisor sees EOF. Delta sessions live and die with the
-   incarnation: the supervisor re-pins clients on a respawn. *)
-let worker_main ~make_engine ~timed ~idx rfd wfd =
-  let send (msg : from_worker) =
-    Wire.write_frame wfd (Marshal.to_string msg [])
-  in
-  let timing = if timed then Some (Timing.create ()) else None in
-  let engine =
-    match make_engine ~worker:idx timing with
-    | engine -> engine
-    | exception Blob_io.Crashed _ -> Unix._exit 3
-    | exception e ->
-        Printf.eprintf "certd-server worker %d: cannot start: %s\n%!" idx
-          (Printexc.to_string e);
-        Unix._exit 4
-  in
-  (try send Ready with Sys_error _ | Unix.Unix_error _ -> Unix._exit 1);
-  let sessions : (int, Delta.session) Hashtbl.t = Hashtbl.create 8 in
-  (* per-job memo-counter DELTAS into the timing sink: [flush] resets
-     the counters after every job and the parent's [absorb] merges by
-     summation, so shipping cumulative totals would overcount *)
-  let with_memo_counters f =
-    let before =
-      match timing with Some _ -> Lcp_cert.Memo.counters () | None -> []
-    in
-    let result = f () in
-    (match timing with
-    | Some tsink ->
-        List.iter
-          (fun (name, v) ->
-            let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-            Timing.set_counter tsink name (v - v0))
-          (Lcp_cert.Memo.counters ())
-    | None -> ());
-    result
-  in
-  let retry_of deadline_ms =
-    if deadline_ms > 0.0 then
-      Some { (Engine.retry engine) with Engine.deadline_ms }
-    else None
-  in
-  let finish ~token ~report ~patch =
-    let samples =
-      match timing with
-      | Some t -> Timing.flush t
-      | None -> { Timing.w_stages = []; w_ctrs = [] }
-    in
-    let store = Engine.store engine in
-    try
-      send
-        (Done
-           {
-             token;
-             report;
-             patch;
-             samples;
-             store_stats = Cert_store.stats store;
-             degraded = Cert_store.degraded store;
-           })
-    with Sys_error _ | Unix.Unix_error _ -> Unix._exit 1
-  in
-  (* group-commit any dirty records before dying; a flush that crashes
-     or faults must not turn a clean exit into a hang (the records it
-     loses are future cache misses, nothing more) *)
-  let exit_clean () =
-    (try Engine.flush engine with _ -> ());
-    Unix._exit 0
-  in
-  let rec serve () =
-    match Wire.read_frame rfd with
-    | None | Some "" -> exit_clean () (* parent is gone: die quietly *)
-    | exception (Sys_error _ | Unix.Unix_error _) -> exit_clean ()
-    | Some payload -> (
-        match (Marshal.from_string payload 0 : to_worker) with
-        | Quit -> exit_clean ()
-        | Job { token; job; deadline_ms } -> (
-            match
-              with_memo_counters (fun () ->
-                  Engine.run_job ?retry:(retry_of deadline_ms) engine job)
-            with
-            | exception Blob_io.Crashed _ -> Unix._exit 3
-            | report ->
-                finish ~token ~report ~patch:None;
-                serve ())
-        | Delta_close { client } ->
-            Hashtbl.remove sessions client;
-            serve ()
-        | Delta_job { token; client; deadline_ms; op } -> (
-            let retry = retry_of deadline_ms in
-            let run () =
-              match op with
-              | Dopen job -> (
-                  match Delta.create ?retry engine job with
-                  | Ok (session, report, info) ->
-                      Hashtbl.replace sessions client session;
-                      (report, info)
-                  | Error (report, info) ->
-                      (* a failed open leaves no session to edit *)
-                      Hashtbl.remove sessions client;
-                      (report, info))
-              | Dedit { full; ops } -> (
-                  match Hashtbl.find_opt sessions client with
-                  | None -> (no_session_report, Delta.no_info "none")
-                  | Some s -> Delta.step ?retry s ~full ops)
-            in
-            match with_memo_counters run with
-            | exception Blob_io.Crashed _ -> Unix._exit 3
-            | report, info ->
-                finish ~token ~report ~patch:(Some (Delta.info_json info));
-                serve ()))
-  in
-  serve ()
-
-(* ---------------------------------------------------------------- *)
 (* supervisor state                                                  *)
 
 type jkind =
@@ -282,12 +118,13 @@ type job_ctx = {
 
 type worker = {
   w_idx : int;
-  mutable w_pid : int;
-  mutable w_to : Unix.file_descr;
-  mutable w_from : Unix.file_descr;
-  mutable w_conn : Wire.conn;
+  mutable w_proc : Worker.t option;
+      (** the live incarnation; [None] between a death and its respawn,
+          and for good once the slot is stopped *)
   mutable w_ready : bool;
   mutable w_busy : job_ctx option;
+  mutable w_busy_frame : int;
+      (** [Worker.send] sequence number of the in-flight job's frame *)
   mutable w_done : int;  (** jobs completed, across all incarnations *)
   mutable w_preready_deaths : int;  (** consecutive deaths before Ready *)
   mutable w_stopped : bool;  (** supervisor gave up respawning this slot *)
@@ -383,55 +220,24 @@ let log t fmt =
 (* ---------------------------------------------------------------- *)
 (* worker lifecycle                                                  *)
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let close_quietly = Worker.close_quietly
 
-let rec reap pid =
-  match Unix.waitpid [] pid with
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
-  | exception Unix.Unix_error _ -> ()
-
+(* the child sheds every fd the daemon owns: fcntl locks are
+   per-process, so closing the inherited pid_fd there does not release
+   the parent's instance lock *)
 let spawn_worker t idx =
   let w = t.workers.(idx) in
-  let p2w_r, p2w_w = Unix.pipe ~cloexec:false () in
-  let w2p_r, w2p_w = Unix.pipe ~cloexec:false () in
-  (* a child forked mid-buffer would duplicate unflushed output *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* the child sheds every parent-side fd and the parent's signal
-         disposition before running the worker loop *)
-      Sys.set_signal Sys.sigterm Sys.Signal_default;
-      Sys.set_signal Sys.sigint Sys.Signal_default;
-      if t.listening then close_quietly t.listen_fd;
-      (* fcntl locks are per-process: closing the inherited fd here
-         does not release the parent's instance lock *)
-      close_quietly t.pid_fd;
-      close_quietly t.sig_r;
-      close_quietly t.sig_w;
-      List.iter (fun c -> close_quietly c.c_fd) t.clients;
-      Array.iter
-        (fun other ->
-          if other.w_idx <> idx && other.w_pid > 0 && not other.w_stopped
-          then begin
-            close_quietly other.w_to;
-            close_quietly other.w_from
-          end)
-        t.workers;
-      close_quietly p2w_w;
-      close_quietly w2p_r;
-      worker_main ~make_engine:t.cfg.make_engine ~timed:t.cfg.timed ~idx p2w_r
-        w2p_w
-  | pid ->
-      Unix.close p2w_r;
-      Unix.close w2p_w;
-      w.w_pid <- pid;
-      w.w_to <- p2w_w;
-      w.w_from <- w2p_r;
-      w.w_conn <- Wire.conn_create ();
-      w.w_ready <- false;
-      w.w_busy <- None
+  let inherited =
+    (if t.listening then [ t.listen_fd ] else [])
+    @ [ t.pid_fd; t.sig_r; t.sig_w ]
+    @ List.map (fun c -> c.c_fd) t.clients
+  in
+  w.w_proc <-
+    Some
+      (Worker.spawn ~inherited ~make_engine:(t.cfg.make_engine ~worker:idx)
+         ~timed:t.cfg.timed);
+  w.w_ready <- false;
+  w.w_busy <- None
 
 (* ---------------------------------------------------------------- *)
 (* replies                                                           *)
@@ -441,10 +247,9 @@ let spawn_worker t idx =
    elsewhere; a write failure means the slot is dying anyway and takes
    the session with it *)
 let send_close t idx ~client =
-  let w = t.workers.(idx) in
-  if w.w_pid > 0 && not w.w_stopped then
-    try Wire.write_frame w.w_to (Marshal.to_string (Delta_close { client }) [])
-    with Sys_error _ | Unix.Unix_error _ -> ()
+  match t.workers.(idx).w_proc with
+  | Some p -> Worker.send p (Worker.Delta_close { client })
+  | None -> ()
 
 let client_dead t c =
   if c.c_alive then begin
@@ -735,7 +540,7 @@ let next_job_for t w =
           t.rr <- c.c_id;
           Some (Queue.pop c.c_queue))
 
-let assign t w jc =
+let assign t w p jc =
   let token = t.next_token in
   t.next_token <- t.next_token + 1;
   jc.jc_token <- token;
@@ -754,52 +559,45 @@ let assign t w jc =
   let msg =
     match jc.jc_kind with
     | Jk_submit ->
-        Job { token; job = jc.jc_job; deadline_ms = jc.jc_deadline_ms }
+        Worker.Job { token; job = jc.jc_job; deadline_ms = jc.jc_deadline_ms }
     | Jk_open ->
-        Delta_job
+        Worker.Delta_job
           {
             token;
             client = jc.jc_client;
             deadline_ms = jc.jc_deadline_ms;
-            op = Dopen jc.jc_job;
+            op = Worker.Dopen jc.jc_job;
           }
     | Jk_edit { full; ops } ->
-        Delta_job
+        Worker.Delta_job
           {
             token;
             client = jc.jc_client;
             deadline_ms = jc.jc_deadline_ms;
-            op = Dedit { full; ops };
+            op = Worker.Dedit { full; ops };
           }
   in
+  (* a worker that died under us keeps the slot busy until its EOF
+     reaches [worker_died], which checks whether this frame ever left *)
+  Worker.send p msg;
   w.w_busy <- Some jc;
-  match Wire.write_frame w.w_to (Marshal.to_string msg []) with
-  | () -> ()
-  | exception (Sys_error _ | Unix.Unix_error _) ->
-      (* the worker died under us; hand the job back untouched (it
-         never started, so this is not its one retry). The slot must
-         stop looking idle before dispatch continues, or it would pick
-         the same corpse for the same job forever without ever
-         reaching the select loop — so mark it unready and let the EOF
-         path reap and respawn *)
-      w.w_ready <- false;
-      w.w_busy <- None;
-      Queue.push jc t.retry_q
+  w.w_busy_frame <- p.Worker.queued
 
 let rec dispatch t =
   let progressed = ref false in
   Array.iter
     (fun w ->
-      if w.w_ready && w.w_busy = None && not w.w_stopped && w.w_pid > 0 then
-        match next_job_for t w with
-        | None -> ()
-        | Some jc ->
-            assign t w jc;
-            progressed := true)
+      match w.w_proc with
+      | Some p when w.w_ready && w.w_busy = None -> (
+          match next_job_for t w with
+          | None -> ()
+          | Some jc ->
+              assign t w p jc;
+              progressed := true)
+      | _ -> ())
     t.workers;
-  (* a successful assign may have unblocked a pinned edit behind it;
-     a failed one put the job back for another slot. Either way the
-     pass strictly shrank queue+idle, so this terminates. *)
+  (* an assign may have unblocked a pinned edit behind it; every pass
+     that progressed strictly shrank queue+idle, so this terminates. *)
   if !progressed then dispatch t
 
 (* ---------------------------------------------------------------- *)
@@ -816,7 +614,7 @@ let store_totals t =
 let stats_json t =
   let live =
     Array.fold_left
-      (fun acc w -> if w.w_pid > 0 && not w.w_stopped then acc + 1 else acc)
+      (fun acc w -> if w.w_proc <> None then acc + 1 else acc)
       0 t.workers
   in
   let stopped =
@@ -1259,15 +1057,18 @@ let handle_done t w (token, report, patch, samples, store_stats, degraded) =
       (* a stale or duplicated token: nothing sane to attribute it to *)
       log t "worker %d: dropped result with stale token %d" w.w_idx token
 
-let worker_died t w =
-  reap w.w_pid;
-  close_quietly w.w_to;
-  close_quietly w.w_from;
-  w.w_pid <- -1;
+let worker_died t w p =
+  Worker.reap p;
+  w.w_proc <- None;
   (* the in-flight job gets exactly one more chance on another worker —
      except an edit, whose session just died with the slot: replaying
-     it elsewhere would certify against no baseline *)
+     it elsewhere would certify against no baseline. A job whose frame
+     never fully left never started: it goes back untouched, and this
+     death is not its one retry. *)
   (match w.w_busy with
+  | Some jc when not (Worker.delivered p w.w_busy_frame) ->
+      w.w_busy <- None;
+      Queue.push jc t.retry_q
   | Some jc ->
       w.w_busy <- None;
       (match jc.jc_kind with
@@ -1353,7 +1154,8 @@ let worker_died t w =
   if not w.w_stopped then begin
     t.c.restarts <- t.c.restarts + 1;
     spawn_worker t w.w_idx;
-    log t "worker slot %d respawned as pid %d" w.w_idx w.w_pid
+    log t "worker slot %d respawned as pid %d" w.w_idx
+      (match w.w_proc with Some p -> p.Worker.pid | None -> -1)
   end
   else if Array.for_all (fun w -> w.w_stopped) t.workers then begin
     (* no worker will ever run again: fail everything queued loudly
@@ -1370,34 +1172,23 @@ let worker_died t w =
   end;
   dispatch t
 
-let on_worker_readable t w =
-  let chunk = Bytes.create 65536 in
-  let drain_frames () =
-    let rec go () =
-      match Wire.conn_next w.w_conn with
-      | None -> ()
-      | Some payload ->
-          (match (Marshal.from_string payload 0 : from_worker) with
-          | Ready ->
-              w.w_ready <- true;
-              w.w_preready_deaths <- 0;
-              dispatch t
-          | Done { token; report; patch; samples; store_stats; degraded } ->
-              handle_done t w
-                (token, report, patch, samples, store_stats, degraded));
-          go ()
-    in
-    go ()
+(* [Crashed] needs no handling: the EOF that follows it respawns the
+   slot like any other death *)
+let on_worker_readable t w p =
+  let alive =
+    Worker.read p (function
+      | Worker.Ready ->
+          w.w_ready <- true;
+          w.w_preready_deaths <- 0;
+          dispatch t
+      | Worker.Done { token; report; patch; samples; store_stats; degraded } ->
+          handle_done t w (token, report, patch, samples, store_stats, degraded)
+      | Worker.Failed msg ->
+          Printf.eprintf "certd-server worker %d: cannot start: %s\n%!" w.w_idx
+            msg
+      | Worker.Crashed _ | Worker.Bye _ -> ())
   in
-  match Unix.read w.w_from chunk 0 (Bytes.length chunk) with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error _ -> worker_died t w
-  | 0 ->
-      drain_frames ();
-      worker_died t w
-  | n ->
-      Wire.conn_feed w.w_conn chunk n;
-      drain_frames ()
+  if not alive then worker_died t w p
 
 (* ---------------------------------------------------------------- *)
 (* accept / select loop                                              *)
@@ -1452,19 +1243,17 @@ let finish t =
   (* the queue is drained and every worker is idle: dismiss the pool *)
   Array.iter
     (fun w ->
-      if w.w_pid > 0 && not w.w_stopped then begin
-        (try Wire.write_frame w.w_to (Marshal.to_string Quit [])
-         with Sys_error _ | Unix.Unix_error _ -> ());
-        close_quietly w.w_to;
-        close_quietly w.w_from;
-        reap w.w_pid;
-        (match w.w_last_store with
-        | Some s ->
-            t.retired_store <- Cert_store.add_stats t.retired_store s;
-            w.w_last_store <- None
-        | None -> ());
-        w.w_pid <- -1
-      end)
+      match w.w_proc with
+      | Some p ->
+          Worker.send p Worker.Quit;
+          Worker.reap p;
+          (match w.w_last_store with
+          | Some s ->
+              t.retired_store <- Cert_store.add_stats t.retired_store s;
+              w.w_last_store <- None
+          | None -> ());
+          w.w_proc <- None
+      | None -> ())
     t.workers;
   List.iter (fun c -> flush_final t c) t.clients;
   List.iter (fun c -> close_quietly c.c_fd) t.clients;
@@ -1497,22 +1286,20 @@ let rec loop t =
   if t.draining && queue_depth t = 0 && inflight t = 0 then finish t
   else begin
     let accepting = t.listening && List.length t.clients < max_clients in
+    let procs = List.filter_map (fun w -> w.w_proc) (Array.to_list t.workers) in
     let fds =
       (if accepting then [ t.listen_fd ] else [])
       @ [ t.sig_r ]
       @ List.map (fun c -> c.c_fd) t.clients
-      @ Array.to_list
-          (Array.of_seq
-             (Seq.filter_map
-                (fun w ->
-                  if w.w_pid > 0 && not w.w_stopped then Some w.w_from
-                  else None)
-                (Array.to_seq t.workers)))
+      @ List.map (fun p -> p.Worker.from_fd) procs
     in
     let wfds =
       List.filter_map
         (fun c -> if c.c_out_bytes > 0 then Some c.c_fd else None)
         t.clients
+      @ List.filter_map
+          (fun p -> if Worker.pending p then Some p.Worker.to_fd else None)
+          procs
     in
     match Unix.select fds wfds [] 1.0 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop t
@@ -1538,10 +1325,15 @@ let rec loop t =
             if c.c_alive && List.mem c.c_fd readable then
               on_client_readable t c)
           t.clients;
+        List.iter
+          (fun p -> if List.mem p.Worker.to_fd writable then Worker.pump p)
+          procs;
         Array.iter
           (fun w ->
-            if w.w_pid > 0 && not w.w_stopped && List.mem w.w_from readable
-            then on_worker_readable t w)
+            match w.w_proc with
+            | Some p when List.mem p.Worker.from_fd readable ->
+                on_worker_readable t w p
+            | _ -> ())
           t.workers;
         loop t
   end
@@ -1651,12 +1443,10 @@ let run (cfg : config) =
         Array.init cfg.workers (fun w_idx ->
             {
               w_idx;
-              w_pid = -1;
-              w_to = Unix.stdin;
-              w_from = Unix.stdin;
-              w_conn = Wire.conn_create ();
+              w_proc = None;
               w_ready = false;
               w_busy = None;
+              w_busy_frame = 0;
               w_done = 0;
               w_preready_deaths = 0;
               w_stopped = false;
@@ -1669,25 +1459,7 @@ let run (cfg : config) =
       next_client = 0;
       next_token = 0;
       draining = false;
-      retired_store =
-        {
-          Cert_store.hits = 0;
-          misses = 0;
-          insertions = 0;
-          evictions = 0;
-          disk_loads = 0;
-          drops = 0;
-          disk_errors = 0;
-          corrupt = 0;
-          quarantined = 0;
-          orphans_swept = 0;
-          gc_evictions = 0;
-          quarantine_evictions = 0;
-          filter_hits = 0;
-          filter_skips = 0;
-          filter_fps = 0;
-          flushes = 0;
-        };
+      retired_store = Cert_store.zero_stats ();
       started = Unix.gettimeofday ();
       c =
         {

@@ -1,6 +1,7 @@
 (** The daemon's request/response protocol: length-prefixed frames over
     a byte stream (a unix-domain socket between [certd --connect] and
-    [certd-server], or a pipe between the server and its workers).
+    [certd-server]). The same frames carry [Worker]'s messages over the
+    pipes between a driver and its worker processes.
 
     Framing is a 4-byte big-endian payload length followed by the
     payload. The length is bounded by [max_frame] so a corrupt or

@@ -7,6 +7,10 @@
    the MSB-first value order vs LSB-first stream order mismatch is a
    single lookup in an 8-bit bit-reversal table. *)
 
+(* [Stdlib.min] is polymorphic: without flambda every call is a compare
+   through C, and these run once per byte or per chunk *)
+let[@inline] imin (a : int) b = if a < b then a else b
+
 (* rev8.(b) is b with its 8 bits mirrored *)
 let rev8 =
   let t = Array.make 256 0 in
@@ -85,7 +89,7 @@ let bits w ~width x =
     let pos = ref w.len_bits and remaining = ref width in
     while !remaining > 0 do
       let i = !pos lsr 3 and off = !pos land 7 in
-      let take = min !remaining (8 - off) in
+      let take = imin !remaining (8 - off) in
       let chunk = (x lsr (!remaining - take)) land ((1 lsl take) - 1) in
       let placed = Array.unsafe_get rev8 chunk lsr (8 - take) in
       Bytes.unsafe_set w.buf i
@@ -166,7 +170,7 @@ let read_bits r ~width =
     let pos = ref r.pos and remaining = ref width in
     while !remaining > 0 do
       let i = !pos lsr 3 and off = !pos land 7 in
-      let take = min !remaining (8 - off) in
+      let take = imin !remaining (8 - off) in
       let chunk =
         (Char.code (Bytes.unsafe_get r.data i) lsr off) land ((1 lsl take) - 1)
       in
@@ -277,7 +281,7 @@ let in_stream r a len = a >= 0 && len >= 0 && a + len <= r.total_bits
 let rec chunks_equal data a b len k =
   k >= len
   ||
-  let w = min chunk_bits (len - k) in
+  let w = imin chunk_bits (len - k) in
   raw_chunk data (a + k) w = raw_chunk data (b + k) w
   && chunks_equal data a b len (k + w)
 
@@ -294,7 +298,7 @@ let rec hash_chunks data a len h k =
     let h = (h lxor (h lsr 32)) * 0x2545f4914f6cdd1d in
     h lxor (h lsr 29)
   else
-    let w = min chunk_bits (len - k) in
+    let w = imin chunk_bits (len - k) in
     hash_chunks data a len
       ((h lxor raw_chunk data (a + k) w) * 0x100000001b3)
       (k + w)

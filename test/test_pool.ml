@@ -159,10 +159,12 @@ let pool1_matches_sequential () =
   let jobs = corpus () in
   let engine = make_engine ~dir:d_seq () None in
   let seq_reports, seq_summary = Engine.run_jobs engine jobs in
-  let out = Pool.run ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs in
+  let reports, out =
+    Pool.run ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs
+  in
   check_str "canonical stats"
     (Stats.canonical_lines seq_reports)
-    (Stats.canonical_lines out.Pool.reports);
+    (Stats.canonical_lines reports);
   (* count fields only: the timing fields are volatile by design *)
   check_int "summary: served" seq_summary.Stats.s_served
     out.Pool.summary.Stats.s_served;
@@ -182,7 +184,7 @@ let jobs1_vs_jobs4 () =
     let dir = fresh_dir (Printf.sprintf "w%d" n) in
     let emitted = ref [] in
     let emit (r : Stats.job_report) = emitted := r.Stats.r_id :: !emitted in
-    let out =
+    let reports, _ =
       Pool.run ~emit ~workers:n ~make_engine:(make_engine ~dir ()) jobs
     in
     (* emit fires in canonical order, exactly once per job *)
@@ -194,7 +196,7 @@ let jobs1_vs_jobs4 () =
       (Printf.sprintf "workers=%d: emits are job-id sorted" n)
       true
       (ids = List.sort compare ids);
-    (Stats.canonical_lines out.Pool.reports, snapshot dir, dir)
+    (Stats.canonical_lines reports, snapshot dir, dir)
   in
   let base_lines, base_snap, base_dir = run_at 1 in
   check "baseline stored something" true (base_snap <> []);
@@ -222,14 +224,14 @@ let jobs1_vs_jobs4_under_faults () =
   let plan = plan_of_string "flip@2:40,flip@4:3,fail@6:ENOSPC" in
   let run_at n =
     let dir = fresh_dir (Printf.sprintf "f%d" n) in
-    let faulted =
+    let faulted, _ =
       Pool.run ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs
     in
-    let repaired =
+    let repaired, _ =
       Pool.run ~workers:n ~make_engine:(make_engine ~dir ()) jobs
     in
-    ( Stats.canonical_lines faulted.Pool.reports,
-      Stats.canonical_lines repaired.Pool.reports,
+    ( Stats.canonical_lines faulted,
+      Stats.canonical_lines repaired,
       snapshot dir,
       dir )
   in
@@ -252,7 +254,8 @@ let jobs1_vs_jobs4_under_faults () =
   rm_rf d1
 
 (* a simulated crash in any worker must surface as Blob_io.Crashed in
-   the parent — never as a silent partial batch *)
+   the parent — never as a silent partial batch — and still name the
+   file op the plan killed, which crossed the worker pipe in a frame *)
 let crash_propagates () =
   let jobs = corpus () in
   let plan = plan_of_string "crash@3" in
@@ -263,10 +266,18 @@ let crash_propagates () =
         try
           ignore
             (Pool.run ~workers:n ~make_engine:(make_engine ~plan ~dir ()) jobs);
-          false
-        with Blob_io.Crashed _ -> true
+          None
+        with Blob_io.Crashed p -> Some p
       in
-      check (Printf.sprintf "workers=%d: Crashed re-raised" n) true crashed)
+      match crashed with
+      | None -> Alcotest.failf "workers=%d: Crashed not re-raised" n
+      | Some p ->
+          check
+            (Printf.sprintf "workers=%d: the crash names a path under %s (got %S)"
+               n dir p)
+            true
+            (String.length p > String.length dir
+            && String.sub p 0 (String.length dir) = dir))
     [ 1; 4 ]
 
 (* an engine that cannot be built (a cache directory that cannot be
@@ -291,6 +302,36 @@ let make_engine_failure_reported () =
              List.iter feed jobs)));
   fails_with_msg "run" (fun () ->
       ignore (Pool.run ~workers:2 ~make_engine jobs))
+
+(* a worker killed outright (no exception, no last word) must fail the
+   run with "died before reporting" — without hanging on its pipes and
+   without leaving a child unreaped *)
+let silent_death_reported () =
+  let jobs = corpus () in
+  let make_engine _ =
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+    Alcotest.fail "survived SIGKILL"
+  in
+  let no_children () =
+    match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+    | _ -> false
+  in
+  let dies name run =
+    (match run () with
+    | () -> Alcotest.failf "%s: returned although every worker was killed" name
+    | exception Failure e ->
+        check
+          (Printf.sprintf "%s: the failure says why (got %S)" name e)
+          true
+          (contains e "died before reporting"));
+    check (name ^ ": every worker reaped") true (no_children ())
+  in
+  dies "run_stream" (fun () ->
+      ignore
+        (Pool.run_stream ~workers:2 ~make_engine (fun feed ->
+             List.iter feed jobs)));
+  dies "run" (fun () -> ignore (Pool.run ~workers:2 ~make_engine jobs))
 
 (* the interrupt-path sweep must only touch spool files it owns (this
    pid) or whose owner is dead — a live daemon sharing the cache dir
@@ -368,6 +409,8 @@ let () =
           test "crash in a worker kills the batch" crash_propagates;
           test "an engine that cannot be built fails the run with its cause"
             make_engine_failure_reported;
+          test "a worker killed without a word fails the run"
+            silent_death_reported;
           test "interrupt sweep is pid-aware" sweep_is_pid_aware;
           test "store start-up sweep keeps a live sibling's spool file"
             store_create_keeps_live_sibling_tmp;

@@ -30,6 +30,7 @@ module Pool = Service.Pool
 module Stats = Service.Stats
 module Store = Service.Cert_store
 module Blob_io = Service.Blob_io
+module Timing = Service.Timing
 module Negf = Lcp_util.Negf
 module Hash64 = Lcp_util.Hash64
 
@@ -341,7 +342,7 @@ let counters_pool_sharded () =
              [ 6; 7; 8; 9; 10; 11 ])
       in
       let workers = 2 in
-      let outcome =
+      let _, outcome =
         (* one disk tier per worker (keyed by child pid): a shared dir
            would let a late-starting worker seed its filter from the
            sibling's flushed records, turning first-touch skips into
@@ -430,13 +431,13 @@ let stream_matches_batch () =
         | Error e -> Alcotest.fail e
       in
       let cache tag = Filename.concat d ("c" ^ tag) in
-      let batch =
+      let batch_reports, _ =
         Pool.run ~workers:1
           ~make_engine:(fun wt ->
             Engine.create ~cache_dir:(cache "b") ?timing:wt ())
           jobs
       in
-      let batch_lines = Stats.canonical_lines batch.Pool.reports in
+      let batch_lines = Stats.canonical_lines batch_reports in
       List.iter
         (fun workers ->
           let lines = ref [] in
@@ -452,12 +453,54 @@ let stream_matches_batch () =
           in
           check_int
             (Printf.sprintf "N=%d: all jobs" workers)
-            150 outcome.Pool.stream_summary.Stats.s_jobs;
+            150 outcome.Pool.summary.Stats.s_jobs;
           check_str
             (Printf.sprintf "N=%d: canonical output = batch" workers)
             batch_lines
             (String.concat "\n" (List.rev !lines)))
         [ 1; 2 ])
+
+(* every worker ships each job's samples in its Done and its store
+   and allocation counters once, in its closing Bye: the parent sink
+   must hold each exactly once — no sample lost, no counter summed
+   twice *)
+let sign_off_counters () =
+  with_dir "signoff" (fun d ->
+      let jobs =
+        dup_jobs
+          (List.concat_map
+             (fun n -> [ (Printf.sprintf "s%da" n, n); (Printf.sprintf "s%db" n, n) ])
+             [ 6; 7; 8; 9; 10; 11 ])
+      in
+      let timing = Timing.create () in
+      let _, outcome =
+        Pool.run ~timing ~workers:2
+          ~make_engine:(fun wt ->
+            Engine.create ~cache_dir:d ~write_batch:4 ?timing:wt ())
+          jobs
+      in
+      let parses =
+        match
+          List.find_opt
+            (fun l -> l.Timing.l_stage = "parse")
+            (Timing.report timing)
+        with
+        | Some l -> l.Timing.l_count
+        | None -> 0
+      in
+      check_int "one parse sample per job" (List.length jobs) parses;
+      let ctr name =
+        Option.value ~default:0 (List.assoc_opt name (Timing.counters timing))
+      in
+      let s = outcome.Pool.store_stats in
+      check "the run skipped probes and flushed" true
+        (s.Store.filter_skips > 0 && s.Store.flushes > 0);
+      check_int "filter_skip = summed store counters" s.Store.filter_skips
+        (ctr "filter_skip");
+      check_int "filter_hit = summed store counters" s.Store.filter_hits
+        (ctr "filter_hit");
+      check_int "store_flush = summed store counters" s.Store.flushes
+        (ctr "store_flush"))
 
 (* ---------------------------------------------------------------- *)
 
@@ -495,5 +538,10 @@ let () =
           test "crash mid-flush: reopen serves zero corrupt"
             crash_mid_flush_recovers;
         ] );
-      ("pool", [ test "stream = batch at N in {1,2}" stream_matches_batch ]);
+      ( "pool",
+        [
+          test "stream = batch at N in {1,2}" stream_matches_batch;
+          test "sign-off counters: each sample and counter once"
+            sign_off_counters;
+        ] );
     ]
