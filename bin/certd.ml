@@ -645,15 +645,20 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
       in
       (* every pass through the pool: workers build their own engines
          (with fresh fault-plan counters), so the probe engine's store
-         counters are folded into the cold pass's footer *)
-      let sharded_passes run_pass =
+         counters are folded into the cold pass's footer — unless every
+         pass runs on the probe engine itself, whose counters are then
+         the outcome's already *)
+      let sharded_passes ?(on_probe = false) run_pass =
         let probe_stats =
-          Service.Cert_store.stats (Service.Engine.store first_engine)
+          if on_probe then Service.Cert_store.zero_stats ()
+          else Service.Cert_store.stats (Service.Engine.store first_engine)
         in
         for pass = 1 to passes do
           if not quiet && passes > 1 then
             Printf.printf "--- pass %d/%d %s\n" pass passes
-              (if pass = 1 then "(cold)" else "(warm via shared disk tier)");
+              (if pass = 1 then "(cold)"
+               else if on_probe then "(warm)"
+               else "(warm via shared disk tier)");
           let outcome = run_pass () in
           Format.printf "%a@." Service.Stats.pp_summary
             outcome.Service.Pool.summary;
@@ -669,28 +674,17 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
       (try
          match jobs_or_stream with
          | `Jobs jobs ->
-             if workers = 1 then begin
-               (* classic path: one engine for every pass, so --passes
-                  warms the in-memory tier even without --cache-dir *)
-               let engine = first_engine in
-               for pass = 1 to passes do
-                 if not quiet && passes > 1 then
-                   Printf.printf "--- pass %d/%d %s\n" pass passes
-                     (if pass = 1 then "(cold)" else "(warm)");
-                 let _, summary = Service.Engine.run_jobs ~emit engine jobs in
-                 Format.printf "%a@." Service.Stats.pp_summary summary;
-                 let store = Service.Engine.store engine in
-                 last_store :=
-                   Some
-                     ( Service.Cert_store.stats store,
-                       Service.Cert_store.degraded store )
-               done
-             end
-             else
-               sharded_passes (fun () ->
-                   snd
-                     (Service.Pool.run ~emit ~timing ~workers ~make_engine
-                        ?on_interrupt jobs))
+             (* one worker runs in-process on the probe engine for every
+                pass, so --passes warms the in-memory tier even without
+                --cache-dir *)
+             let on_probe = workers = 1 in
+             let make_engine =
+               if on_probe then fun _ -> first_engine else make_engine
+             in
+             sharded_passes ~on_probe (fun () ->
+                 snd
+                   (Service.Pool.run ~emit ~timing ~workers ~make_engine
+                      ?on_interrupt jobs))
          | `Stream ->
              (* corpus-scale path: never a whole-corpus job list. Jobs
                 stream from the manifest (or the workload generator)
@@ -880,10 +874,9 @@ let edits_full =
     value & flag
     & info [ "edits-full" ]
         ~doc:
-          "With --edits: force a from-scratch recompute at every step \
-           (same representation policy, no splice) — the differential \
-           anchor whose canonical JSONL must match the incremental run \
-           byte for byte.")
+          "With --edits: tag every step's mode $(b,full) and change \
+           nothing else — the stream runs the same pipeline, so its \
+           canonical JSONL must match the plain run byte for byte.")
 
 let session =
   Arg.(

@@ -106,12 +106,11 @@ type job_ctx = {
   jc_deadline_ms : float;
   jc_sid : string option;  (** wire session id, for journaling *)
   jc_line : string;  (** the open's verbatim manifest line, journaled *)
-  jc_internal : bool;
-      (** a resume-rebuild job: replayed from the journal to
-          reconstruct worker state — no client reply, no re-journal *)
   jc_expect : string option;
-      (** the journaled canonical line an internal rebuild must
-          reproduce (the determinism check) *)
+      (** set exactly on a resume-rebuild job — replayed from the
+          journal to reconstruct worker state, with no client reply and
+          no re-journal: the journaled canonical line it must reproduce
+          (the determinism check) *)
   mutable jc_retried : bool;  (** already survived one worker death *)
   mutable jc_token : int;  (** dispatch token of the current attempt *)
 }
@@ -125,7 +124,6 @@ type worker = {
   mutable w_busy : job_ctx option;
   mutable w_busy_frame : int;
       (** [Worker.send] sequence number of the in-flight job's frame *)
-  mutable w_done : int;  (** jobs completed, across all incarnations *)
   mutable w_preready_deaths : int;  (** consecutive deaths before Ready *)
   mutable w_stopped : bool;  (** supervisor gave up respawning this slot *)
   mutable w_last_store : Cert_store.stats option;
@@ -154,6 +152,20 @@ type client = {
   mutable c_base : Manifest.job option;  (** the session's base job *)
   mutable c_sid : string option;  (** the open session's wire id *)
 }
+
+let new_job ?sid ?(line = "") ?expect c ~serial ~deadline_ms job kind =
+  {
+    jc_serial = serial;
+    jc_client = c.c_id;
+    jc_job = job;
+    jc_kind = kind;
+    jc_deadline_ms = deadline_ms;
+    jc_sid = sid;
+    jc_line = line;
+    jc_expect = expect;
+    jc_retried = false;
+    jc_token = -1;
+  }
 
 type counters = {
   mutable submitted : int;
@@ -220,8 +232,6 @@ let log t fmt =
 (* ---------------------------------------------------------------- *)
 (* worker lifecycle                                                  *)
 
-let close_quietly = Worker.close_quietly
-
 (* the child sheds every fd the daemon owns: fcntl locks are
    per-process, so closing the inherited pid_fd there does not release
    the parent's instance lock *)
@@ -238,6 +248,17 @@ let spawn_worker t idx =
          ~timed:t.cfg.timed);
   w.w_ready <- false;
   w.w_busy <- None
+
+(* an incarnation is over — it died, or the drain dismissed it: reap it
+   and bank its store counters, which the next incarnation's first
+   [Done] would otherwise overwrite *)
+let retire t w p =
+  Worker.reap p;
+  w.w_proc <- None;
+  Option.iter
+    (fun s -> t.retired_store <- Cert_store.add_stats t.retired_store s)
+    w.w_last_store;
+  w.w_last_store <- None
 
 (* ---------------------------------------------------------------- *)
 (* replies                                                           *)
@@ -264,7 +285,7 @@ let client_dead t c =
     Queue.clear c.c_out;
     c.c_out_off <- 0;
     c.c_out_bytes <- 0;
-    close_quietly c.c_fd;
+    Worker.close_quietly c.c_fd;
     t.clients <- List.filter (fun c' -> c'.c_id <> c.c_id) t.clients
   end
 
@@ -316,6 +337,8 @@ let reply t c resp =
     else maybe_close t c
   end
 
+let err t c serial reason = reply t c (Wire.Err { serial; reason })
+
 (* the drain-time flush: the loop is over, so block — but only as long
    as the send timeout, a peer that stopped reading must not wedge the
    shutdown *)
@@ -325,23 +348,11 @@ let flush_final t c =
     (try Unix.setsockopt_float c.c_fd Unix.SO_SNDTIMEO 10.0
      with Unix.Unix_error _ -> ());
     let rec go () =
-      if c.c_alive && not (Queue.is_empty c.c_out) then begin
-        let head = Queue.peek c.c_out in
-        let len = String.length head - c.c_out_off in
-        match Unix.write_substring c.c_fd head c.c_out_off len with
-        | n ->
-            c.c_out_bytes <- c.c_out_bytes - n;
-            if n = len then begin
-              ignore (Queue.pop c.c_out : string);
-              c.c_out_off <- 0
-            end
-            else c.c_out_off <- c.c_out_off + n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        | exception (Unix.Unix_error _ | Sys_error _) ->
-            (* EAGAIN here means the send timeout expired *)
-            client_dead t c
-      end
+      let before = c.c_out_bytes in
+      flush_client t c;
+      if c.c_alive && c.c_out_bytes > 0 then
+        if c.c_out_bytes < before then go ()
+        else client_dead t c (* EAGAIN: the send timeout expired *)
     in
     go ()
   end
@@ -372,25 +383,6 @@ let adopt_client t fd =
   t.clients <- c :: t.clients;
   log t "client %d connected (%d clients)" c.c_id (List.length t.clients)
 
-(* a parent-made terminal report for a job whose worker died twice *)
-let failed_report (jc : job_ctx) msg =
-  {
-    Stats.r_id = jc.jc_job.Manifest.job_id;
-    r_property = jc.jc_job.Manifest.property;
-    r_k = jc.jc_job.Manifest.k;
-    r_n = 0;
-    r_m = 0;
-    r_status = Stats.Failed msg;
-    r_cache_hit = false;
-    r_prove_ms = 0.0;
-    r_verify_ms = 0.0;
-    r_total_ms = 0.0;
-    r_label_bits = 0;
-    r_bundle_bits = 0;
-    r_reject_reasons = [];
-    r_retries = 1;
-  }
-
 let count_status t (r : Stats.job_report) =
   t.c.completed <- t.c.completed + 1;
   match r.Stats.r_status with
@@ -403,25 +395,15 @@ let count_status t (r : Stats.job_report) =
   | Stats.Unsound _ -> t.c.unsound <- t.c.unsound + 1
   | Stats.Failed _ -> t.c.failed <- t.c.failed + 1
 
-let report_response (jc : job_ctx) (r : Stats.job_report) =
-  Wire.Report
-    {
-      serial = jc.jc_serial;
-      id = r.Stats.r_id;
-      status = Stats.status_name r.Stats.r_status;
-      json = Stats.to_json r;
-      canonical = Stats.to_canonical_json r;
-    }
-
-let dreport_response (jc : job_ctx) (r : Stats.job_report) patch =
+let dreport_of_journal serial (r : Journal.reply) =
   Wire.Dreport
     {
-      serial = jc.jc_serial;
-      id = r.Stats.r_id;
-      status = Stats.status_name r.Stats.r_status;
-      json = Stats.to_json r;
-      canonical = Stats.to_canonical_json r;
-      patch;
+      serial;
+      id = r.Journal.r_id;
+      status = r.Journal.r_status;
+      json = r.Journal.r_json;
+      canonical = r.Journal.r_canonical;
+      patch = r.Journal.r_patch;
     }
 
 (* append the served judgement to the journal BEFORE the reply leaves:
@@ -430,10 +412,39 @@ let dreport_response (jc : job_ctx) (r : Stats.job_report) patch =
    append lost to an I/O error is counted and serving continues
    (availability over durability, like the degraded store); a simulated
    process death propagates, as everywhere else. *)
-let journal_serve t jc (r : Stats.job_report) patch =
+let journal_serve t jc served =
   match (t.journal, jc.jc_sid) with
   | Some j, Some sid -> (
-      let reply_rec =
+      try
+        match jc.jc_kind with
+        | Jk_open ->
+            Journal.log_open j ~sid ~serial:jc.jc_serial ~line:jc.jc_line served
+        | Jk_edit { full; ops } ->
+            Journal.log_step j ~sid ~serial:jc.jc_serial ~full ~ops served
+        | Jk_submit -> ()
+      with Sys_error e ->
+        t.c.journal_errors <- t.c.journal_errors + 1;
+        log t "journal append failed: %s" e)
+  | _ -> ()
+
+let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
+  match jc.jc_expect with
+  | Some expect ->
+      (* a resume-rebuild job: its only observable effect is worker-side
+         session state. The replayed canonical line must match what the
+         journal says was served — the pipeline is deterministic, so a
+         divergence means the rebuilt session is not the one the client
+         was streaming against, and it is counted loudly. *)
+      t.c.rebuilt_steps <- t.c.rebuilt_steps + 1;
+      if expect <> Stats.to_canonical_json r then begin
+        t.c.resume_mismatch <- t.c.resume_mismatch + 1;
+        log t "resume replay diverged from the journal for %s" r.Stats.r_id
+      end
+  | None -> (
+      count_status t r;
+      (* the one served reply: what the journal keeps and what the
+         client reads are the same record *)
+      let served =
         {
           Journal.r_id = r.Stats.r_id;
           r_status = Stats.status_name r.Stats.r_status;
@@ -442,48 +453,55 @@ let journal_serve t jc (r : Stats.job_report) patch =
           r_patch = patch;
         }
       in
-      try
-        match jc.jc_kind with
-        | Jk_open ->
-            Journal.log_open j ~sid ~serial:jc.jc_serial ~line:jc.jc_line
-              reply_rec
-        | Jk_edit { full; ops } ->
-            Journal.log_step j ~sid ~serial:jc.jc_serial ~full ~ops reply_rec
-        | Jk_submit -> ()
-      with Sys_error e ->
-        t.c.journal_errors <- t.c.journal_errors + 1;
-        log t "journal append failed: %s" e)
-  | _ -> ()
+      journal_serve t jc served;
+      match find_client t jc.jc_client with
+      | Some c ->
+          reply t c
+            (match jc.jc_kind with
+            | Jk_submit ->
+                Wire.Report
+                  {
+                    serial = jc.jc_serial;
+                    id = served.r_id;
+                    status = served.r_status;
+                    json = served.r_json;
+                    canonical = served.r_canonical;
+                  }
+            | Jk_open | Jk_edit _ -> dreport_of_journal jc.jc_serial served)
+      | None -> () (* the requester hung up; the judgement is dropped *))
 
-let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
-  if jc.jc_internal then begin
-    (* a resume-rebuild job: its only observable effect is worker-side
-       session state. The replayed canonical line must match what the
-       journal says was served — the pipeline is deterministic, so a
-       divergence means the rebuilt session is not the one the client
-       was streaming against, and it is counted loudly. *)
-    t.c.rebuilt_steps <- t.c.rebuilt_steps + 1;
-    match jc.jc_expect with
-    | Some expect when expect <> Stats.to_canonical_json r ->
-        t.c.resume_mismatch <- t.c.resume_mismatch + 1;
-        log t "resume replay diverged from the journal for %s"
-          r.Stats.r_id
-    | _ -> ()
-  end
-  else begin
-    count_status t r;
-    journal_serve t jc r patch;
-    match find_client t jc.jc_client with
-    | Some c ->
-        reply t c
-          (match jc.jc_kind with
-          | Jk_submit -> report_response jc r
-          | Jk_open | Jk_edit _ -> dreport_response jc r patch)
-    | None -> () (* the requester hung up; the judgement is dropped *)
-  end
+(* a parent-made terminal report: the job's worker died under it, or no
+   worker is left to run it *)
+let fail_job t (jc : job_ctx) msg =
+  finish_job t jc
+    {
+      Stats.r_id = jc.jc_job.Manifest.job_id;
+      r_property = jc.jc_job.Manifest.property;
+      r_k = jc.jc_job.Manifest.k;
+      r_n = 0;
+      r_m = 0;
+      r_status = Stats.Failed msg;
+      r_cache_hit = false;
+      r_prove_ms = 0.0;
+      r_verify_ms = 0.0;
+      r_total_ms = 0.0;
+      r_label_bits = 0;
+      r_bundle_bits = 0;
+      r_reject_reasons = [];
+      r_retries = 1;
+    }
+
+let session_lost = "delta session lost with its worker; reopen"
 
 (* ---------------------------------------------------------------- *)
 (* dispatch: crash-retries first, then round-robin across clients    *)
+
+(* keep, in order, the jobs of [q] that [keep] accepts *)
+let filter_queue q keep =
+  let kept = Queue.create () in
+  Queue.iter (fun jc -> if keep jc then Queue.push jc kept) q;
+  Queue.clear q;
+  Queue.transfer kept q
 
 (* which worker may run a job: anything one-shot goes anywhere, an
    edit only to the slot holding its client's session *)
@@ -499,19 +517,20 @@ let eligible t w jc =
    client hung up is dropped on the floor here (its reply had no
    recipient anyway, and it would never become eligible again) *)
 let take_retry t w =
-  let keep = Queue.create () in
   let taken = ref None in
-  Queue.iter
-    (fun jc ->
-      if !taken <> None then Queue.push jc keep
-      else
-        match jc.jc_kind with
-        | Jk_edit _ when find_client t jc.jc_client = None ->
-            t.c.dropped <- t.c.dropped + 1
-        | _ -> if eligible t w jc then taken := Some jc else Queue.push jc keep)
-    t.retry_q;
-  Queue.clear t.retry_q;
-  Queue.transfer keep t.retry_q;
+  filter_queue t.retry_q (fun jc ->
+      !taken <> None
+      ||
+      match jc.jc_kind with
+      | Jk_edit _ when find_client t jc.jc_client = None ->
+          t.c.dropped <- t.c.dropped + 1;
+          false
+      | _ ->
+          if eligible t w jc then begin
+            taken := Some jc;
+            false
+          end
+          else true);
   !taken
 
 (* Round-robin across clients, but only over queue HEADS: taking a
@@ -674,7 +693,7 @@ let begin_drain t =
         | exception Unix.Unix_error _ -> ()
       in
       adopt_backlog ();
-      close_quietly t.listen_fd;
+      Worker.close_quietly t.listen_fd;
       t.listening <- false;
       (try Sys.remove t.cfg.socket_path with Sys_error _ -> ())
     end;
@@ -684,52 +703,33 @@ let begin_drain t =
 (* the admission gates every queueing request passes: refuse while
    draining, at the global cap, and past the client's quota *)
 let admitted t c serial =
-  if t.draining then begin
-    t.c.rejected_overload <- t.c.rejected_overload + 1;
-    reply t c (Wire.Overloaded { serial; reason = "server is draining" });
+  let refuse ~quota reason =
+    if quota then t.c.rejected_quota <- t.c.rejected_quota + 1
+    else t.c.rejected_overload <- t.c.rejected_overload + 1;
+    reply t c (Wire.Overloaded { serial; reason });
     false
-  end
-  else if queue_depth t >= t.cfg.queue_cap then begin
-    t.c.rejected_overload <- t.c.rejected_overload + 1;
-    reply t c
-      (Wire.Overloaded
-         {
-           serial;
-           reason =
-             Printf.sprintf "admission queue full (cap %d)" t.cfg.queue_cap;
-         });
-    false
-  end
-  else if Queue.length c.c_queue >= t.cfg.client_cap then begin
-    t.c.rejected_quota <- t.c.rejected_quota + 1;
-    reply t c
-      (Wire.Overloaded
-         {
-           serial;
-           reason =
-             Printf.sprintf "client quota exceeded (cap %d)" t.cfg.client_cap;
-         });
-    false
-  end
+  in
+  if t.draining then refuse ~quota:false "server is draining"
+  else if queue_depth t >= t.cfg.queue_cap then
+    refuse ~quota:false
+      (Printf.sprintf "admission queue full (cap %d)" t.cfg.queue_cap)
+  else if Queue.length c.c_queue >= t.cfg.client_cap then
+    refuse ~quota:true
+      (Printf.sprintf "client quota exceeded (cap %d)" t.cfg.client_cap)
   else true
 
 (* a [Submit] and a [Delta_open] both carry exactly one manifest line *)
 let parse_one_job t c serial line =
   match Manifest.parse line with
-  | Error e ->
-      t.c.parse_errors <- t.c.parse_errors + 1;
-      reply t c (Wire.Err { serial; reason = e });
-      None
-  | Ok [] ->
-      t.c.parse_errors <- t.c.parse_errors + 1;
-      reply t c (Wire.Err { serial; reason = "no job in submission" });
-      None
-  | Ok (_ :: _ :: _) ->
-      t.c.parse_errors <- t.c.parse_errors + 1;
-      reply t c
-        (Wire.Err { serial; reason = "a submission is exactly one job line" });
-      None
   | Ok [ job ] -> Some job
+  | parsed ->
+      t.c.parse_errors <- t.c.parse_errors + 1;
+      err t c serial
+        (match parsed with
+        | Error e -> e
+        | Ok [] -> "no job in submission"
+        | Ok _ -> "a submission is exactly one job line");
+      None
 
 let enqueue t c jc =
   t.c.submitted <- t.c.submitted + 1;
@@ -737,19 +737,17 @@ let enqueue t c jc =
   t.c.max_queue <- max t.c.max_queue (queue_depth t);
   dispatch t
 
-(* the resume-rebuild chain bypasses admission (it is the server's own
-   recovery work, not client traffic) but still rides the client's
-   queue, so the client's next live edit dispatches strictly after the
-   session state it needs exists again *)
-let enqueue_internal t c jc =
-  Queue.push jc c.c_queue;
-  t.c.max_queue <- max t.c.max_queue (queue_depth t)
-
 let protocol_err =
   Printf.sprintf
     "expected hello (this server speaks protocol version %d); upgrade the \
      client"
     Wire.protocol_version
+
+(* a client that fails the handshake is told why, then hung up on *)
+let hang_up t c reason =
+  t.c.bad_hello <- t.c.bad_hello + 1;
+  c.c_closing <- true;
+  err t c (-1) reason
 
 (* another live connection already streaming against [sid]: admitting a
    second writer would interleave two edit streams in one journal *)
@@ -758,22 +756,11 @@ let sid_busy t c sid =
     (fun c' -> c'.c_alive && c'.c_id <> c.c_id && c'.c_sid = Some sid)
     t.clients
 
-let dreport_of_journal serial (r : Journal.reply) =
-  Wire.Dreport
-    {
-      serial;
-      id = r.Journal.r_id;
-      status = r.Journal.r_status;
-      json = r.Journal.r_json;
-      canonical = r.Journal.r_canonical;
-      patch = r.Journal.r_patch;
-    }
-
 (* re-attach [c] to the journaled session [sid]: serve the journaled
    open report now, and queue an internal replay of the whole journaled
    request sequence to rebuild the worker-side state — through the
    full prove/verify discipline, exactly as the original stream ran *)
-let resume_session t c ~serial ~deadline_ms ~sid j (z : Journal.session) =
+let resume_session t c ~serial ~deadline_ms ~sid (z : Journal.session) =
   match Manifest.parse z.Journal.z_line with
   | Ok [ job ] ->
       c.c_sid <- Some sid;
@@ -781,46 +768,30 @@ let resume_session t c ~serial ~deadline_ms ~sid j (z : Journal.session) =
       c.c_base <- Some job;
       t.c.resumed <- t.c.resumed + 1;
       reply t c (dreport_of_journal serial z.Journal.z_open);
-      enqueue_internal t c
-        {
-          jc_serial = -1;
-          jc_client = c.c_id;
-          jc_job = job;
-          jc_kind = Jk_open;
-          jc_deadline_ms = deadline_ms;
-          jc_sid = Some sid;
-          jc_line = z.Journal.z_line;
-          jc_internal = true;
-          jc_expect = Some z.Journal.z_open.Journal.r_canonical;
-          jc_retried = false;
-          jc_token = -1;
-        };
+      (* the rebuild chain bypasses admission (it is the server's own
+         recovery work, not client traffic) but still rides the
+         client's queue, so the client's next live edit dispatches
+         strictly after the session state it needs exists again *)
+      let rebuild kind (served : Journal.reply) =
+        Queue.push
+          (new_job ~sid ~line:z.Journal.z_line
+             ~expect:served.Journal.r_canonical c ~serial:(-1) ~deadline_ms job
+             kind)
+          c.c_queue;
+        t.c.max_queue <- max t.c.max_queue (queue_depth t)
+      in
+      rebuild Jk_open z.Journal.z_open;
       List.iter
         (fun (p : Journal.step) ->
-          enqueue_internal t c
-            {
-              jc_serial = -1;
-              jc_client = c.c_id;
-              jc_job = job;
-              jc_kind = Jk_edit { full = p.Journal.p_full; ops = p.Journal.p_ops };
-              jc_deadline_ms = deadline_ms;
-              jc_sid = Some sid;
-              jc_line = z.Journal.z_line;
-              jc_internal = true;
-              jc_expect = Some p.Journal.p_reply.Journal.r_canonical;
-              jc_retried = false;
-              jc_token = -1;
-            })
+          rebuild
+            (Jk_edit { full = p.Journal.p_full; ops = p.Journal.p_ops })
+            p.Journal.p_reply)
         (List.rev z.Journal.z_steps);
       log t "client %d resumed session %s (%d journaled edits replaying)"
         c.c_id sid
         (List.length z.Journal.z_steps);
-      ignore j;
       dispatch t
-  | Ok _ | Error _ ->
-      reply t c
-        (Wire.Err
-           { serial; reason = "journaled base job line no longer parses" })
+  | Ok _ | Error _ -> err t c serial "journaled base job line no longer parses"
 
 let handle_request t c req =
   match req with
@@ -830,175 +801,108 @@ let handle_request t c req =
         c.c_hello <- true;
         reply t c (Wire.Hello_ok { version = Wire.protocol_version })
       end
-      else begin
-        t.c.bad_hello <- t.c.bad_hello + 1;
-        c.c_closing <- true;
-        reply t c
-          (Wire.Err
-             {
-               serial = -1;
-               reason =
-                 Printf.sprintf
-                   "protocol version mismatch: client speaks %d, server \
-                    speaks %d"
-                   version Wire.protocol_version;
-             })
-      end
-  | _ when not c.c_hello ->
-      t.c.bad_hello <- t.c.bad_hello + 1;
-      c.c_closing <- true;
-      reply t c (Wire.Err { serial = -1; reason = protocol_err })
+      else
+        hang_up t c
+          (Printf.sprintf
+             "protocol version mismatch: client speaks %d, server speaks %d"
+             version Wire.protocol_version)
+  | _ when not c.c_hello -> hang_up t c protocol_err
   | Wire.Ping -> reply t c Wire.Pong
   | Wire.Stats_req -> reply t c (Wire.Stats_reply (stats_json t))
   | Wire.Shutdown ->
       reply t c Wire.Pong;
       begin_drain t
-  | Wire.Submit { serial; canonical = _; deadline_ms; line } ->
-      if admitted t c serial then begin
+  | Wire.Submit { serial; canonical = _; deadline_ms; line } -> (
+      if admitted t c serial then
         match parse_one_job t c serial line with
         | None -> ()
-        | Some job ->
-            enqueue t c
-              {
-                jc_serial = serial;
-                jc_client = c.c_id;
-                jc_job = job;
-                jc_kind = Jk_submit;
-                jc_deadline_ms = deadline_ms;
-                jc_sid = None;
-                jc_line = "";
-                jc_internal = false;
-                jc_expect = None;
-                jc_retried = false;
-                jc_token = -1;
-              }
-      end
-  | Wire.Delta_open { serial; deadline_ms; sid; resume = true; line = _ } -> (
-      match t.journal with
-      | None ->
-          reply t c
-            (Wire.Err
-               {
-                 serial;
-                 reason = "resume unavailable: the server runs without a journal";
-               })
-      | Some j ->
-          if sid_busy t c sid then
-            reply t c
-              (Wire.Err
-                 {
-                   serial;
-                   reason =
-                     Printf.sprintf "session %s busy: another client holds it"
-                       sid;
-                 })
-          else if admitted t c serial then begin
+        | Some job -> enqueue t c (new_job c ~serial ~deadline_ms job Jk_submit))
+  | Wire.Delta_open { serial; deadline_ms; sid; resume; line } -> (
+      if resume && t.journal = None then
+        err t c serial "resume unavailable: the server runs without a journal"
+      else if sid_busy t c sid then
+        err t c serial
+          (Printf.sprintf "session %s busy: another client holds it" sid)
+      else if admitted t c serial then
+        match t.journal with
+        | Some j when resume -> (
             match Journal.find j sid with
-            | Some z -> resume_session t c ~serial ~deadline_ms ~sid j z
+            | Some z -> resume_session t c ~serial ~deadline_ms ~sid z
             | None ->
-                reply t c
-                  (Wire.Err
-                     {
-                       serial;
-                       reason =
-                         Printf.sprintf
-                           "unknown session %s: nothing to resume" sid;
-                     })
-          end)
-  | Wire.Delta_open { serial; deadline_ms; sid; resume = false; line } ->
-      if sid_busy t c sid then
-        reply t c
-          (Wire.Err
-             {
-               serial;
-               reason =
-                 Printf.sprintf "session %s busy: another client holds it" sid;
-             })
-      else if admitted t c serial then begin
-        match parse_one_job t c serial line with
-        | None -> ()
-        | Some job ->
-            c.c_opened <- true;
-            c.c_base <- Some job;
-            c.c_sid <- Some sid;
-            enqueue t c
-              {
-                jc_serial = serial;
-                jc_client = c.c_id;
-                jc_job = job;
-                jc_kind = Jk_open;
-                jc_deadline_ms = deadline_ms;
-                jc_sid = Some sid;
-                jc_line = line;
-                jc_internal = false;
-                jc_expect = None;
-                jc_retried = false;
-                jc_token = -1;
-              }
-      end
+                err t c serial
+                  (Printf.sprintf "unknown session %s: nothing to resume" sid))
+        | _ -> (
+            match parse_one_job t c serial line with
+            | None -> ()
+            | Some job ->
+                c.c_opened <- true;
+                c.c_base <- Some job;
+                c.c_sid <- Some sid;
+                enqueue t c (new_job ~sid ~line c ~serial ~deadline_ms job Jk_open)))
   | Wire.Delta_edit { serial; deadline_ms; full; ops } -> (
       match c.c_base with
       | Some base when c.c_opened -> (
-          let enqueue_edit () =
-            if admitted t c serial then
-              enqueue t c
-                {
-                  jc_serial = serial;
-                  jc_client = c.c_id;
-                  jc_job = base;
-                  jc_kind = Jk_edit { full; ops };
-                  jc_deadline_ms = deadline_ms;
-                  jc_sid = c.c_sid;
-                  jc_line = "";
-                  jc_internal = false;
-                  jc_expect = None;
-                  jc_retried = false;
-                  jc_token = -1;
-                }
+          let journaled =
+            match (t.journal, c.c_sid) with
+            | Some j, Some sid ->
+                Option.map (fun z -> (j, sid, z)) (Journal.find j sid)
+            | _ -> None
           in
           (* journal-backed idempotence: an already-applied serial is a
              resend from a client that never saw its reply — answer it
              from the journal, byte-for-byte, without recomputation; a
              serial past the next expected one lost an edit in flight
              and can only diverge, so refuse it descriptively *)
-          match (t.journal, c.c_sid) with
-          | Some j, Some sid -> (
-              match Journal.find j sid with
-              | Some z when serial >= 1 && serial <= z.Journal.z_applied -> (
-                  match Journal.reply_for j ~sid ~serial with
-                  | Some r ->
-                      t.c.dedup_served <- t.c.dedup_served + 1;
-                      reply t c (dreport_of_journal serial r)
-                  | None ->
-                      reply t c
-                        (Wire.Err
-                           {
-                             serial;
-                             reason =
-                               "edit already applied but its reply has been \
-                                compacted out of the journal";
-                           }))
-              | Some z when serial > z.Journal.z_applied + 1 ->
-                  reply t c
-                    (Wire.Err
-                       {
-                         serial;
-                         reason =
-                           Printf.sprintf
-                             "serial gap: expected %d, got %d — an edit was \
-                              lost in flight"
-                             (z.Journal.z_applied + 1)
-                             serial;
-                       })
-              | _ -> enqueue_edit ())
-          | _ -> enqueue_edit ())
-      | _ ->
-          reply t c
-            (Wire.Err
-               { serial; reason = "no delta session open; send a dopen first" }))
+          match journaled with
+          | Some (j, sid, z) when serial >= 1 && serial <= z.Journal.z_applied
+            -> (
+              match Journal.reply_for j ~sid ~serial with
+              | Some r ->
+                  t.c.dedup_served <- t.c.dedup_served + 1;
+                  reply t c (dreport_of_journal serial r)
+              | None ->
+                  err t c serial
+                    "edit already applied but its reply has been compacted \
+                     out of the journal")
+          | Some (_, _, z) when serial > z.Journal.z_applied + 1 ->
+              err t c serial
+                (Printf.sprintf
+                   "serial gap: expected %d, got %d — an edit was lost in \
+                    flight"
+                   (z.Journal.z_applied + 1)
+                   serial)
+          | _ ->
+              if admitted t c serial then
+                enqueue t c
+                  (new_job ?sid:c.c_sid c ~serial ~deadline_ms base
+                     (Jk_edit { full; ops })))
+      | _ -> err t c serial "no delta session open; send a dopen first")
+
+(* one read buffer for every client, as [Worker] keeps one for every
+   worker: the loop is single-threaded and [Wire.conn_feed] copies
+   what it keeps *)
+let chunk = Bytes.create 65536
+
+(* answer every whole frame [c] has sent, in order, until one of them
+   closes the connection *)
+let handle_frames t c =
+  try
+    let rec drain () =
+      match Wire.conn_next c.c_conn with
+      | None -> ()
+      | Some payload ->
+          (match Wire.decode_request payload with
+          | Ok req -> handle_request t c req
+          | Error e ->
+              (* a pre-handshake decode failure is an old or foreign
+                 client: tell it why, then hang up *)
+              if c.c_hello then err t c (-1) e else hang_up t c e);
+          if c.c_alive && not c.c_closing then drain ()
+    in
+    drain ()
+  with Sys_error _ -> client_dead t c (* over-cap frame: cut the cord *)
 
 let on_client_readable t c =
-  let chunk = Bytes.create 65536 in
   match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
     ->
@@ -1018,48 +922,15 @@ let on_client_readable t c =
             log t "journal close failed: %s" e)
       | _ -> ());
       client_dead t c
-  | n -> (
+  | n ->
       Wire.conn_feed c.c_conn chunk n;
-      try
-        let rec drain () =
-          match Wire.conn_next c.c_conn with
-          | None -> ()
-          | Some payload ->
-              (match Wire.decode_request payload with
-              | Ok req -> handle_request t c req
-              | Error e ->
-                  (* a pre-handshake decode failure is an old or foreign
-                     client: tell it why, then hang up *)
-                  if not c.c_hello then begin
-                    t.c.bad_hello <- t.c.bad_hello + 1;
-                    c.c_closing <- true
-                  end;
-                  reply t c (Wire.Err { serial = -1; reason = e }));
-              if c.c_alive && not c.c_closing then drain ()
-        in
-        drain ()
-      with Sys_error _ -> client_dead t c (* over-cap frame: cut the cord *))
+      handle_frames t c
 
 (* ---------------------------------------------------------------- *)
 (* worker events                                                     *)
 
-let handle_done t w (token, report, patch, samples, store_stats, degraded) =
-  Timing.absorb t.timing samples;
-  w.w_last_store <- Some store_stats;
-  w.w_degraded <- degraded;
-  match w.w_busy with
-  | Some jc when jc.jc_token = token ->
-      w.w_busy <- None;
-      w.w_done <- w.w_done + 1;
-      finish_job ~patch:(Option.value ~default:"{}" patch) t jc report;
-      dispatch t
-  | _ ->
-      (* a stale or duplicated token: nothing sane to attribute it to *)
-      log t "worker %d: dropped result with stale token %d" w.w_idx token
-
 let worker_died t w p =
-  Worker.reap p;
-  w.w_proc <- None;
+  retire t w p;
   (* the in-flight job gets exactly one more chance on another worker —
      except an edit, whose session just died with the slot: replaying
      it elsewhere would certify against no baseline. A job whose frame
@@ -1072,16 +943,12 @@ let worker_died t w p =
   | Some jc ->
       w.w_busy <- None;
       (match jc.jc_kind with
-      | Jk_edit _ ->
-          finish_job t jc
-            (failed_report jc "delta session lost with its worker; reopen")
+      | Jk_edit _ -> fail_job t jc session_lost
       | Jk_submit | Jk_open ->
           if jc.jc_retried then
-            finish_job t jc
-              (failed_report jc
-                 (Printf.sprintf
-                    "worker died twice running this job (last in slot %d)"
-                    w.w_idx))
+            fail_job t jc
+              (Printf.sprintf
+                 "worker died twice running this job (last in slot %d)" w.w_idx)
           else begin
             jc.jc_retried <- true;
             t.c.requeued <- t.c.requeued + 1;
@@ -1104,21 +971,16 @@ let worker_died t w p =
       if c.c_slot = Some w.w_idx then begin
         c.c_slot <- None;
         if not (pending_open c.c_id) then begin
-          let keep = Queue.create () in
           let failing = ref true in
-          Queue.iter
-            (fun jc ->
+          filter_queue c.c_queue (fun jc ->
               match jc.jc_kind with
               | Jk_open ->
                   failing := false;
-                  Queue.push jc keep
+                  true
               | Jk_edit _ when !failing ->
-                  finish_job t jc
-                    (failed_report jc "delta session lost with its worker; reopen")
-              | _ -> Queue.push jc keep)
-            c.c_queue;
-          Queue.clear c.c_queue;
-          Queue.transfer keep c.c_queue;
+                  fail_job t jc session_lost;
+                  false
+              | Jk_edit _ | Jk_submit -> true);
           c.c_opened <-
             Queue.fold (fun acc jc -> acc || jc.jc_kind = Jk_open) false c.c_queue
         end
@@ -1127,22 +989,18 @@ let worker_died t w p =
   (* sweep edits orphaned in the retry queue (a dispatch write-failure
      raced the death): with their client unpinned and no open pending,
      they can never run *)
-  (let keep = Queue.create () in
-   Queue.iter
-     (fun jc ->
-       match jc.jc_kind with
-       | Jk_edit _ -> (
-           match find_client t jc.jc_client with
-           | Some c when c.c_slot <> None || pending_open c.c_id ->
-               Queue.push jc keep
-           | Some _ ->
-               finish_job t jc
-                 (failed_report jc "delta session lost with its worker; reopen")
-           | None -> t.c.dropped <- t.c.dropped + 1)
-       | _ -> Queue.push jc keep)
-     t.retry_q;
-   Queue.clear t.retry_q;
-   Queue.transfer keep t.retry_q);
+  filter_queue t.retry_q (fun jc ->
+      match jc.jc_kind with
+      | Jk_edit _ -> (
+          match find_client t jc.jc_client with
+          | Some c when c.c_slot <> None || pending_open c.c_id -> true
+          | Some _ ->
+              fail_job t jc session_lost;
+              false
+          | None ->
+              t.c.dropped <- t.c.dropped + 1;
+              false)
+      | Jk_submit | Jk_open -> true);
   if not w.w_ready then begin
     w.w_preready_deaths <- w.w_preready_deaths + 1;
     if w.w_preready_deaths >= 3 then begin
@@ -1161,10 +1019,7 @@ let worker_died t w p =
     (* no worker will ever run again: fail everything queued loudly
        instead of letting clients wait forever *)
     let fail_queue q =
-      Queue.iter
-        (fun jc ->
-          finish_job t jc (failed_report jc "no live workers remain"))
-        q;
+      Queue.iter (fun jc -> fail_job t jc "no live workers remain") q;
       Queue.clear q
     in
     fail_queue t.retry_q;
@@ -1181,8 +1036,19 @@ let on_worker_readable t w p =
           w.w_ready <- true;
           w.w_preready_deaths <- 0;
           dispatch t
-      | Worker.Done { token; report; patch; samples; store_stats; degraded } ->
-          handle_done t w (token, report, patch, samples, store_stats, degraded)
+      | Worker.Done { token; report; patch; samples; store_stats; degraded } -> (
+          Timing.absorb t.timing samples;
+          w.w_last_store <- Some store_stats;
+          w.w_degraded <- degraded;
+          match w.w_busy with
+          | Some jc when jc.jc_token = token ->
+              w.w_busy <- None;
+              finish_job ~patch:(Option.value ~default:"{}" patch) t jc report;
+              dispatch t
+          | _ ->
+              (* a stale or duplicated token: nothing sane to attribute it to *)
+              log t "worker %d: dropped result with stale token %d" w.w_idx
+                token)
       | Worker.Failed msg ->
           Printf.eprintf "certd-server worker %d: cannot start: %s\n%!" w.w_idx
             msg
@@ -1210,31 +1076,16 @@ let final_client_sweep t =
       if c.c_alive then begin
         (* the fd is already nonblocking, so this read cannot hang on a
            silent client; replies queue in c_out for the final flush *)
-        let chunk = Bytes.create 65536 in
         let rec slurp () =
           match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
           | 0 -> ()
           | n ->
               Wire.conn_feed c.c_conn chunk n;
               slurp ()
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-              ()
-          | exception Unix.Unix_error _ -> ()
+          | exception Unix.Unix_error _ -> () (* EAGAIN: nothing more *)
         in
         slurp ();
-        try
-          let rec drain () =
-            match Wire.conn_next c.c_conn with
-            | None -> ()
-            | Some payload ->
-                (match Wire.decode_request payload with
-                | Ok req -> handle_request t c req
-                | Error e -> reply t c (Wire.Err { serial = -1; reason = e }));
-                if c.c_alive then drain ()
-          in
-          drain ()
-        with Sys_error _ -> client_dead t c
+        handle_frames t c
       end)
     t.clients
 
@@ -1243,32 +1094,26 @@ let finish t =
   (* the queue is drained and every worker is idle: dismiss the pool *)
   Array.iter
     (fun w ->
-      match w.w_proc with
-      | Some p ->
+      Option.iter
+        (fun p ->
           Worker.send p Worker.Quit;
-          Worker.reap p;
-          (match w.w_last_store with
-          | Some s ->
-              t.retired_store <- Cert_store.add_stats t.retired_store s;
-              w.w_last_store <- None
-          | None -> ());
-          w.w_proc <- None
-      | None -> ())
+          retire t w p)
+        w.w_proc)
     t.workers;
   List.iter (fun c -> flush_final t c) t.clients;
-  List.iter (fun c -> close_quietly c.c_fd) t.clients;
+  List.iter (fun c -> Worker.close_quietly c.c_fd) t.clients;
   t.clients <- [];
   if t.listening then begin
-    close_quietly t.listen_fd;
+    Worker.close_quietly t.listen_fd;
     t.listening <- false;
     try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
   end;
-  close_quietly t.sig_r;
-  close_quietly t.sig_w;
+  Worker.close_quietly t.sig_r;
+  Worker.close_quietly t.sig_w;
   (* release the instance lock last: until here a concurrent starter
      must still lose to us *)
   (try Sys.remove t.pidfile with Sys_error _ -> ());
-  close_quietly t.pid_fd;
+  Worker.close_quietly t.pid_fd;
   log t
     "drained: %d submitted, %d completed (%d served, %d failed), %d \
      restarts, max queue %d"
@@ -1366,7 +1211,7 @@ let run (cfg : config) =
   (match Unix.lockf pid_fd Unix.F_TLOCK 0 with
   | () -> ()
   | exception Unix.Unix_error _ ->
-      close_quietly pid_fd;
+      Worker.close_quietly pid_fd;
       raise
         (Sys_error
            (Printf.sprintf
@@ -1391,7 +1236,7 @@ let run (cfg : config) =
                ~checkpoint_every:cfg.journal_checkpoint ~dir ())
         with Sys_error _ as e ->
           (try Sys.remove pidfile with Sys_error _ -> ());
-          close_quietly pid_fd;
+          Worker.close_quietly pid_fd;
           raise e)
   in
   let sig_r, sig_w = Unix.pipe ~cloexec:false () in
@@ -1419,12 +1264,12 @@ let run (cfg : config) =
      Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
      Unix.listen listen_fd 64
    with Unix.Unix_error (e, _, _) ->
-     close_quietly listen_fd;
-     close_quietly sig_r;
-     close_quietly sig_w;
+     Worker.close_quietly listen_fd;
+     Worker.close_quietly sig_r;
+     Worker.close_quietly sig_w;
      restore_signals ();
      (try Sys.remove pidfile with Sys_error _ -> ());
-     close_quietly pid_fd;
+     Worker.close_quietly pid_fd;
      raise
        (Sys_error
           (Printf.sprintf "%s: %s" cfg.socket_path (Unix.error_message e))));
@@ -1447,7 +1292,6 @@ let run (cfg : config) =
               w_ready = false;
               w_busy = None;
               w_busy_frame = 0;
-              w_done = 0;
               w_preready_deaths = 0;
               w_stopped = false;
               w_last_store = None;

@@ -86,9 +86,10 @@ fi
 # a forced from-scratch session (see test/test_incr.ml)
 dune build @incr
 
-# daemon edit-stream smoke: the same edit stream served once
-# incrementally (--edits) and once forced-full (--edits-full) against
-# one daemon must produce byte-identical canonical JSONL
+# daemon edit-stream smoke: the same edit stream served once plain
+# (--edits) and once tagged full (--edits-full, which only tags each
+# step's mode) against one daemon must produce byte-identical
+# canonical JSONL
 cat > "$tmp/dyn.manifest" <<EOF
 id=dyn gen=path n=24 property=connected k=2 seed=7
 EOF

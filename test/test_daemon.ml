@@ -1151,6 +1151,152 @@ let daemon_journal_resume () =
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
+(* every refusal a well-formed request can draw before it is queued:
+   one Err per request, echoing its serial, with the exact reason *)
+let daemon_refusals () =
+  with_temp_dir (fun dir ->
+      let dopen ?(resume = false) serial sid =
+        Wire.Delta_open
+          {
+            serial;
+            deadline_ms = 0.0;
+            sid;
+            resume;
+            line =
+              (if resume then ""
+               else "id=held gen=path n=8 property=connected k=2 seed=1");
+          }
+      in
+      let submit_line serial line =
+        Wire.Submit { serial; canonical = true; deadline_ms = 0.0; line }
+      in
+      let refusals ~journal cases =
+        let socket_path = Filename.concat dir "r.sock" in
+        let cfg =
+          {
+            (base_cfg ~socket_path ~workers:1) with
+            journal_dir =
+              (if journal then Some (Filename.concat dir "journal") else None);
+          }
+        in
+        let pid = start_server cfg in
+        (* another client holds the session "held" for the whole table *)
+        let holder = dial socket_path in
+        Wire.write_frame holder (Wire.encode_request (dopen 0 "held"));
+        (match read_response holder with
+        | Wire.Dreport _ -> ()
+        | r -> Alcotest.failf "holder's open: %s" (Wire.encode_response r));
+        let fd = dial socket_path in
+        List.iter
+          (fun (what, req, reason) ->
+            Wire.write_frame fd (Wire.encode_request req);
+            match (req, read_response fd) with
+            | ( ( Wire.Submit { serial; _ }
+                | Wire.Delta_open { serial; _ }
+                | Wire.Delta_edit { serial; _ } ),
+                Wire.Err e ) ->
+                check_int (what ^ ": serial echoed") serial e.serial;
+                check_str (what ^ ": reason") reason e.reason
+            | _, r ->
+                Alcotest.failf "%s: unexpected reply %s" what
+                  (Wire.encode_response r))
+          cases;
+        Unix.close fd;
+        Unix.close holder;
+        check_int "clean drain" 0 (stop_server pid)
+      in
+      refusals ~journal:false
+        [
+          ( "dedit before any dopen",
+            Wire.Delta_edit
+              { serial = 11; deadline_ms = 0.0; full = false; ops = "add=0-1" },
+            "no delta session open; send a dopen first" );
+          ("submit with no job line", submit_line 12 "", "no job in submission");
+          ( "submit with two job lines",
+            submit_line 13
+              (String.concat "\n" [ List.hd jobs_lines; List.nth jobs_lines 1 ]),
+            "a submission is exactly one job line" );
+          ( "fresh dopen of a held sid",
+            dopen 14 "held",
+            "session held busy: another client holds it" );
+          ( "resume without a journal",
+            dopen ~resume:true 15 "held",
+            "resume unavailable: the server runs without a journal" );
+        ];
+      refusals ~journal:true
+        [
+          ( "resume of an unknown sid",
+            dopen ~resume:true 16 "ghost",
+            "unknown session ghost: nothing to resume" );
+        ])
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* a dead worker's store counters stay in the stats endpoint's totals
+   after its replacement reports its own *)
+let daemon_store_counters_survive_death () =
+  with_temp_dir (fun dir ->
+      let cache = Filename.concat dir "cache" in
+      let line = List.hd jobs_lines in
+      (* seed one record, then rot one byte of its payload: the daemon's
+         worker finds it corrupt, quarantines it and proves afresh *)
+      ignore
+        (Engine.run_jobs (Engine.create ~cache_dir:cache ()) (parse_lines [ line ]));
+      let path =
+        match
+          List.filter
+            (fun f -> Filename.check_suffix f ".cert")
+            (Array.to_list (Sys.readdir cache))
+        with
+        | [ f ] -> Filename.concat cache f
+        | fs -> Alcotest.failf "expected one record, found %d" (List.length fs)
+      in
+      let rotten = Bytes.of_string (read_file path) in
+      let last = Bytes.length rotten - 1 in
+      Bytes.set rotten last
+        (Char.chr (Char.code (Bytes.get rotten last) lxor 1));
+      write_file path (Bytes.to_string rotten);
+      let socket_path = Filename.concat dir "d.sock" in
+      let cfg =
+        {
+          (base_cfg ~socket_path ~workers:1) with
+          make_engine =
+            (fun ~worker:_ timing -> Engine.create ~cache_dir:cache ?timing ());
+        }
+      in
+      let pid = start_server cfg in
+      let fd = dial socket_path in
+      submit fd 0 line;
+      (match read_response fd with
+      | Wire.Report { status; _ } ->
+          check_str "the corrupt hit is proved afresh" "served_fresh" status
+      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      (match children_of pid with
+      | None | Some [] -> () (* no /proc children file: cannot stage it *)
+      | Some kids ->
+          List.iter
+            (fun k -> try Unix.kill k Sys.sigkill with Unix.Unix_error _ -> ())
+            kids;
+          Unix.sleepf 0.05;
+          submit fd 1 (List.nth jobs_lines 1);
+          (match read_response fd with
+          | Wire.Report { serial; _ } ->
+              check_int "the replacement serves" 1 serial
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+          Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
+          (match read_response fd with
+          | Wire.Stats_reply json ->
+              check "the dead worker's corrupt record still counted" true
+                (json_int json "corrupt" >= 1);
+              check "its quarantine still counted" true
+                (json_int json "quarantined" >= 1)
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)));
+      Unix.close fd;
+      check_int "clean drain" 0 (stop_server pid))
+
 let suite =
   ( "daemon",
     [
@@ -1180,6 +1326,9 @@ let suite =
         daemon_pidfile_lock;
       test "journal: SIGKILL, restart, resume, dedup byte-identical"
         daemon_journal_resume;
+      test "every refusal echoes its serial and its reason" daemon_refusals;
+      test "store counters survive a worker's death"
+        daemon_store_counters_survive_death;
     ] )
 
 let () = Alcotest.run "lcp-daemon" [ suite ]
