@@ -86,10 +86,21 @@ let no_session_report =
     r_retries = 0;
   }
 
-(* Build the engine, then serve frames until Quit/EOF and sign off.
-   Delta sessions live and die with the process: the daemon re-pins
-   clients when it respawns a slot. *)
-let serve ~send ~make_engine ~timed rfd =
+(** The worker's side of the protocol, apart from the process and the
+    pipes around it: [answer] handles one message — a [Done] for every
+    job, nothing for [Delta_close] — and [sign_off] flushes the engine
+    and returns the [Bye]. The forked worker loop runs it; a test can
+    drive it in-process. Delta sessions live in [sessions], keyed by
+    client id, and die with the handler: the daemon re-pins clients
+    when it respawns a slot. *)
+type handler = {
+  answer : to_worker -> from_worker option;
+  sign_off : unit -> from_worker;
+  sessions : (int, Delta.session) Hashtbl.t;
+}
+
+(* Build the engine: a failure here is the worker's [Failed]. *)
+let handler ~make_engine ~timed =
   let timing = if timed then Some (Timing.create ()) else None in
   let take_samples () =
     match timing with
@@ -97,7 +108,6 @@ let serve ~send ~make_engine ~timed rfd =
     | None -> { Timing.w_stages = []; w_ctrs = [] }
   in
   let engine = make_engine timing in
-  send Ready;
   let store = Engine.store engine in
   let sessions : (int, Delta.session) Hashtbl.t = Hashtbl.create 8 in
   (* per-job memo-counter DELTAS into the timing sink: [take_samples]
@@ -125,7 +135,7 @@ let serve ~send ~make_engine ~timed rfd =
     else None
   in
   let finish ~token ~report ~patch =
-    send
+    Some
       (Done
          {
            token;
@@ -136,6 +146,60 @@ let serve ~send ~make_engine ~timed rfd =
            degraded = Cert_store.degraded store;
          })
   in
+  let answer = function
+    | Quit -> None
+    | Job { token; job; deadline_ms } ->
+        let report =
+          with_memo_counters (fun () ->
+              Engine.run_job ?retry:(retry_of deadline_ms) engine job)
+        in
+        finish ~token ~report ~patch:None
+    | Delta_close { client } ->
+        Hashtbl.remove sessions client;
+        None
+    | Delta_job { token; client; deadline_ms; op } ->
+        let retry = retry_of deadline_ms in
+        let report, info =
+          with_memo_counters (fun () ->
+              match op with
+              | Dopen job -> (
+                  match Delta.create ?retry engine job with
+                  | Ok (session, report, info) ->
+                      Hashtbl.replace sessions client session;
+                      (report, info)
+                  | Error (report, info) ->
+                      (* a failed open leaves no session to edit *)
+                      Hashtbl.remove sessions client;
+                      (report, info))
+              | Dedit { full; ops } -> (
+                  match Hashtbl.find_opt sessions client with
+                  | None -> (no_session_report, Delta.no_info "none")
+                  | Some s -> Delta.step ?retry s ~full ops))
+        in
+        finish ~token ~report ~patch:(Some (Delta.info_json info))
+  in
+  let sign_off () =
+    (* group-commit the dirty records before signing off *)
+    Engine.flush engine;
+    (match timing with
+    | Some t ->
+        List.iter
+          (fun (name, v) -> Timing.set_counter t name v)
+          (Engine.process_counters engine)
+    | None -> ());
+    Bye
+      {
+        samples = take_samples ();
+        store_stats = Cert_store.stats store;
+        degraded = Cert_store.degraded store;
+      }
+  in
+  { answer; sign_off; sessions }
+
+(* Build the engine, then serve frames until Quit/EOF and sign off. *)
+let serve ~send ~make_engine ~timed rfd =
+  let h = handler ~make_engine ~timed in
+  send Ready;
   let rec loop () =
     match Wire.read_frame rfd with
     | None | Some "" -> ()
@@ -143,54 +207,12 @@ let serve ~send ~make_engine ~timed rfd =
     | Some payload -> (
         match (Marshal.from_string payload 0 : to_worker) with
         | Quit -> ()
-        | Job { token; job; deadline_ms } ->
-            let report =
-              with_memo_counters (fun () ->
-                  Engine.run_job ?retry:(retry_of deadline_ms) engine job)
-            in
-            finish ~token ~report ~patch:None;
-            loop ()
-        | Delta_close { client } ->
-            Hashtbl.remove sessions client;
-            loop ()
-        | Delta_job { token; client; deadline_ms; op } ->
-            let retry = retry_of deadline_ms in
-            let report, info =
-              with_memo_counters (fun () ->
-                  match op with
-                  | Dopen job -> (
-                      match Delta.create ?retry engine job with
-                      | Ok (session, report, info) ->
-                          Hashtbl.replace sessions client session;
-                          (report, info)
-                      | Error (report, info) ->
-                          (* a failed open leaves no session to edit *)
-                          Hashtbl.remove sessions client;
-                          (report, info))
-                  | Dedit { full; ops } -> (
-                      match Hashtbl.find_opt sessions client with
-                      | None -> (no_session_report, Delta.no_info "none")
-                      | Some s -> Delta.step ?retry s ~full ops))
-            in
-            finish ~token ~report ~patch:(Some (Delta.info_json info));
+        | msg ->
+            Option.iter send (h.answer msg);
             loop ())
   in
   loop ();
-  (* group-commit the dirty records before signing off *)
-  Engine.flush engine;
-  (match timing with
-  | Some t ->
-      List.iter
-        (fun (name, v) -> Timing.set_counter t name v)
-        (Engine.process_counters engine)
-  | None -> ());
-  send
-    (Bye
-       {
-         samples = take_samples ();
-         store_stats = Cert_store.stats store;
-         degraded = Cert_store.degraded store;
-       })
+  send (h.sign_off ())
 
 (* The whole life of a child: it never returns into the parent's code. *)
 let child_main ~make_engine ~timed rfd wfd =

@@ -2,11 +2,13 @@
    reassembly, codec round-trips), the Timing percentile-merge edge
    cases a long-lived multi-process daemon exercises (empty sample
    sets, single-sample stages, workers that recorded nothing for a
-   stage), and end-to-end tests of the server itself — a real forked
+   stage), the protocol model ([Server_core] driven in-process against
+   a model of the protocol), and end-to-end scenarios of a real forked
    certd-server on a tmp socket: canonical output byte-identical to a
-   batch run, admission-control rejections, the live stats endpoint,
-   worker crash/respawn with single-retry semantics, and SIGTERM
-   drain.
+   batch run, admission control, the live stats endpoint, crash/respawn
+   under a fault plan, external worker kills, SIGTERM drain, garbage
+   and pre-hello frames, a delta session, the refusal table, the
+   pidfile lock and a journal across SIGKILL.
 
    Runs as its own executable; `dune build @daemon` runs it in
    isolation. *)
@@ -640,26 +642,30 @@ let daemon_stats_endpoint () =
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
-(* substring-scan an int field out of the stats JSON *)
-let json_int json field =
-  let tag = "\"" ^ field ^ "\":" in
-  let rec find i =
-    if i + String.length tag > String.length json then
-      Alcotest.failf "field %s missing from %s" field json
-    else if String.sub json i (String.length tag) = tag then begin
-      let j = ref (i + String.length tag) in
-      let start = !j in
-      while
-        !j < String.length json
-        && match json.[!j] with '0' .. '9' | '-' -> true | _ -> false
-      do
-        incr j
-      done;
-      int_of_string (String.sub json start (!j - start))
-    end
-    else find (i + 1)
+
+(* the first ["name":int] of each name in a JSON text *)
+let json_ints s =
+  let tbl = Hashtbl.create 64 and n = String.length s in
+  let rec scan i =
+    match String.index_from_opt s i '"' with
+    | None -> ()
+    | Some a ->
+        Option.iter
+          (fun b ->
+            let j = ref (b + 2) in
+            while !j < n && (s.[!j] = '-' || (s.[!j] >= '0' && s.[!j] <= '9')) do incr j done;
+            let k = String.sub s (a + 1) (b - a - 1) in
+            if b + 1 < n && s.[b + 1] = ':' && !j > b + 2 && not (Hashtbl.mem tbl k) then
+              Hashtbl.add tbl k (int_of_string (String.sub s (b + 2) (!j - b - 2)));
+            scan (b + 1))
+          (String.index_from_opt s (a + 1) '"')
   in
-  find 0
+  scan 0;
+  tbl
+let json_int json field =
+  match Hashtbl.find_opt (json_ints json) field with
+  | Some v -> v
+  | None -> Alcotest.failf "field %s missing from %s" field json
 
 let daemon_crash_respawn () =
   with_temp_dir (fun dir ->
@@ -1296,6 +1302,715 @@ let daemon_store_counters_survive_death () =
           | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)));
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
+(* ---------------------------------------------------------------- *)
+(* the protocol model: Server_core driven in-process                 *)
+
+(* [Server_core] is the daemon with its I/O cut away, so this test
+   plays the shell: it feeds generated events to the core and runs its
+   actions as [Server] does, with each worker simulated in-process by
+   the real [Worker.handler] over a memory-only [Engine]. Beside the
+   core runs a model of the protocol over plain lists. After every
+   step, the replies, journal appends, closes, spawns and warnings the
+   model predicts must equal the core's, in order; each job the core
+   sends must be the one the dispatch rules pick; no idle worker may
+   be left beside work it could run; and the model's counters must
+   equal the stats endpoint's. At quiescence [submitted = completed +
+   dropped], nothing waits, and a worker holds a session only for a
+   live client pinned to it. *)
+
+module Core = Lcp_service.Server_core
+module Worker = Lcp_service.Worker
+module Journal = Lcp_service.Journal
+module Cert_store = Lcp_service.Cert_store
+
+let broken fmt = Printf.ksprintf failwith fmt
+
+(* a journal directory in memory, so that a trace can restart the
+   daemon on it; [fault] fails the next append *)
+let mem_io fault : Blob.t =
+  let files = Hashtbl.create 4 and dirs = Hashtbl.create 2 in
+  let read p = try Hashtbl.find files p with Not_found -> raise (Sys_error p) in
+  let append p s =
+    if !fault then (fault := false; raise (Sys_error (p ^ ": No space left on device")));
+    Hashtbl.replace files p ((try read p with Sys_error _ -> "") ^ s)
+  in
+  { Blob.read_file = read; write_file = Hashtbl.replace files; append_file = append;
+    sync = ignore; rename = (fun a b -> Hashtbl.replace files b (read a); Hashtbl.remove files a);
+    remove = Hashtbl.remove files; list_dir = (fun _ -> [||]);
+    mkdir = (fun d -> Hashtbl.replace dirs d ());
+    file_exists = (fun p -> Hashtbl.mem files p || Hashtbl.mem dirs p);
+    is_directory = Hashtbl.mem dirs; mtime = (fun _ -> 0.0); touch = ignore }
+
+type req =
+  | Submit of int  (** a line of [lines] *)
+  | Open of int * int  (** a sid of [sids], a line *)
+  | Resume of int
+  | Edit of int * bool  (** an edit of [ops], full *)
+  | Resend  (** the client's last edit serial again *)
+  | Gap  (** an edit serial two past the next *)
+  | Ping | Stats | Shutdown
+
+type cmd =
+  | Connect of bool  (** and say hello *)
+  | Hello of int * bool  (** a client, the right version *)
+  | Req of int * req
+  | Garbage of int
+  | Hangup of int * bool  (** a client, with a clean EOF *)
+  | Work of int  (** a slot says Ready, or answers its next frame *)
+  | Pump of int  (** a slot's frames fully leave the parent *)
+  | Kill of int
+  | Fail_start of int  (** a slot that is not yet ready fails to start *)
+  | Jfault  (** the next journal append fails *)
+  | Drain
+  | Restart  (** SIGKILL the daemon, start it again on its journal *)
+
+let lines =
+  [| "id=ma gen=path n=5 property=connected k=2 seed=1";
+     "id=mb gen=cycle n=6 property=bipartite k=2 seed=2";
+     "id=mc gen=star n=5 property=acyclic k=2 seed=3"; "nonsense"; "";
+     "id=ma gen=path n=5 property=connected k=2 seed=1\nid=mc gen=star n=5 property=acyclic k=2 seed=3" |]
+
+let sids = [| "s0"; "s1" |]
+let ops = [| "add=0-2"; "del=0-1"; "add=0-1"; ""; "frob=1-2" |]
+
+let show_cmd =
+  let p = Printf.sprintf in
+  function
+  | Connect b -> if b then "connect" else "connect (no hello)"
+  | Hello (c, ok) -> p "c%d hello %s" c (if ok then "ok" else "wrong")
+  | Req (c, r) -> p "c%d %s" c (match r with
+      | Submit l -> p "submit %S" lines.(l)
+      | Open (s, l) -> p "dopen %s %S" sids.(s) lines.(l)
+      | Resume s -> "resume " ^ sids.(s)
+      | Edit (o, full) -> p "dedit %S%s" ops.(o) (if full then " full" else "")
+      | Resend -> "dedit (resend)" | Gap -> "dedit (gap)"
+      | Ping -> "ping" | Stats -> "stats" | Shutdown -> "shutdown")
+  | Garbage c -> p "c%d garbage" c
+  | Hangup (c, eof) -> p "c%d %s" c (if eof then "eof" else "abandon")
+  | Work s -> p "w%d work" s | Pump s -> p "w%d pump" s | Kill s -> p "w%d kill" s
+  | Fail_start s -> p "w%d fail-start" s
+  | Jfault -> "journal fault" | Drain -> "drain" | Restart -> "restart"
+
+(* -- the model -- *)
+
+type mjob = {
+  uid : float;  (** the request's deadline, which names it in a [Send] *)
+  owner : int;
+  serial : int;
+  job : Manifest.job;  (** for an edit, the session's base *)
+  kind : [ `Submit | `Open | `Edit of bool * string ];
+  sid : string option;
+  line : string;
+  expect : string option;  (** a resume rebuild: the journaled line *)
+  mutable retried : bool;
+}
+
+type mclient = {
+  id : int;
+  mutable hello : bool;
+  mutable closing : bool;
+  mutable q : mjob list;
+  mutable slot : int option;
+  mutable base : Manifest.job option;
+  mutable sid : string option;
+}
+
+type mslot = { mutable live : bool; mutable ready : bool; mutable busy : mjob option;
+               mutable deaths : int; mutable stopped : bool }
+
+type model = {
+  qcap : int;
+  ccap : int;
+  journal : Journal.t option;  (** read, as the core reads it *)
+  slots : mslot array;
+  mutable clients : mclient list;  (** newest first, as the core keeps them *)
+  mutable retry : mjob list;
+  mutable rr : int;
+  mutable draining : bool;
+  mutable quitting : int list;
+  n : (string, int) Hashtbl.t;  (** counters by their stats-endpoint name *)
+  mutable want : Core.action list;  (** this step's, newest first *)
+}
+
+let get m k = Option.value ~default:0 (Hashtbl.find_opt m.n k)
+let bump m k = Hashtbl.replace m.n k (get m k + 1)
+let want m a = m.want <- a :: m.want
+let find m id = List.find_opt (fun c -> c.id = id) m.clients
+let reply m c r = want m (Core.Reply (c.id, r))
+let err m c serial reason = reply m c (Wire.Err { serial; reason })
+let depth m = List.fold_left (fun a c -> a + List.length c.q) (List.length m.retry) m.clients
+let drop m j = if j.expect = None then bump m "dropped"
+
+let dreport serial (r : Journal.reply) =
+  Wire.Dreport { serial; id = r.r_id; status = r.r_status; json = r.r_json;
+                 canonical = r.r_canonical; patch = r.r_patch }
+
+let finish m j (r : Stats.job_report) patch =
+  match j.expect with
+  | Some e ->
+      bump m "rebuilt_steps";
+      if e <> Stats.to_canonical_json r then bump m "resume_mismatch"
+  | None -> (
+      bump m "completed";
+      List.iter (bump m)
+        (match r.r_status with
+        | Served_fresh | Served_cached -> [ "served" ]
+        | Served_degraded -> [ "served"; "served_degraded" ]
+        | Declined -> [ "declined" ] | Input_error _ -> [ "input_error" ]
+        | Unsound _ -> [ "unsound" ] | Failed _ -> [ "failed" ]);
+      let s = { Journal.r_id = r.r_id; r_status = Stats.status_name r.r_status;
+                r_json = Stats.to_json r; r_canonical = Stats.to_canonical_json r; r_patch = patch } in
+      (match (m.journal, j.sid, j.kind) with
+      | Some _, Some sid, `Open ->
+          want m (Core.Journal (Opened { sid; serial = j.serial; line = j.line; reply = s }))
+      | Some _, Some sid, `Edit (full, ops) ->
+          want m (Core.Journal (Stepped { sid; serial = j.serial; full; ops; reply = s }))
+      | _ -> ());
+      match (find m j.owner, j.kind) with
+      | None, _ -> ()
+      | Some c, `Submit ->
+          reply m c (Wire.Report { serial = j.serial; id = s.r_id; status = s.r_status;
+                                   json = s.r_json; canonical = s.r_canonical })
+      | Some c, _ -> reply m c (dreport j.serial s))
+
+(* a parent-made failure; a rebuild has no report to check, so none *)
+let fail m j msg =
+  if j.expect = None then
+    finish m j
+      { Stats.r_id = j.job.job_id; r_property = j.job.property; r_k = j.job.k; r_n = 0;
+        r_m = 0; r_status = Failed msg; r_cache_hit = false; r_prove_ms = 0.0;
+        r_verify_ms = 0.0; r_total_ms = 0.0; r_label_bits = 0; r_bundle_bits = 0;
+        r_reject_reasons = []; r_retries = 1 }
+      "{}"
+
+(* dispatch: the first retry the slot may run, else round-robin over
+   the queue heads it may run *)
+let pick m s =
+  let eligible j =
+    match j.kind with
+    | `Edit _ -> Option.bind (find m j.owner) (fun c -> c.slot) = Some s
+    | _ -> true
+  in
+  match List.find_opt eligible m.retry with
+  | Some j -> Some j
+  | None -> (
+      let heads = List.filter (fun c -> c.q <> [] && eligible (List.hd c.q)) m.clients in
+      let heads = List.sort (fun a b -> compare a.id b.id) heads in
+      match (List.find_opt (fun c -> c.id > m.rr) heads, heads) with
+      | Some c, _ | None, c :: _ -> Some (List.hd c.q)
+      | None, [] -> None)
+
+let on_send m s msg =
+  let w = m.slots.(s) in
+  let is j = match (msg, j.kind) with
+    | Worker.Job { deadline_ms; _ }, `Submit -> deadline_ms = j.uid
+    | Worker.Delta_job { client; deadline_ms; op; _ }, k -> (
+        client = j.owner && deadline_ms = j.uid
+        && match (op, k) with
+           | Worker.Dopen _, `Open -> true
+           | Worker.Dedit { full; ops }, `Edit (f, o) -> full = f && ops = o
+           | _ -> false)
+    | _ -> false
+  in
+  match msg with
+  | Worker.Quit when List.mem s m.quitting -> m.quitting <- List.filter (( <> ) s) m.quitting
+  | Worker.Delta_close _ when w.live -> ()
+  | _ -> (
+      match pick m s with
+      | Some j when w.live && w.ready && w.busy = None && is j ->
+          if List.memq j m.retry then m.retry <- List.filter (( != ) j) m.retry
+          else Option.iter (fun c -> c.q <- List.tl c.q; m.rr <- c.id) (find m j.owner);
+          w.busy <- Some j;
+          if j.kind = `Open then Option.iter (fun c -> c.slot <- Some s) (find m j.owner)
+      | _ -> broken "slot %d was sent a message the rules do not allow" s)
+
+let hang_up m c reason =
+  bump m "bad_hello";
+  c.closing <- true;
+  err m c (-1) reason;
+  want m (Core.Close c.id)
+
+let admitted m c serial =
+  let refuse k fmt =
+    Printf.ksprintf (fun reason -> bump m k; reply m c (Wire.Overloaded { serial; reason }); false) fmt
+  in
+  if m.draining then refuse "rejected_overload" "server is draining"
+  else if depth m >= m.qcap then refuse "rejected_overload" "admission queue full (cap %d)" m.qcap
+  else if List.length c.q >= m.ccap then refuse "rejected_quota" "client quota exceeded (cap %d)" m.ccap
+  else true
+
+let parse m c serial line =
+  match Manifest.parse line with
+  | Ok [ j ] -> Some j
+  | r ->
+      bump m "parse_errors";
+      err m c serial (match r with Error e -> e | Ok [] -> "no job in submission"
+                                 | Ok _ -> "a submission is exactly one job line");
+      None
+
+let enqueue m c j =
+  if j.expect = None then bump m "submitted";
+  c.q <- c.q @ [ j ];
+  Hashtbl.replace m.n "max_depth" (max (depth m) (get m "max_depth"))
+
+let drain m = if not m.draining then (m.draining <- true; want m Core.Stop_listening)
+
+let request m c payload =
+  let job ?sid ?(line = "") ?expect ~serial ~uid job kind =
+    { uid; owner = c.id; serial; job; kind; sid; line; expect; retried = false }
+  in
+  let v = Wire.protocol_version in
+  match Wire.decode_request payload with
+  | Error e -> if c.hello then err m c (-1) e else hang_up m c e
+  | Ok (Hello { version }) when version = v -> c.hello <- true; reply m c (Wire.Hello_ok { version })
+  | Ok (Hello { version }) ->
+      hang_up m c (Printf.sprintf "protocol version mismatch: client speaks %d, server speaks %d" version v)
+  | Ok _ when not c.hello ->
+      hang_up m c (Printf.sprintf "expected hello (this server speaks protocol version %d); upgrade the client" v)
+  | Ok Ping -> reply m c Wire.Pong
+  | Ok Stats_req -> reply m c (Wire.Stats_reply "")
+  | Ok Shutdown -> reply m c Wire.Pong; drain m
+  | Ok (Submit { serial; deadline_ms = uid; line; _ }) ->
+      if admitted m c serial then
+        Option.iter (fun j -> enqueue m c (job ~serial ~uid j `Submit)) (parse m c serial line)
+  | Ok (Delta_open { serial; deadline_ms = uid; sid; resume; line }) -> (
+      if resume && m.journal = None then
+        err m c serial "resume unavailable: the server runs without a journal"
+      else if List.exists (fun c' -> c'.id <> c.id && c'.sid = Some sid) m.clients then
+        err m c serial (Printf.sprintf "session %s busy: another client holds it" sid)
+      else if admitted m c serial then
+        match Option.map (fun jr -> Journal.find jr sid) m.journal with
+        | Some None when resume ->
+            err m c serial (Printf.sprintf "unknown session %s: nothing to resume" sid)
+        | Some (Some z) when resume ->
+            let base = List.hd (Result.get_ok (Manifest.parse z.z_line)) in
+            c.sid <- Some sid; c.base <- Some base;
+            bump m "resumed";
+            reply m c (dreport serial z.z_open);
+            let rebuild kind (r : Journal.reply) =
+              enqueue m c (job ~sid ~line:z.z_line ~expect:r.r_canonical ~serial:(-1) ~uid base kind)
+            in
+            rebuild `Open z.z_open;
+            List.iter (fun (p : Journal.step) -> rebuild (`Edit (p.p_full, p.p_ops)) p.p_reply)
+              (List.rev z.z_steps)
+        | _ ->
+            Option.iter
+              (fun j ->
+                c.base <- Some j; c.sid <- Some sid;
+                enqueue m c (job ~sid ~line ~serial ~uid j `Open))
+              (parse m c serial line))
+  | Ok (Delta_edit { serial; deadline_ms = uid; full; ops }) -> (
+      let z = match (m.journal, c.sid) with
+        | Some jr, Some sid -> Option.map (fun z -> (jr, z)) (Journal.find jr sid) | _ -> None in
+      match (c.base, z) with
+      | None, _ -> err m c serial "no delta session open; send a dopen first"
+      | Some _, Some (jr, z) when serial >= 1 && serial <= z.z_applied -> (
+          match Journal.reply_for jr ~sid:z.z_sid ~serial with
+          | Some r -> bump m "dedup_served"; reply m c (dreport serial r)
+          | None -> err m c serial "edit already applied but its reply has been compacted out of the journal")
+      | Some _, Some (_, z) when serial > z.z_applied + 1 ->
+          err m c serial
+            (Printf.sprintf "serial gap: expected %d, got %d — an edit was lost in flight"
+               (z.z_applied + 1) serial)
+      | Some base, _ ->
+          if admitted m c serial then enqueue m c (job ?sid:c.sid ~serial ~uid base (`Edit (full, ops))))
+
+let session_lost = "delta session lost with its worker; reopen"
+
+let died m s ~delivered =
+  let w = m.slots.(s) in
+  w.live <- false;
+  Option.iter
+    (fun j ->
+      w.busy <- None;
+      if find m j.owner = None then drop m j
+      else if not delivered then m.retry <- m.retry @ [ j ]
+      else if j.kind <> `Open && j.kind <> `Submit then fail m j session_lost
+      else if j.retried then
+        fail m j (Printf.sprintf "worker died twice running this job (last in slot %d)" s)
+      else (j.retried <- true; bump m "requeued"; m.retry <- m.retry @ [ j ]))
+    w.busy;
+  let pending_open cid = List.exists (fun j -> j.owner = cid && j.kind = `Open) m.retry in
+  let orphan j = match j.kind with `Edit _ -> fail m j session_lost; false | _ -> true in
+  List.iter
+    (fun c ->
+      if c.slot = Some s then begin
+        c.slot <- None;
+        if not (pending_open c.id) then begin
+          (* the edits before the client's next open, if any, are lost *)
+          let rec split = function
+            | j :: rest when j.kind <> `Open -> let a, b = split rest in (j :: a, b)
+            | rest -> ([], rest)
+          in
+          let before, after = split c.q in
+          c.q <- List.filter orphan before @ after;
+          if not (List.exists (fun j -> j.kind = `Open) c.q) then c.base <- None
+        end
+      end)
+    m.clients;
+  m.retry <-
+    List.filter
+      (fun j -> match find m j.owner with
+         | Some c when c.slot = None && not (pending_open c.id) -> orphan j
+         | _ -> true)
+      m.retry;
+  if not w.ready then (w.deaths <- w.deaths + 1; w.stopped <- w.deaths >= 3);
+  if not w.stopped then begin
+    bump m "restarts";
+    w.live <- true;
+    w.ready <- false;
+    want m (Core.Spawn s)
+  end
+
+let model_event m ev =
+  (match ev with
+  | Core.Tick _ | From_worker (_, (Crashed _ | Bye _)) -> ()
+  | Connected id ->
+      m.clients <- { id; hello = false; closing = false; q = []; slot = None; base = None;
+                     sid = None } :: m.clients
+  | Frame (id, p) -> Option.iter (fun c -> if not c.closing then request m c p) (find m id)
+  | Gone { client; eof } ->
+      Option.iter
+        (fun c ->
+          (match (eof, c.sid, m.journal) with
+          | true, Some sid, Some jr when Journal.find jr sid <> None ->
+              want m (Core.Journal (Closed { sid }))
+          | _ -> ());
+          m.clients <- List.filter (fun c' -> c'.id <> client) m.clients;
+          List.iter (drop m) (c.q @ List.filter (fun j -> j.owner = client) m.retry);
+          m.retry <- List.filter (fun j -> j.owner <> client) m.retry)
+        (find m client)
+  | From_worker (s, Ready) -> m.slots.(s).ready <- true; m.slots.(s).deaths <- 0
+  | From_worker (s, Done { report; patch; _ }) ->
+      let j = Option.get m.slots.(s).busy in
+      m.slots.(s).busy <- None;
+      finish m j report (Option.value ~default:"{}" patch)
+  | From_worker (s, Failed msg) ->
+      want m (Core.Warn (Printf.sprintf "certd-server worker %d: cannot start: %s" s msg))
+  | Worker_eof { slot; delivered } -> died m slot ~delivered
+  | Drain -> drain m
+  | Journal_failed _ -> bump m "journal_errors"
+  | Finish ->
+      Array.iteri (fun s w -> if w.live then (m.quitting <- s :: m.quitting; w.live <- false)) m.slots);
+  (* with every slot stopped, whatever waits fails at once *)
+  if Array.for_all (fun w -> w.stopped) m.slots then begin
+    List.iter (fun j -> fail m j "no live workers remain") m.retry;
+    List.iter (fun c -> List.iter (fun j -> fail m j "no live workers remain") c.q; c.q <- []) m.clients;
+    m.retry <- []
+  end
+
+(* -- the harness: the shell's part, played in-process -- *)
+
+type slot = {
+  mutable h : Worker.handler option;  (** the live incarnation *)
+  pipe : Worker.to_worker Queue.t;  (** sent, not yet answered *)
+  mutable said_ready : bool;
+  mutable delivered : bool;  (** the last job frame fully left *)
+  mutable store : Cert_store.stats option;  (** as of its last [Done] *)
+}
+
+type sim = {
+  cfg : int * int * int * bool;  (** workers, queue cap, client cap, journal *)
+  io : Blob.t;
+  fault : bool ref;
+  ws : slot array;
+  mutable core : Core.t option;  (** both set by [boot] *)
+  mutable m : model option;
+  mutable conns : int list;  (** open connections, oldest first *)
+  serials : (int, int ref * int ref) Hashtbl.t;  (** next submit, next edit *)
+  mutable next_id : int;
+  mutable uid : float;
+  mutable retired : Cert_store.stats;
+}
+
+let seen = Hashtbl.create 32
+
+let action_key = function
+  | Core.Reply (c, Wire.Stats_reply _) -> Printf.sprintf "reply %d stats" c
+  | Reply (c, r) -> Printf.sprintf "reply %d %s" c (Wire.encode_response r)
+  | Close c -> Printf.sprintf "close %d" c
+  | Spawn s -> Printf.sprintf "spawn %d" s
+  | Journal r -> "journal " ^ Journal.encode_record r
+  | Stop_listening -> "stop listening"
+  | Warn s -> "warn " ^ s
+  | Send _ | Log _ -> ""
+
+let event_name = function
+  | Core.Tick _ -> "Tick" | Connected _ -> "Connected" | Frame _ -> "Frame" | Gone _ -> "Gone"
+  | From_worker _ -> "From_worker" | Worker_eof _ -> "Worker_eof" | Drain -> "Drain"
+  | Journal_failed _ -> "Journal_failed" | Finish -> "Finish"
+
+let action_name = function
+  | Core.Reply _ -> "Reply" | Close _ -> "Close" | Send _ -> "Send" | Spawn _ -> "Spawn"
+  | Journal _ -> "Journal" | Stop_listening -> "Stop_listening" | Log _ -> "Log" | Warn _ -> "Warn"
+
+let core x = Option.get x.core
+let model x = Option.get x.m
+
+let compare_counters x =
+  let got = json_ints (Core.stats_json (core x)) and m = model x in
+  let store = Array.fold_left (fun a w -> Option.fold ~none:a ~some:(Cert_store.add_stats a) w.store) x.retired x.ws in
+  let count p = Array.fold_left (fun n w -> if p w then n + 1 else n) 0 m.slots in
+  List.iter
+    (fun (k, v) ->
+      if Hashtbl.find got k <> v then broken "stats %s: the core says %d, the model %d" k (Hashtbl.find got k) v)
+    ([ ("depth", depth m); ("inflight", count (fun w -> w.busy <> None)); ("live", count (fun w -> w.live));
+       ("stopped", count (fun w -> w.stopped)); ("hits", store.hits); ("misses", store.misses);
+       ("insertions", store.insertions) ]
+    @ List.map (fun k -> (k, get m k))
+        [ "submitted"; "completed"; "served"; "served_degraded"; "declined"; "failed"; "input_error";
+          "unsound"; "requeued"; "dropped"; "rejected_overload"; "rejected_quota"; "parse_errors";
+          "restarts"; "max_depth"; "resumed"; "rebuilt_steps"; "resume_mismatch"; "dedup_served";
+          "journal_errors"; "bad_hello" ])
+
+let spawn x s =
+  let w = x.ws.(s) in
+  w.h <- Some (Worker.handler ~timed:false ~make_engine:(fun timing -> Engine.create ?timing ()));
+  Queue.clear w.pipe;
+  w.said_ready <- false;
+  w.delivered <- true;
+  w.store <- None
+
+(* one step: the core and the model take the event, they must agree,
+   then the actions run as the shell runs them *)
+let rec feed x ev =
+  let m = model x in
+  m.want <- [];
+  let acts = Core.step (core x) ev in
+  model_event m ev;
+  Hashtbl.replace seen (event_name ev) ();
+  List.iter
+    (fun a ->
+      Hashtbl.replace seen (action_name a) ();
+      match a with Core.Send (s, msg) -> on_send m s msg | _ -> ())
+    acts;
+  let keys l = List.filter (( <> ) "") (List.map action_key l) in
+  if keys acts <> keys (List.rev m.want) then
+    broken "on %s the core did\n  %s\nbut the model expects\n  %s" (event_name ev)
+      (String.concat "\n  " (keys acts)) (String.concat "\n  " (keys (List.rev m.want)));
+  if m.quitting <> [] then broken "a live slot was not dismissed";
+  Array.iteri
+    (fun s w -> if w.live && w.ready && w.busy = None && pick m s <> None then broken "slot %d idles beside work" s)
+    m.slots;
+  compare_counters x;
+  let later = ref [] in
+  List.iter
+    (function
+      | Core.Close c ->
+          x.conns <- List.filter (( <> ) c) x.conns;
+          later := Core.Gone { client = c; eof = false } :: !later
+      | Send (s, msg) ->
+          let w = x.ws.(s) in
+          if w.h <> None then Queue.push msg w.pipe;
+          (match msg with Worker.Job _ | Delta_job _ -> w.delivered <- false | _ -> ())
+      | Spawn s -> spawn x s
+      | Journal r -> (
+          try Journal.append (Option.get m.journal) r
+          with Sys_error e -> later := Core.Journal_failed e :: !later)
+      | Reply _ | Stop_listening | Log _ | Warn _ -> ())
+    acts;
+  List.iter (feed x) (List.rev !later)
+
+(* a daemon start: a core on the journal the last one left, beside
+   the model of a fresh daemon *)
+let boot x =
+  let workers, queue_cap, client_cap, journaled = x.cfg in
+  let journal =
+    if journaled then Some (Journal.create ~io:x.io ~fsync:`Never ~checkpoint_every:8 ~dir:"j" ())
+    else None
+  in
+  let core, acts = Core.create ~workers ~queue_cap ~client_cap ~verbose:true ~journal ~now:0.0 in
+  let slot () = { live = true; ready = false; busy = None; deaths = 0; stopped = false } in
+  x.core <- Some core;
+  x.m <- Some { qcap = queue_cap; ccap = client_cap; journal; slots = Array.init workers (fun _ -> slot ());
+                clients = []; retry = []; rr = -1; draining = false; quitting = [];
+                n = Hashtbl.create 32; want = [] };
+  x.conns <- [];
+  Hashtbl.reset x.serials;
+  x.next_id <- 0;
+  x.retired <- Cert_store.zero_stats ();
+  List.iter (function Core.Spawn s -> spawn x s | _ -> ()) acts
+
+(* a slot dies: its pipe, sessions and process go, and the shell says
+   whether the in-flight job's frame had left *)
+let kill x s =
+  let w = x.ws.(s) in
+  if w.h <> None then begin
+    w.h <- None;
+    Queue.clear w.pipe;
+    Option.iter (fun st -> x.retired <- Cert_store.add_stats x.retired st) w.store;
+    w.store <- None;
+    feed x (Core.Worker_eof { slot = s; delivered = w.delivered })
+  end
+
+let work x s =
+  let w = x.ws.(s) in
+  match w.h with
+  | None -> ()
+  | Some _ when not w.said_ready ->
+      w.said_ready <- true;
+      feed x (Core.From_worker (s, Worker.Ready))
+  | Some h -> (
+      w.delivered <- true;
+      match Option.bind (Queue.take_opt w.pipe) h.answer with
+      | Some (Worker.Done d as msg) ->
+          w.store <- Some d.store_stats;
+          feed x (Core.From_worker (s, msg))
+      | _ -> ())
+
+let settle x =
+  let pending w = w.h <> None && ((not w.said_ready) || not (Queue.is_empty w.pipe)) in
+  while Array.exists pending x.ws do
+    Array.iteri (fun s _ -> work x s) x.ws
+  done
+
+let frame x id r =
+  let next, edit = Hashtbl.find x.serials id in
+  x.uid <- x.uid +. 1.0;
+  let deadline_ms = x.uid in
+  let dedit serial ops full = Wire.Delta_edit { serial; deadline_ms; full; ops } in
+  let dopen sid resume line = Wire.Delta_open { serial = 0; deadline_ms; sid; resume; line } in
+  match r with
+  | Submit l -> incr next; Wire.Submit { serial = !next; canonical = true; deadline_ms; line = lines.(l) }
+  | Open (s, l) -> edit := 1; dopen sids.(s) false lines.(l)
+  | Resume s -> dopen sids.(s) true ""
+  | Edit (o, full) -> incr edit; dedit (!edit - 1) ops.(o) full
+  | Resend -> dedit (max 1 (!edit - 1)) ops.(0) false
+  | Gap -> dedit (!edit + 2) ops.(0) false
+  | Ping -> Wire.Ping | Stats -> Wire.Stats_req | Shutdown -> Wire.Shutdown
+
+let run_cmd x cmd =
+  let slot s = s mod Array.length x.ws in
+  let to_client i f =
+    match x.conns with [] -> () | l -> let id = List.nth l (i mod List.length l) in feed x (Core.Frame (id, f id))
+  in
+  let hello ok _ = Wire.encode_request (Wire.Hello { version = Wire.protocol_version + if ok then 0 else 1 }) in
+  (match cmd with
+  | Connect greet ->
+      let id = x.next_id in
+      x.next_id <- id + 1;
+      x.conns <- x.conns @ [ id ];
+      Hashtbl.replace x.serials id (ref 1000, ref 1);
+      feed x (Core.Connected id);
+      if greet then to_client (List.length x.conns - 1) (hello true)
+  | Hello (i, ok) -> to_client i (hello ok)
+  | Req (i, r) -> to_client i (fun id -> Wire.encode_request (frame x id r))
+  | Garbage i -> to_client i (fun _ -> "frobnicate 7")
+  | Hangup (i, eof) -> (
+      match x.conns with
+      | [] -> ()
+      | l ->
+          let id = List.nth l (i mod List.length l) in
+          x.conns <- List.filter (( <> ) id) x.conns;
+          feed x (Core.Gone { client = id; eof }))
+  | Work s -> work x (slot s)
+  | Pump s -> x.ws.(slot s).delivered <- true
+  | Kill s -> kill x (slot s)
+  | Fail_start s ->
+      if x.ws.(slot s).h <> None && not x.ws.(slot s).said_ready then begin
+        feed x (Core.From_worker (slot s, Worker.Failed "cannot create the cache"));
+        kill x (slot s)
+      end
+  | Jfault -> x.fault := true
+  | Drain -> feed x Core.Drain
+  | Restart ->
+      (* SIGKILL: every worker and connection dies with the daemon *)
+      Array.iter (fun w -> w.h <- None) x.ws;
+      boot x);
+  feed x (Core.Tick 0.0)
+
+(* a whole trace, quiescence, then a drain to the end *)
+let run_trace (((workers, _, _, _) as cfg), cmds) =
+  let fault = ref false in
+  let x =
+    { cfg; io = mem_io fault; fault; core = None; m = None; conns = []; serials = Hashtbl.create 8;
+      next_id = 0; uid = 1e6; retired = Cert_store.zero_stats ();
+      ws = Array.init workers (fun _ ->
+          { h = None; pipe = Queue.create (); said_ready = false; delivered = true; store = None }) }
+  in
+  boot x;
+  List.iter (run_cmd x) cmds;
+  settle x;
+  let got = Hashtbl.find (json_ints (Core.stats_json (core x))) in
+  if got "submitted" <> got "completed" + got "dropped" then
+    broken "idle, with submitted %d <> completed %d + dropped %d" (got "submitted") (got "completed")
+      (got "dropped");
+  if got "depth" + got "inflight" > 0 then broken "idle, with work waiting";
+  Array.iteri
+    (fun s w ->
+      Option.iter
+        (fun (h : Worker.handler) ->
+          Hashtbl.iter
+            (fun cid _ ->
+              if Option.bind (find (model x) cid) (fun c -> c.slot) <> Some s then
+                broken "slot %d holds a session for client %d, gone or pinned elsewhere" s cid)
+            h.sessions)
+        w.h)
+    x.ws;
+  feed x Core.Drain;
+  settle x;
+  if not (Core.drained (core x)) then broken "the drain never finished";
+  feed x Core.Finish;
+  true
+
+let model_seed =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some s -> int_of_string s
+  | None -> Random.self_init (); Random.bits ()
+
+let model_arb =
+  let open QCheck.Gen in
+  let ci = int_bound 3 and si = int_bound 2 in
+  let req =
+    frequency
+      [ (4, map (fun l -> Submit l) (int_bound 5));
+        (3, map2 (fun s l -> Open (s, l)) (int_bound 1) (int_bound 3));
+        (2, map (fun s -> Resume s) (int_bound 1));
+        (6, map2 (fun o f -> Edit (o, f)) (int_bound 4) (frequencyl [ (4, false); (1, true) ]));
+        (1, oneofl [ Resend; Gap; Ping; Stats ]) ]
+  in
+  let cmd =
+    frequency
+      [ (8, map (fun b -> Connect b) (frequencyl [ (6, true); (1, false) ]));
+        (2, map2 (fun c ok -> Hello (c, ok)) ci bool);
+        (40, map2 (fun c r -> Req (c, r)) ci req);
+        (2, map (fun c -> Garbage c) ci);
+        (4, map2 (fun c e -> Hangup (c, e)) ci bool);
+        (36, map (fun s -> Work s) si);
+        (6, map (fun s -> Pump s) si);
+        (6, map (fun s -> Kill s) si);
+        (2, map (fun s -> Fail_start s) si);
+        (2, return Jfault);
+        (1, oneofl [ Drain; Req (0, Shutdown) ]);
+        (4, return Restart) ]
+  in
+  let cfg = quad (int_range 1 3) (int_range 1 6) (int_range 1 3) (frequencyl [ (3, true); (1, false) ]) in
+  QCheck.make
+    ~print:(fun ((w, q, cc, j), cmds) ->
+      Printf.sprintf "(replay: QCHECK_SEED=%d)\nworkers=%d queue_cap=%d client_cap=%d journal=%b\n  %s"
+        model_seed w q cc j (String.concat "\n  " (List.map show_cmd cmds)))
+    ~shrink:(fun (cfg, cmds) yield ->
+      (* drop one run of k commands, for k halving down to 1: this
+         reaches a trace from which no single command can be removed *)
+      let n = List.length cmds in
+      let k = ref (max 1 (n / 2)) in
+      while !k >= 1 do
+        for i = 0 to (n / !k) - 1 do
+          yield (cfg, List.filteri (fun j _ -> j / !k <> i) cmds)
+        done;
+        k := !k / 2
+      done)
+    (pair cfg (map (fun l -> Connect true :: l) (list_size (int_range 10 60) cmd)))
+
+let model_agrees =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| model_seed |])
+    (QCheck.Test.make ~count:2000 ~name:"protocol model: Server_core agrees" model_arb run_trace)
+
+let model_covers () =
+  List.iter
+    (fun k -> check (k ^ " exercised") true (Hashtbl.mem seen k))
+    [ "Tick"; "Connected"; "Frame"; "Gone"; "From_worker"; "Worker_eof"; "Drain"; "Journal_failed";
+      "Finish"; "Reply"; "Close"; "Send"; "Spawn"; "Journal"; "Stop_listening"; "Log"; "Warn" ]
 
 let suite =
   ( "daemon",
@@ -1312,6 +2027,8 @@ let suite =
       test "timing: partial-worker merge" timing_partial_worker_merge;
       test "timing: sharded merge = sequential" timing_merge_equals_sequential;
       test "timing: flush ships each sample once" timing_flush_discipline;
+      model_agrees;
+      test "protocol model: every event and action kind exercised" model_covers;
       test "daemon output = batch output" daemon_matches_batch;
       test "admission control refuses the excess" daemon_backpressure;
       test "live stats endpoint" daemon_stats_endpoint;
