@@ -1,6 +1,7 @@
 (* Global switches and counters for the composition memo tables living
-   inside each [Compose.Make] instance (one instance per algebra per
-   job). The tables themselves are per-instance — states of different
+   inside each [Compose.Make] instance and the group-check memo inside
+   each [Verifier.Make] instance (one instance per algebra per job).
+   The tables themselves are per-instance — states of different
    algebras must never share a table — but the counters aggregate
    globally so the service layer can report one hit/miss line per run. *)
 
@@ -21,6 +22,12 @@ let intern_misses = ref 0
    disabling memoization. *)
 let key_fallbacks = ref 0
 
+(* the verifier's group-check memo (see [Verifier.Make]): a hit is a
+   hierarchy node whose pure sub-checks this instance has already
+   passed on the very same frame value *)
+let group_hits = ref 0
+let group_misses = ref 0
+
 let counters () =
   [
     ("memo_hit", !hits);
@@ -28,6 +35,8 @@ let counters () =
     ("intern_hit", !intern_hits);
     ("intern_miss", !intern_misses);
     ("memo_key_fallback", !key_fallbacks);
+    ("group_hit", !group_hits);
+    ("group_miss", !group_misses);
   ]
 
 let reset_counters () =
@@ -35,4 +44,6 @@ let reset_counters () =
   misses := 0;
   intern_hits := 0;
   intern_misses := 0;
-  key_fallbacks := 0
+  key_fallbacks := 0;
+  group_hits := 0;
+  group_misses := 0

@@ -6,14 +6,20 @@
     algebra treats identically to what recomputation would produce, and
     encoded certificates are byte-identical with the memo on or off
     (the @graphcore and @packed suites assert this across every
-    registered property). *)
+    registered property). The verifier's group-check memo keys on the
+    physical identity of immutable frame values and remembers only
+    passed checks, so its verdicts and reasons are those of the uncached
+    verifier (the @packed suite asserts it over every registered
+    property, honest and faulty labelings). *)
 
 val enabled : bool ref
 (** Toggle memoization globally (default [true]). Flipping it affects
-    [Compose.Make] instances created before or after the flip. *)
+    [Compose.Make] and [Verifier.Make] instances created before or after
+    the flip; with it off the verifier recomputes every check. *)
 
 val max_entries : int
-(** Per-instance table cap; a table at the cap is dropped wholesale. *)
+(** Per-instance table cap, for the composition memo and the verifier's
+    group-check memo alike; a table at the cap is dropped wholesale. *)
 
 val hits : int ref
 val misses : int ref
@@ -26,8 +32,16 @@ val key_fallbacks : int ref
     contract; the count is exported (as [memo_key_fallback]) so it shows
     up in [--server-stats] instead of silently disabling memoization. *)
 
+val group_hits : int ref
+(** Hierarchy nodes whose pure sub-checks the verifier skipped because
+    its instance had passed them on the same frame before (see
+    {!Verifier.Make}). *)
+
+val group_misses : int ref
+
 val counters : unit -> (string * int) list
 (** Snapshot as [(name, count)] pairs: [memo_hit], [memo_miss],
-    [intern_hit], [intern_miss], [memo_key_fallback]. *)
+    [intern_hit], [intern_miss], [memo_key_fallback], [group_hit],
+    [group_miss]. *)
 
 val reset_counters : unit -> unit

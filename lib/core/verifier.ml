@@ -216,22 +216,96 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   let multiset_eq a b = List.sort compare a = List.sort compare b
 
+  (* ---------------------------------------------------------------- *)
+  (* group-check memo                                                  *)
+
+  (* Run centrally, a hierarchy node is checked at every vertex that
+     carries one of its edges. A group's checks are of two kinds. The
+     pure sub-checks are functions of the frame's own fields: the E/P
+     member class, the f_P fold and f_B with their interface compares,
+     and the V-part classes. The per-vertex ones read [my_id] or the
+     vertex's items. [passed] remembers, per instance, the frames of
+     group checks that passed; a later check of the same frame skips
+     its pure sub-checks in place, so the first failing check and its
+     reason are the uncached verifier's. Failures are never remembered.
+     A T-group matches on its frame by physical identity. A B-group's
+     frames differ per edge, so it matches on its node, left and right
+     infos by physical identity plus the glue fields f_B reads. Frames
+     are immutable, so [==] implies equal fields. Buckets are node ids
+     holding at most [max_cands] frames, newest first: a forgery that
+     reuses one node id everywhere costs a constant per lookup. *)
+
+  let max_cands = 4
+
+  let passed : (int, A.state frame list) Hashtbl.t = Hashtbl.create 64
+
+  (* [c] is [f] as far as the pure sub-checks can tell *)
+  let same_pure f c =
+    f == c
+    ||
+    match (f, c) with
+    | ( B_frame { bnode = b1; i = i1; j = j1; left = l1, lk1; right = r1, rk1;
+                  bridge_real = br1; _ },
+        B_frame { bnode = b2; i = i2; j = j2; left = l2, lk2; right = r2, rk2;
+                  bridge_real = br2; _ } ) ->
+        b1 == b2 && l1 == l2 && r1 == r2 && i1 = i2 && j1 = j2 && lk1 = lk2
+        && rk1 = rk2 && br1 = br2
+    | _ -> false
+
+  let rec mem_pure f = function
+    | [] -> false
+    | c :: rest -> same_pure f c || mem_pure f rest
+
+  let node_of = function
+    | T_frame { member = minfo, _; _ } -> minfo.node_id
+    | B_frame { bnode; _ } -> bnode.node_id
+
+  let known f =
+    !Memo.enabled
+    &&
+    let hit =
+      match Hashtbl.find_opt passed (node_of f) with
+      | Some cs -> mem_pure f cs
+      | None -> false
+    in
+    incr (if hit then Memo.group_hits else Memo.group_misses);
+    hit
+
+  let remember f =
+    if !Memo.enabled then begin
+      (* cap check before reading a bucket, as in [Compose] *)
+      if Hashtbl.length passed >= Memo.max_entries then Hashtbl.reset passed;
+      let id = node_of f in
+      let cs = Option.value ~default:[] (Hashtbl.find_opt passed id) in
+      Hashtbl.replace passed id
+        (f :: List.filteri (fun k _ -> k < max_cands - 1) cs)
+    end
+
+  (* bucket sizes, exposed for the bound tests *)
+  let group_table_size () = Hashtbl.length passed
+
+  let group_bucket_max () =
+    Hashtbl.fold (fun _ cs m -> max m (List.length cs)) passed 0
+
   let check_t_group ~my_id ~accept_claim tgroups (g : t_group) =
     match g.tg_frame with
     | B_frame _ -> assert false
     | T_frame { member = minfo, mkind; merged; is_tree_root; member_real;
                 children } ->
+        let hit = known g.tg_frame in
         let iface = C.iface_of_info minfo in
         (* member-kind specific checks *)
         (match mkind with
         | KE ->
             if List.length member_real <> 1 then fail "E-member: bad realness mask";
             let real = List.hd member_real in
-            let st =
-              try C.e_state iface ~real
-              with Invalid_argument m -> fail "E-member: %s" m
-            in
-            if not (A.equal st minfo.state) then fail "E-member: wrong class";
+            if not hit then begin
+              let st =
+                try C.e_state iface ~real
+                with Invalid_argument m -> fail "E-member: %s" m
+              in
+              if not (A.equal st minfo.state) then fail "E-member: wrong class"
+            end;
             let a = snd (List.hd iface.C.t_in)
             and b = snd (List.hd iface.C.t_out) in
             if not (my_id = a || my_id = b) then fail
@@ -243,11 +317,13 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
                 fail "E-member: %d incident edges of a single-edge node"
                   (List.length items))
         | KP ->
-            let st =
-              try C.p_state iface ~mask:member_real
-              with Invalid_argument m -> fail "P-member: %s" m
-            in
-            if not (A.equal st minfo.state) then fail "P-member: wrong class";
+            if not hit then begin
+              let st =
+                try C.p_state iface ~mask:member_real
+                with Invalid_argument m -> fail "P-member: %s" m
+              in
+              if not (A.equal st minfo.state) then fail "P-member: wrong class"
+            end;
             let path = List.map snd iface.C.t_in in
             let len = List.length path in
             let pos =
@@ -271,20 +347,22 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
             (* class and topology checked by the B-group *)
         | KV | KT -> fail "T-group: member of invalid kind");
         (* merged class = f_P fold of member and children *)
-        let merged_state, merged_iface =
-          try
-            List.fold_left
-              (fun (sp, fp) ((_, cinfo) : int * A.state info) ->
-                C.parent
-                  ~child:(cinfo.state, C.iface_of_info cinfo)
-                  ~parent:(sp, fp))
-              (minfo.state, iface) children
-          with Invalid_argument m -> fail "Tree-merge: %s" m
-        in
-        if not (A.equal merged_state merged.state) then fail
-          "Tree-merge: claimed class differs from f_P of the parts";
-        if merged_iface <> C.iface_of_info merged then fail
-          "Tree-merge: claimed terminals differ from the merge of the parts";
+        if not hit then begin
+          let merged_state, merged_iface =
+            try
+              List.fold_left
+                (fun (sp, fp) ((_, cinfo) : int * A.state info) ->
+                  C.parent
+                    ~child:(cinfo.state, C.iface_of_info cinfo)
+                    ~parent:(sp, fp))
+                (minfo.state, iface) children
+            with Invalid_argument m -> fail "Tree-merge: %s" m
+          in
+          if not (A.equal merged_state merged.state) then fail
+            "Tree-merge: claimed class differs from f_P of the parts";
+          if merged_iface <> C.iface_of_info merged then fail
+            "Tree-merge: claimed terminals differ from the merge of the parts"
+        end;
         (* junction: children claiming me as in-terminal must be visible *)
         List.iter
           (fun ((rid, cinfo) : int * A.state info) ->
@@ -312,34 +390,40 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
           if ok <> accept_claim then fail
             "root: accept bit does not match the root class";
           if not (ok) then fail "root: the property does not hold"
-        end
+        end;
+        if not hit then remember g.tg_frame
 
   let check_b_group ~my_id tgroups (g : b_group) =
     match g.bg_frame with
     | T_frame _ -> assert false
     | B_frame { bnode; i; j; left = linfo, lkind; right = rinfo, rkind;
                 bridge_real; left_root_member; right_root_member; _ } ->
-        let lif = C.iface_of_info linfo and rif = C.iface_of_info rinfo in
+        let hit = known g.bg_frame in
         (* recompute f_B *)
-        let st, iface =
-          try C.bridge (linfo.state, lif) (rinfo.state, rif) ~i ~j
-                ~real:bridge_real
-          with Invalid_argument m -> fail "Bridge-merge: %s" m
-        in
-        if not (A.equal st bnode.state) then fail
-          "Bridge-merge: claimed class differs from f_B of the parts";
-        if iface <> C.iface_of_info bnode then fail
-          "Bridge-merge: claimed terminals differ from the merge";
+        if not hit then begin
+          let lif = C.iface_of_info linfo and rif = C.iface_of_info rinfo in
+          let st, iface =
+            try C.bridge (linfo.state, lif) (rinfo.state, rif) ~i ~j
+                  ~real:bridge_real
+            with Invalid_argument m -> fail "Bridge-merge: %s" m
+          in
+          if not (A.equal st bnode.state) then fail
+            "Bridge-merge: claimed class differs from f_B of the parts";
+          if iface <> C.iface_of_info bnode then fail
+            "Bridge-merge: claimed terminals differ from the merge"
+        end;
         (* V-node parts: class recomputation + pointer certification *)
         let check_side side_info side_kind root_member get_ptr =
           match side_kind with
           | KV -> begin
-              let vif = C.iface_of_info side_info in
-              let st =
-                try C.v_state vif
-                with Invalid_argument m -> fail "V-part: %s" m
-              in
-              if not (A.equal st side_info.state) then fail "V-part: wrong class";
+              if not hit then begin
+                let st =
+                  try C.v_state (C.iface_of_info side_info)
+                  with Invalid_argument m -> fail "V-part: %s" m
+                in
+                if not (A.equal st side_info.state) then fail
+                  "V-part: wrong class"
+              end;
               let target = snd (List.hd side_info.t_in) in
               let ptrs =
                 List.map
@@ -428,7 +512,8 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
         check_side_items `Right rinfo right_root_member;
         (* tie to the enclosing tree: the root member of a side tree must
            be visible at the in-terminals *)
-        ignore tgroups
+        ignore tgroups;
+        if not hit then remember g.bg_frame
 
   (* ---------------------------------------------------------------- *)
 

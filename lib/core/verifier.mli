@@ -20,11 +20,27 @@
       children, with junction vertices checking that claimed children
       actually attach to them;
     - vertices of the root member check that the root class is accepting,
-      and the pointer target is a root-member vertex. *)
+      and the pointer target is a root-member vertex.
+
+    Each instance keeps a group-check memo (under {!Memo.enabled}, capped
+    at {!Memo.max_entries}). A hierarchy node's {e pure} sub-checks, the
+    class recomputations and interface compares that read only the
+    frame's own fields, are skipped when the instance has already passed
+    a group check on the same frame value (physical identity of
+    immutable values); the per-vertex checks always run. Only passed
+    checks are remembered, so verdicts and reasons are those of the
+    uncached verifier. *)
 
 module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   val verify :
     max_lanes:int ->
     A.state Certificate.label Lcp_pls.Scheme.edge_view ->
     (unit, string) result
+
+  val group_table_size : unit -> int
+  (** Node ids with remembered frames in this instance's group-check
+      memo, for the cap and bound tests. *)
+
+  val group_bucket_max : unit -> int
+  (** The most frames remembered under one node id (at most 4). *)
 end

@@ -24,9 +24,19 @@ let size_bits t = t.bits
    label's standalone size: for a labeling with one entry per edge of
    [g], as a prover returns, the largest is the figure
    [Scheme.max_edge_label_bits] gets by re-encoding each label on its
-   own. *)
+   own.
+
+   Every bundle is written into [scratch], one writer kept for the
+   process, and copied out once: a fresh writer would start at 16 bytes
+   and grow by doubling, copying the stream each time. [Bitenc.reset]
+   zeroes the used prefix and bumps the writer's epoch, which also
+   empties a sharing encoder's tables, so a bundle's bytes do not depend
+   on the bundles written before it. *)
+let scratch = Bitenc.writer ~capacity:4096 ()
+
 let encode_sized ~encode_label g labels =
-  let w = Bitenc.writer () in
+  let w = scratch in
+  Bitenc.reset w;
   Bitenc.varint w (Graph.n g);
   Bitenc.varint w (Graph.m g);
   let label_bits = ref 0 in

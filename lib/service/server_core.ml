@@ -34,17 +34,20 @@
     never counted as submitted, completed or dropped.
 
     {b Durability.} With a journal, every delta-session open and edit
-    is appended {e before} its reply leaves: the [Journal] action
-    precedes the [Reply] in one step's list. A client whose connection
-    died mid-stream re-attaches with [dopen resume=1 sid]: the
-    journaled open report is served immediately, the session state is
-    rebuilt worker-side by replaying the journaled request sequence
-    through the full prove/verify discipline (every replayed canonical
-    line is checked against the journal — divergence is counted, and
-    would indicate non-determinism, never an unverified serve), and an
-    already-served edit serial is answered from the journal without
-    recomputation — exactly-once from the client's point of view. The
-    core only reads the journal; the shell appends. *)
+    a worker judged is appended {e before} its reply leaves: the
+    [Journal] action precedes the [Reply] in one step's list. A failure
+    the server makes itself (a worker died under the request, or none
+    is left) is replied but not journaled, so a resume never replays
+    it. A client whose connection died mid-stream re-attaches with
+    [dopen resume=1 sid]: the journaled open report is served
+    immediately, the session state is rebuilt worker-side by replaying
+    the journaled request sequence through the full prove/verify
+    discipline (every replayed canonical line is checked against the
+    journal — divergence is counted, and would indicate
+    non-determinism, never an unverified serve), and an already-served
+    edit serial is answered from the journal without recomputation —
+    exactly-once from the client's point of view. The core only reads
+    the journal; the shell appends. *)
 
 (* ---------------------------------------------------------------- *)
 (* events and actions                                                *)
@@ -295,7 +298,8 @@ let journal_serve t jc reply =
       emit t (Journal (Stepped { sid; serial = jc.jc_serial; full; ops; reply }))
   | _ -> ()
 
-let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
+let finish_job ?(patch = "{}") ?(journaled = true) t jc
+    (r : Stats.job_report) =
   match jc.jc_expect with
   | Some expect ->
       (* a resume-rebuild job: its only observable effect is worker-side
@@ -317,7 +321,7 @@ let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
           r_json = Stats.to_json r; r_canonical = Stats.to_canonical_json r;
           r_patch = patch }
       in
-      journal_serve t jc served;
+      if journaled then journal_serve t jc served;
       match find_client t jc.jc_client with
       | Some c ->
           reply t c
@@ -330,12 +334,15 @@ let finish_job ?(patch = "{}") t jc (r : Stats.job_report) =
       | None -> () (* the requester hung up; the judgement is dropped *))
 
 (* a parent-made terminal report: the job's worker died under it, or no
-   worker is left to run it. A rebuild job failed here produced no
-   worker report, so there is no replayed line to check: it counts as
-   neither a rebuilt step nor a divergence. *)
+   worker is left to run it. The client gets its [Failed] reply, but the
+   journal keeps served judgements only: a resume that replayed this
+   request would serve it and count a divergence that is none. A
+   rebuild job failed here produced no worker report, so there is no
+   replayed line to check: it counts as neither a rebuilt step nor a
+   divergence. *)
 let fail_job t (jc : job_ctx) msg =
   if jc.jc_expect = None then
-    finish_job t jc
+    finish_job ~journaled:false t jc
       { Stats.r_id = jc.jc_job.job_id; r_property = jc.jc_job.property;
         r_k = jc.jc_job.k; r_n = 0; r_m = 0; r_status = Failed msg;
         r_cache_hit = false; r_prove_ms = 0.0; r_verify_ms = 0.0;

@@ -1445,7 +1445,7 @@ let dreport serial (r : Journal.reply) =
   Wire.Dreport { serial; id = r.r_id; status = r.r_status; json = r.r_json;
                  canonical = r.r_canonical; patch = r.r_patch }
 
-let finish m j (r : Stats.job_report) patch =
+let finish ?(journaled = true) m j (r : Stats.job_report) patch =
   match j.expect with
   | Some e ->
       bump m "rebuilt_steps";
@@ -1460,7 +1460,7 @@ let finish m j (r : Stats.job_report) patch =
         | Unsound _ -> [ "unsound" ] | Failed _ -> [ "failed" ]);
       let s = { Journal.r_id = r.r_id; r_status = Stats.status_name r.r_status;
                 r_json = Stats.to_json r; r_canonical = Stats.to_canonical_json r; r_patch = patch } in
-      (match (m.journal, j.sid, j.kind) with
+      (match (if journaled then m.journal else None), j.sid, j.kind with
       | Some _, Some sid, `Open ->
           want m (Core.Journal (Opened { sid; serial = j.serial; line = j.line; reply = s }))
       | Some _, Some sid, `Edit (full, ops) ->
@@ -1473,10 +1473,11 @@ let finish m j (r : Stats.job_report) patch =
                                    json = s.r_json; canonical = s.r_canonical })
       | Some c, _ -> reply m c (dreport j.serial s))
 
-(* a parent-made failure; a rebuild has no report to check, so none *)
+(* a parent-made failure: replied, never journaled; a rebuild has no
+   report to check, so none *)
 let fail m j msg =
   if j.expect = None then
-    finish m j
+    finish ~journaled:false m j
       { Stats.r_id = j.job.job_id; r_property = j.job.property; r_k = j.job.k; r_n = 0;
         r_m = 0; r_status = Failed msg; r_cache_hit = false; r_prove_ms = 0.0;
         r_verify_ms = 0.0; r_total_ms = 0.0; r_label_bits = 0; r_bundle_bits = 0;
@@ -1920,7 +1921,7 @@ let run_cmd x cmd =
   feed x (Core.Tick 0.0)
 
 (* a whole trace, quiescence, then a drain to the end *)
-let run_trace (((workers, _, _, _) as cfg), cmds) =
+let play (((workers, _, _, _) as cfg), cmds) =
   let fault = ref false in
   let x =
     { cfg; io = mem_io fault; fault; core = None; m = None; conns = []; serials = Hashtbl.create 8;
@@ -1951,6 +1952,10 @@ let run_trace (((workers, _, _, _) as cfg), cmds) =
   settle x;
   if not (Core.drained (core x)) then broken "the drain never finished";
   feed x Core.Finish;
+  x
+
+let run_trace t =
+  ignore (play t);
   true
 
 let model_seed =
@@ -2006,6 +2011,40 @@ let model_agrees =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| model_seed |])
     (QCheck.Test.make ~count:2000 ~name:"protocol model: Server_core agrees" model_arb run_trace)
 
+(* A request whose worker dies under it fails in the parent. The
+   client is told, but the journal keeps served judgements only: a
+   resume that replayed the failure would serve it and count a
+   divergence that is none. Two fixed traces on a 2-worker journaled
+   daemon, restarted before the resume. *)
+let parent_failures_not_journaled () =
+  let after cmds =
+    let x = play ((2, 6, 3, true), cmds) in
+    let got = json_ints (Core.stats_json (core x)) in
+    (x, fun k -> Hashtbl.find got k)
+  in
+  (* a dopen delivered to slot 0, which dies; its retry delivered to
+     slot 1, which dies too: "worker died twice" *)
+  let x, got =
+    after
+      [ Connect true; Work 0; Req (0, Open (0, 0)); Pump 0; Kill 0; Work 1; Pump 1; Kill 1;
+        Restart; Connect true; Req (0, Resume 0) ]
+  in
+  check "failed dopen: no session journaled" true
+    (Journal.find (Option.get (model x).journal) sids.(0) = None);
+  check_int "failed dopen: resumes as an unknown sid" 0 (got "resumed");
+  check_int "failed dopen: nothing rebuilt" 0 (got "rebuilt_steps");
+  check_int "failed dopen: no mismatch" 0 (got "resume_mismatch");
+  (* an open served by slot 0, then an edit delivered to it before it
+     dies: "delta session lost" *)
+  let _, got =
+    after
+      [ Connect true; Work 0; Req (0, Open (0, 0)); Work 0; Req (0, Edit (0, false)); Pump 0;
+        Kill 0; Restart; Connect true; Req (0, Resume 0) ]
+  in
+  check_int "failed dedit: the session resumes" 1 (got "resumed");
+  check_int "failed dedit: only the served open is rebuilt" 1 (got "rebuilt_steps");
+  check_int "failed dedit: no mismatch" 0 (got "resume_mismatch")
+
 let model_covers () =
   List.iter
     (fun k -> check (k ^ " exercised") true (Hashtbl.mem seen k))
@@ -2029,6 +2068,8 @@ let suite =
       test "timing: flush ships each sample once" timing_flush_discipline;
       model_agrees;
       test "protocol model: every event and action kind exercised" model_covers;
+      test "protocol model: parent-made failures are not journaled"
+        parent_failures_not_journaled;
       test "daemon output = batch output" daemon_matches_batch;
       test "admission control refuses the excess" daemon_backpressure;
       test "live stats endpoint" daemon_stats_endpoint;

@@ -478,6 +478,221 @@ let bundles_identical () =
         families)
     (Registry.names ())
 
+(* ---------------------------------------------------------------- *)
+(* the verifier's group-check memo: the uncached verifier's outcomes   *)
+
+module Cert = Lcp_cert.Certificate
+module Fault = PLS.Fault
+
+(* the whole outcome, reasons included *)
+let show_outcome = function
+  | S.Accepted -> "accepted"
+  | S.Rejected rs ->
+      String.concat "; " (List.map (fun (v, r) -> Printf.sprintf "%d: %s" v r) rs)
+
+let with_memo on f =
+  Memo.enabled := on;
+  Fun.protect ~finally:(fun () -> Memo.enabled := true) f
+
+module Group_diff (P : Registry.PROPERTY) = struct
+  (* one instance for the whole run: warm with every labeling the
+     earlier cases verified, including their faulty ones *)
+  module Warm = Lcp_cert.Theorem1.Make (P.A)
+
+  let k = 2
+  let warm = Warm.edge_scheme ~rep:Lcp_service.Engine.default_rep ~k ()
+
+  let codec =
+    {
+      Fault.c_encode = warm.S.es_encode;
+      c_decode = Cert.decode ~decode_state:P.decode_state;
+    }
+
+  (* a fresh instance per run, as every engine job gets one *)
+  let fresh cfg labels =
+    let module T = Lcp_cert.Theorem1.Make (P.A) in
+    S.run_edge cfg (T.edge_scheme ~k ()) labels
+
+  let graph rng =
+    let n = 4 + Random.State.int rng 29 in
+    if P.A.name = "perfect_matching" && Random.State.bool rng then
+      Gen.ladder (n / 2)
+    else fst (Gen.random_pathwidth rng ~n ~k:(1 + Random.State.int rng 2) ())
+
+  (* memo off, then on in a fresh instance, then on in the warm one:
+     three identical outcomes *)
+  let agree cfg labels =
+    let off = with_memo false (fun () -> fresh cfg labels) in
+    let cold = fresh cfg labels in
+    let warm = S.run_edge cfg warm labels in
+    if off = cold && off = warm then true
+    else
+      QCheck.Test.fail_reportf "memo off: %s\ncold: %s\nwarm: %s"
+        (show_outcome off) (show_outcome cold) (show_outcome warm)
+
+  let case seed =
+    let rng = Random.State.make [| seed; 23 |] in
+    let cfg = PLS.Config.random_ids rng (graph rng) in
+    (* the labels whether or not the property holds: an honest
+       structure over a false property must reject alike *)
+    match
+      Warm.P.prepare ?rep:(Lcp_service.Engine.default_rep cfg)
+        ~max_lanes:(Warm.max_lanes_for ~k) cfg
+    with
+    | Error _ -> true
+    | Ok art ->
+        let honest = art.Warm.P.labels in
+        let g = PLS.Config.graph cfg in
+        let decode_label = Cert.decode ~decode_state:P.decode_state in
+        let bundle =
+          Result.get_ok (Bundle.encode ~encode_label:warm.S.es_encode g honest)
+        in
+        (* one flipped bit of the whole bundle, decoded by the sharing
+           decoder: the labels around the flip come back as values that
+           share the honest ones' records *)
+        let flipped () =
+          let bytes = Bytes.copy bundle.Bundle.bytes in
+          let i = Random.State.int rng bundle.Bundle.bits in
+          Bytes.set bytes (i / 8)
+            (Char.chr (Char.code (Bytes.get bytes (i / 8)) lxor (1 lsl (i mod 8))));
+          Bundle.decode ~decode_label g { bundle with Bundle.bytes }
+        in
+        agree cfg honest
+        && List.for_all
+             (fun _ ->
+               match flipped () with Error _ -> true | Ok labels -> agree cfg labels)
+             (List.init 8 Fun.id)
+        && List.for_all
+             (fun spec ->
+               match Fault.inject_edge ~rng ~codec cfg warm honest spec with
+               | None -> true
+               | Some w -> agree cfg w.Fault.ew_labels)
+             [ Fault.Bit_flip 1; Fault.Bit_flip 3; Fault.Label_swap;
+               Fault.Stale_replay; Fault.Label_duplicate ]
+end
+
+let group_diff_case name =
+  let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+  let module D = Group_diff (P) in
+  qcheck ~count:30
+    (Printf.sprintf "%s: run_edge memo on (cold, warm) = memo off, faults too"
+       name)
+    arb_seed D.case
+
+(* the leaf member frame (an E- or P-node) at the bottom of some real
+   edge's stack: it rides on every edge of that member, so each vertex
+   of the member checks it *)
+let leaf_member_frame labels =
+  List.find_map
+    (fun (_, (l : _ Cert.label)) ->
+      match List.rev l.Cert.frames with
+      | (Cert.T_frame { member = _, (Cert.KE | Cert.KP); _ } as f) :: _ -> Some f
+      | _ -> None)
+    (S.Edge_map.bindings labels)
+
+(* a wrong member class on a frame several vertices share: a check that
+   failed at the first of them is not remembered, so each one rejects
+   with the same reason *)
+let corrupt_shared_frame () =
+  let module C = A.Connectivity in
+  let module T1 = Lcp_cert.Theorem1.Make (C) in
+  Memo.enabled := true;
+  let scheme = T1.edge_scheme ~rep ~k:2 () in
+  let g = fst (Gen.random_pathwidth (Random.State.make [| 11 |]) ~n:24 ~k:2 ()) in
+  let cfg = PLS.Config.random_ids (Random.State.make [| 5 |]) g in
+  let honest = Option.get (scheme.S.es_prove cfg) in
+  let f = Option.get (leaf_member_frame honest) in
+  let forged, reason =
+    match f with
+    | Cert.T_frame ({ member = minfo, kind; _ } as tf) ->
+        (* a one-vertex class no member of two or more vertices has *)
+        let wrong = C.introduce C.empty (-7) in
+        ( Cert.T_frame { tf with member = ({ minfo with Cert.state = wrong }, kind) },
+          if kind = Cert.KE then "E-member: wrong class" else "P-member: wrong class" )
+    | Cert.B_frame _ -> assert false
+  in
+  (* the one forged value in place of [f], wherever [f] rides *)
+  let swap = List.map (fun x -> if x == f then forged else x) in
+  let labels =
+    S.Edge_map.map
+      (fun (l : _ Cert.label) ->
+        { l with Cert.frames = swap l.Cert.frames;
+                 transported =
+                   List.map (fun r -> { r with Cert.vframes = swap r.Cert.vframes })
+                     l.Cert.transported })
+      honest
+  in
+  (* the honest labeling first, so the instance is warm *)
+  check "honest labeling accepted" true (S.run_edge cfg scheme honest = S.Accepted);
+  let on = S.run_edge cfg scheme labels in
+  let off = with_memo false (fun () -> S.run_edge cfg scheme labels) in
+  Alcotest.(check string) "memo off agrees" (show_outcome off) (show_outcome on);
+  match on with
+  | S.Accepted -> Alcotest.fail "the forged class was accepted"
+  | S.Rejected rs ->
+      check "at least two vertices share the frame" true (List.length rs >= 2);
+      List.iter (fun (_, r) -> Alcotest.(check string) "the class check fails" reason r) rs
+
+(* rename every hierarchy node of a labeling to [id] *)
+let rename_nodes id (l : 'a Cert.label) =
+  let info (i : 'a Cert.info) = { i with Cert.node_id = id } in
+  let frame = function
+    | Cert.T_frame ({ member = m, mk; merged; children; _ } as tf) ->
+        Cert.T_frame
+          { tf with member = (info m, mk); merged = info merged;
+                    children = List.map (fun (_, c) -> (id, info c)) children }
+    | Cert.B_frame ({ bnode; left = li, lk; right = ri, rk; left_root_member;
+                      right_root_member; _ } as bf) ->
+        Cert.B_frame
+          { bf with bnode = info bnode; left = (info li, lk); right = (info ri, rk);
+                    left_root_member = Option.map (fun _ -> id) left_root_member;
+                    right_root_member = Option.map (fun _ -> id) right_root_member }
+  in
+  { l with Cert.frames = List.map frame l.Cert.frames;
+           transported =
+             List.map (fun r -> { r with Cert.vframes = List.map frame r.Cert.vframes })
+               l.Cert.transported }
+
+(* a forger that gives every node one id fills one bucket: it never
+   holds more than four frames, and verdicts stay the uncached ones *)
+let single_node_id_forgery () =
+  let module C = A.Connectivity in
+  let module T1 = Lcp_cert.Theorem1.Make (C) in
+  Memo.enabled := true;
+  Memo.reset_counters ();
+  let scheme = T1.edge_scheme ~rep ~k:2 () in
+  let remembered = ref 0 in
+  let verify cfg labels =
+    let misses = !Memo.group_misses in
+    let on = S.run_edge cfg scheme labels in
+    let off = with_memo false (fun () -> S.run_edge cfg scheme labels) in
+    Alcotest.(check string) "memo off agrees" (show_outcome off) (show_outcome on);
+    remembered := !remembered + (!Memo.group_misses - misses);
+    check "at most four frames a bucket" true (T1.V.group_bucket_max () <= 4);
+    on
+  in
+  (* single-edge certificates, all accepted: one remembered frame each *)
+  for seed = 1 to 40 do
+    let cfg = PLS.Config.random_ids (Random.State.make [| seed |]) (Gen.path 2) in
+    let labels = Option.get (scheme.S.es_prove cfg) in
+    check "a renamed single-edge certificate is accepted" true
+      (verify cfg (S.Edge_map.map (rename_nodes 7) labels) = S.Accepted)
+  done;
+  check "the forgery missed in one bucket more than four times" true (!remembered > 4);
+  check_int "one node id remembered" 1 (T1.V.group_table_size ());
+  (* a larger certificate renamed the same way: rejected alike *)
+  let g = fst (Gen.random_pathwidth (Random.State.make [| 3 |]) ~n:24 ~k:2 ()) in
+  let cfg = PLS.Config.random_ids (Random.State.make [| 3 |]) g in
+  ignore (verify cfg (S.Edge_map.map (rename_nodes 7) (Option.get (scheme.S.es_prove cfg))))
+
+let suite_group =
+  List.map group_diff_case (Registry.names ())
+  @ [
+      test "a corrupted frame several vertices share rejects at each"
+        corrupt_shared_frame;
+      test "single-node-id forgery: buckets stay at four" single_node_id_forgery;
+    ]
+
 let suite_memo =
   [
     test "cap eviction at 2^16 keeps the live set bounded" cap_eviction;
@@ -497,4 +712,5 @@ let () =
       ("compose-diff", suite_compose);
       ("hash-audit", [ test "hash-equal => word-equal over corpus" hash_audit ]);
       ("memo-semantics", suite_memo);
+      ("group-memo", suite_group);
     ]
