@@ -1,9 +1,10 @@
 (* Global switches and counters for the composition memo tables living
-   inside each [Compose.Make] instance and the group-check memo inside
-   each [Verifier.Make] instance (one instance per algebra per job).
-   The tables themselves are per-instance — states of different
-   algebras must never share a table — but the counters aggregate
-   globally so the service layer can report one hit/miss line per run. *)
+   inside each [Compose.Make] instance and the group-check and view
+   memos inside each [Verifier.Make] instance (one instance per algebra
+   per job, or per delta session). The tables themselves are
+   per-instance — states of different algebras must never share a
+   table — but the counters aggregate globally so the service layer can
+   report one hit/miss line per run. *)
 
 let enabled = ref true
 
@@ -28,6 +29,11 @@ let key_fallbacks = ref 0
 let group_hits = ref 0
 let group_misses = ref 0
 
+(* the verifier's view memo: a hit is a vertex view this instance has
+   already accepted, answered without a check *)
+let view_hits = ref 0
+let view_misses = ref 0
+
 let counters () =
   [
     ("memo_hit", !hits);
@@ -37,6 +43,8 @@ let counters () =
     ("memo_key_fallback", !key_fallbacks);
     ("group_hit", !group_hits);
     ("group_miss", !group_misses);
+    ("view_hit", !view_hits);
+    ("view_miss", !view_misses);
   ]
 
 let reset_counters () =
@@ -46,4 +54,6 @@ let reset_counters () =
   intern_misses := 0;
   key_fallbacks := 0;
   group_hits := 0;
-  group_misses := 0
+  group_misses := 0;
+  view_hits := 0;
+  view_misses := 0

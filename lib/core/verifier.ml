@@ -237,6 +237,19 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   let max_cands = 4
 
+  (* both memos' insert: newest first, at most [max_cands] a bucket, the
+     table reset wholesale at the cap (checked before reading a bucket,
+     as in [Compose]) *)
+  let push tbl id x =
+    if !Memo.enabled then begin
+      if Hashtbl.length tbl >= Memo.max_entries then Hashtbl.reset tbl;
+      let cs = Option.value ~default:[] (Hashtbl.find_opt tbl id) in
+      Hashtbl.replace tbl id (x :: List.filteri (fun k _ -> k < max_cands - 1) cs)
+    end
+
+  (* bucket sizes, exposed for the bound tests *)
+  let bucket_max tbl = Hashtbl.fold (fun _ cs m -> max m (List.length cs)) tbl 0
+
   let passed : (int, A.state frame list) Hashtbl.t = Hashtbl.create 64
 
   (* [c] is [f] as far as the pure sub-checks can tell *)
@@ -271,21 +284,9 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
     incr (if hit then Memo.group_hits else Memo.group_misses);
     hit
 
-  let remember f =
-    if !Memo.enabled then begin
-      (* cap check before reading a bucket, as in [Compose] *)
-      if Hashtbl.length passed >= Memo.max_entries then Hashtbl.reset passed;
-      let id = node_of f in
-      let cs = Option.value ~default:[] (Hashtbl.find_opt passed id) in
-      Hashtbl.replace passed id
-        (f :: List.filteri (fun k _ -> k < max_cands - 1) cs)
-    end
-
-  (* bucket sizes, exposed for the bound tests *)
+  let remember f = push passed (node_of f) f
   let group_table_size () = Hashtbl.length passed
-
-  let group_bucket_max () =
-    Hashtbl.fold (fun _ cs m -> max m (List.length cs)) passed 0
+  let group_bucket_max () = bucket_max passed
 
   let check_t_group ~my_id ~accept_claim tgroups (g : t_group) =
     match g.tg_frame with
@@ -517,7 +518,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   (* ---------------------------------------------------------------- *)
 
-  let verify ~max_lanes (view : A.state label Scheme.edge_view) =
+  let check ~max_lanes (view : A.state label Scheme.edge_view) =
     try
       let my_id = view.Scheme.ev_id in
       match view.Scheme.ev_labels with
@@ -579,4 +580,68 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
           Hashtbl.iter (fun _ g -> check_b_group ~my_id tgroups g) bgroups;
           Ok ()
     with Reject reason -> Error reason
+
+  (* ---------------------------------------------------------------- *)
+  (* view memo                                                         *)
+
+  (* V is a function of the view alone: with [A] fixed, the verdict
+     depends on [max_lanes], the id, the degree and the ordered labels,
+     and nothing else. [views] remembers, per instance, the views it
+     accepted, keyed by id; a later view with the same [max_lanes] and
+     degree whose labels are, element by element, the very values
+     ([==]) of a remembered one is answered [Ok ()] without a check.
+     Labels are immutable, so [==] implies equal labels and the answer
+     is the uncached verdict. Rejected views are never remembered. Such
+     a hit needs the same label values twice in one instance: a delta
+     session's memory-tier recall, which serves a labeling its own
+     instance verified before; decoded bundles and fresh proofs bring
+     new values and check in full. A bucket holds at most [max_cands]
+     views, most recently used first, so the two labelings a toggling
+     edit stream alternates between both stay resident. *)
+
+  let views : (int, (int * A.state label Scheme.edge_view) list) Hashtbl.t =
+    Hashtbl.create 64
+
+  let rec same_labels a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> x == y && same_labels a b
+    | _ -> false
+
+  let same_view ~max_lanes (view : _ Scheme.edge_view) (lanes, (v : _ Scheme.edge_view)) =
+    lanes = max_lanes && v.Scheme.ev_degree = view.Scheme.ev_degree
+    && same_labels v.Scheme.ev_labels view.Scheme.ev_labels
+
+  (* the bucket with its first match moved to the front, if any *)
+  let rec to_front ~max_lanes view seen = function
+    | [] -> None
+    | c :: rest ->
+        if same_view ~max_lanes view c then Some (c :: List.rev_append seen rest)
+        else to_front ~max_lanes view (c :: seen) rest
+
+  let accepted_before ~max_lanes (view : _ Scheme.edge_view) =
+    !Memo.enabled
+    &&
+    let id = view.Scheme.ev_id in
+    let hit =
+      match Hashtbl.find_opt views id with
+      | Some (c :: _) when same_view ~max_lanes view c -> true
+      | Some cs -> (
+          match to_front ~max_lanes view [] cs with
+          | Some cs -> Hashtbl.replace views id cs; true
+          | None -> false)
+      | None -> false
+    in
+    incr (if hit then Memo.view_hits else Memo.view_misses);
+    hit
+
+  let view_table_size () = Hashtbl.length views
+  let view_bucket_max () = bucket_max views
+
+  let verify ~max_lanes view =
+    if accepted_before ~max_lanes view then Ok ()
+    else
+      match check ~max_lanes view with
+      | Ok () -> push views view.Scheme.ev_id (max_lanes, view); Ok ()
+      | Error _ as e -> e
 end

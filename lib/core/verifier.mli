@@ -29,7 +29,19 @@
     a group check on the same frame value (physical identity of
     immutable values); the per-vertex checks always run. Only passed
     checks are remembered, so verdicts and reasons are those of the
-    uncached verifier. *)
+    uncached verifier.
+
+    Each instance also keeps a view memo under the same switch and cap.
+    The verdict is a function of the view, so a view the instance has
+    accepted before (same id, degree and [max_lanes], and labels that
+    are element by element the same immutable values, [==]) is answered
+    [Ok ()] without a check. Rejected views are never remembered; a
+    bucket holds at most 4 views per id, most recently used first.
+    Within a delta session this answers the memory-tier hits, whose
+    labeling the session's instance verified when it last served it;
+    a new labeling (a fresh proof, a decoded bundle, a disk-tier reload)
+    shares no label values with one verified before and runs every
+    check. *)
 
 module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   val verify :
@@ -43,4 +55,10 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
 
   val group_bucket_max : unit -> int
   (** The most frames remembered under one node id (at most 4). *)
+
+  val view_table_size : unit -> int
+  (** Vertex ids with remembered views in this instance's view memo. *)
+
+  val view_bucket_max : unit -> int
+  (** The most views remembered under one vertex id (at most 4). *)
 end

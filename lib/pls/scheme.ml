@@ -2,10 +2,15 @@ module Graph = Lcp_graph.Graph
 module Bitenc = Lcp_util.Bitenc
 
 module Edge_map = struct
+  (* keys compared component by component: [compare] at type
+     [int * int] is polymorphic compare, a C call at every node visit,
+     where on [int]s it compiles inline. The order is the same, so
+     bindings, and every bundle built from them, keep their order. *)
   module M = Map.Make (struct
     type t = int * int
 
-    let compare = compare
+    let compare ((a, b) : t) ((c, d) : t) =
+      if a <> c then compare a c else compare b d
   end)
 
   type 'l t = 'l M.t

@@ -5,10 +5,10 @@
     and keeps what the engine cannot know across edits: the current
     graph, its interval representation, the bundle last served, a table
     of the labelings it decoded or proved, and one [Theorem1.Make]
-    instance whose composition-memo tables stay warm for the session's
-    life. The property's algebra state type is existential (it comes
-    out of [Registry] as a first-class module), so the typed machinery
-    hides behind closures built once in [create].
+    instance whose composition-memo and verifier tables stay warm for
+    the session's life. The property's algebra state type is
+    existential (it comes out of [Registry] as a first-class module), so
+    the typed machinery hides behind closures built once in [create].
 
     A step is an ordinary engine job on the edited graph
     ([Engine.certify], under [Engine.retrying]): store probe, decode
@@ -24,10 +24,16 @@
     - a decoder that first looks up the labeling the session already
       holds for a bundle value, so memory-tier hits skip the decode.
 
+    Every served labeling passes the verifier at every vertex. A
+    memory-tier hit recalls a labeling the session's verifier instance
+    accepted when it served it before, and the instance answers each
+    view it already passed from its view memo without a check; a new
+    labeling or a disk-tier reload runs every check.
+
     Certificates are global (the spine is a shortest path of the
     current graph, pointer labels carry BFS distances), so one edit
-    moves almost every label: a step re-proves and re-verifies in
-    full, and the dirty-window count is reported, not used.
+    moves almost every label: a miss re-proves and verifies in full,
+    and the dirty-window count is reported, not used.
 
     [full:true] only tags the step's mode [full]: the representation
     policy and the pipeline are the same, so the canonical JSONL of a
@@ -144,8 +150,10 @@ let create ?retry engine (job : Manifest.job) =
              remembers the labeling it decoded (or proved) for each
              bundle value it has served, keyed by content hash and
              guarded by physical identity of the bundle — a disk-tier
-             reload is a fresh value and decodes as usual. Serving
-             still re-verifies the labeling in full either way. *)
+             reload is a fresh value and decodes as usual. A recalled
+             labeling is the one this session's verifier accepted, so
+             its views are answered from the view memo; a decoded one
+             runs every check. *)
           let decoded : (string, Bundle.t * T1.P.labeling) Hashtbl.t =
             Hashtbl.create 64
           in

@@ -517,6 +517,54 @@ let malformed_edit_agreement () =
   check "session survives" true
     (match r.Stats.r_status with Stats.Input_error _ -> false | _ -> true)
 
+(* A toggling stream revisits two graphs, so every step after the
+   first edit is a memory-tier hit on a labeling the session's verifier
+   accepted when it served it before: each such step is answered wholly
+   from the view memo, n views and no check. Its canonical JSONL is the
+   same stream's with the memo off. *)
+module Memo = Lcp_cert.Memo
+
+let toggle_session () =
+  let line = "id=tg gen=random n=24 gseed=5 property=connected k=2 seed=9" in
+  let run () =
+    let s, r0, _ = open_session line in
+    let g = Delta.graph s in
+    let n = G.n g in
+    let chord =
+      List.find
+        (fun (u, v) -> u <> v && not (G.mem_edge g u v))
+        (List.init n (fun v -> (0, v)))
+    in
+    let cached = ref 0 in
+    let lines =
+      List.init 12 (fun i ->
+          let ops =
+            Incr.print_delta
+              (if i mod 2 = 0 then { Incr.add = [ chord ]; del = [] }
+               else { Incr.add = []; del = [ chord ] })
+          in
+          let hits = !Memo.view_hits and misses = !Memo.view_misses in
+          let r, info = Delta.step s ~full:false ops in
+          if info.Delta.pi_mode = "cached" then begin
+            incr cached;
+            if !Memo.enabled then begin
+              check_int "a cached step: every view from the memo" n
+                (!Memo.view_hits - hits);
+              check_int "a cached step: no view checked" 0
+                (!Memo.view_misses - misses)
+            end
+          end;
+          Stats.to_canonical_json r)
+    in
+    check_int "every step after the first edit is cached" 11 !cached;
+    Stats.to_canonical_json r0 :: lines
+  in
+  let on = run () in
+  Memo.enabled := false;
+  let off = Fun.protect ~finally:(fun () -> Memo.enabled := true) run in
+  check "served" true (List.for_all (fun l -> l <> "") on);
+  Alcotest.(check (list string)) "canonical JSONL: memo on = memo off" off on
+
 let coverage_floors () =
   Printf.printf
     "incr gate: %d batches (%d served, %d declined, %d input_error, %d \
@@ -546,6 +594,7 @@ let suite =
         test "malformed edits: identical errors, graph untouched"
           malformed_edit_agreement;
         test "a session step equals an engine job" session_step_is_engine_job;
+        test "a toggling session is answered from views" toggle_session;
         test "coverage floors (anti-vacuity)" coverage_floors;
       ] )
 

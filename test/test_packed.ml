@@ -530,16 +530,18 @@ module Group_diff (P : Registry.PROPERTY) = struct
       QCheck.Test.fail_reportf "memo off: %s\ncold: %s\nwarm: %s"
         (show_outcome off) (show_outcome cold) (show_outcome warm)
 
-  let case seed =
+  (* a random configuration's honest labels (whether or not the
+     property holds: an honest structure over a false property must
+     reject alike) and faulty variants of them: 8 bundle bit flips
+     through the sharing decoder, then five [Fault] models *)
+  let labelings seed =
     let rng = Random.State.make [| seed; 23 |] in
     let cfg = PLS.Config.random_ids rng (graph rng) in
-    (* the labels whether or not the property holds: an honest
-       structure over a false property must reject alike *)
     match
       Warm.P.prepare ?rep:(Lcp_service.Engine.default_rep cfg)
         ~max_lanes:(Warm.max_lanes_for ~k) cfg
     with
-    | Error _ -> true
+    | Error _ -> None
     | Ok art ->
         let honest = art.Warm.P.labels in
         let g = PLS.Config.graph cfg in
@@ -550,25 +552,30 @@ module Group_diff (P : Registry.PROPERTY) = struct
         (* one flipped bit of the whole bundle, decoded by the sharing
            decoder: the labels around the flip come back as values that
            share the honest ones' records *)
-        let flipped () =
+        let flipped _ =
           let bytes = Bytes.copy bundle.Bundle.bytes in
           let i = Random.State.int rng bundle.Bundle.bits in
           Bytes.set bytes (i / 8)
             (Char.chr (Char.code (Bytes.get bytes (i / 8)) lxor (1 lsl (i mod 8))));
-          Bundle.decode ~decode_label g { bundle with Bundle.bytes }
+          Result.to_option (Bundle.decode ~decode_label g { bundle with Bundle.bytes })
         in
-        agree cfg honest
-        && List.for_all
-             (fun _ ->
-               match flipped () with Error _ -> true | Ok labels -> agree cfg labels)
-             (List.init 8 Fun.id)
-        && List.for_all
-             (fun spec ->
-               match Fault.inject_edge ~rng ~codec cfg warm honest spec with
-               | None -> true
-               | Some w -> agree cfg w.Fault.ew_labels)
-             [ Fault.Bit_flip 1; Fault.Bit_flip 3; Fault.Label_swap;
-               Fault.Stale_replay; Fault.Label_duplicate ]
+        let flips = List.filter_map flipped (List.init 8 Fun.id) in
+        let faults =
+          List.filter_map
+            (fun spec ->
+              Option.map
+                (fun w -> w.Fault.ew_labels)
+                (Fault.inject_edge ~rng ~codec cfg warm honest spec))
+            [ Fault.Bit_flip 1; Fault.Bit_flip 3; Fault.Label_swap;
+              Fault.Stale_replay; Fault.Label_duplicate ]
+        in
+        Some (cfg, honest, flips @ faults)
+
+  let case seed =
+    match labelings seed with
+    | None -> true
+    | Some (cfg, honest, faulty) ->
+        agree cfg honest && List.for_all (agree cfg) faulty
 end
 
 let group_diff_case name =
@@ -693,6 +700,111 @@ let suite_group =
       test "single-node-id forgery: buckets stay at four" single_node_id_forgery;
     ]
 
+(* ---------------------------------------------------------------- *)
+(* the verifier's view memo: the uncached verifier's outcomes too      *)
+
+module View_diff (P : Registry.PROPERTY) = struct
+  include Group_diff (P)
+
+  (* the warm instance meets every labeling again: the honest one, then
+     each faulty one twice with the honest one in between. A repeated
+     faulty labeling must reject as before, so no rejected view may be
+     remembered, and no faulty view may pass for an honest one. An
+     accepted honest labeling comes back wholly from the memo. *)
+  let case seed =
+    match labelings seed with
+    | None -> true
+    | Some (cfg, honest, faulty) ->
+        let n = G.n (PLS.Config.graph cfg) in
+        let accepted = with_memo false (fun () -> fresh cfg honest) = S.Accepted in
+        let honest_again () =
+          let hits = !Memo.view_hits in
+          agree cfg honest
+          && ((not accepted) || !Memo.view_hits - hits = n
+             || QCheck.Test.fail_reportf "honest repeat: %d of %d views from the memo"
+                  (!Memo.view_hits - hits) n)
+        in
+        agree cfg honest
+        && List.for_all (fun w -> agree cfg w && agree cfg w && honest_again ()) faulty
+end
+
+let view_diff_case name =
+  let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+  let module D = View_diff (P) in
+  qcheck ~count:30
+    (Printf.sprintf "%s: repeated labelings, view memo on = memo off" name)
+    arb_seed D.case
+
+(* many configurations over the same ids on one instance: an id keeps
+   at most four views, and the table stays under the cap *)
+let view_bounds () =
+  let module C = A.Connectivity in
+  let module T1 = Lcp_cert.Theorem1.Make (C) in
+  Memo.enabled := true;
+  let scheme = T1.edge_scheme ~rep ~k:2 () in
+  for seed = 1 to 12 do
+    let g = fst (Gen.random_pathwidth (Random.State.make [| seed |]) ~n:12 ~k:2 ()) in
+    let cfg = PLS.Config.make g in
+    let labels = Option.get (scheme.S.es_prove cfg) in
+    check "accepted" true (S.run_edge cfg scheme labels = S.Accepted);
+    check "at most four views an id" true (T1.V.view_bucket_max () <= 4)
+  done;
+  check_int "twelve configurations fill every bucket" 4 (T1.V.view_bucket_max ());
+  (* one-vertex views of more distinct ids than the cap *)
+  let max_lanes = T1.max_lanes_for ~k:2 in
+  for id = 0 to Memo.max_entries + 99 do
+    ignore (T1.V.verify ~max_lanes { S.ev_id = id; ev_degree = 0; ev_labels = [] });
+    if id land 4095 = 0 then
+      check "table within the cap" true (T1.V.view_table_size () <= Memo.max_entries)
+  done;
+  check "table dropped at the cap" true (T1.V.view_table_size () <= 100)
+
+(* the key holds the lane bound and the degree: a k = 2 labeling the
+   k = 1 scheme of the same instance rejects is still rejected after
+   the k = 2 scheme accepted it, and the same labels under another
+   degree are not answered from the memo *)
+let view_key_lanes_degree () =
+  let module C = A.Connectivity in
+  let module T1 = Lcp_cert.Theorem1.Make (C) in
+  Memo.enabled := true;
+  let k2 = T1.edge_scheme ~rep ~k:2 () and k1 = T1.edge_scheme ~rep ~k:1 () in
+  let found =
+    List.find_map
+      (fun seed ->
+        let g = fst (Gen.random_pathwidth (Random.State.make [| seed |]) ~n:32 ~k:2 ()) in
+        let cfg = PLS.Config.random_ids (Random.State.make [| seed |]) g in
+        match k2.S.es_prove cfg with
+        | Some labels
+          when with_memo false (fun () -> S.run_edge cfg k1 labels) <> S.Accepted ->
+            Some (cfg, labels)
+        | _ -> None)
+      (List.init 40 succ)
+  in
+  let cfg, labels = Option.get found in
+  check "k = 2 accepts" true (S.run_edge cfg k2 labels = S.Accepted);
+  let off = with_memo false (fun () -> S.run_edge cfg k1 labels) in
+  Alcotest.(check string) "k = 1 after k = 2: memo off agrees" (show_outcome off)
+    (show_outcome (S.run_edge cfg k1 labels));
+  let g = PLS.Config.graph cfg in
+  let v = 0 in
+  let view =
+    { S.ev_id = PLS.Config.id cfg v; ev_degree = G.degree g v;
+      ev_labels = List.map (fun w -> Option.get (S.Edge_map.find labels (v, w))) (G.neighbors g v) }
+  in
+  let max_lanes = T1.max_lanes_for ~k:2 in
+  let hits = !Memo.view_hits in
+  check "the accepted view is answered" true (k2.S.es_verify view = Ok ());
+  check_int "from the memo" (hits + 1) !Memo.view_hits;
+  ignore (T1.V.verify ~max_lanes { view with S.ev_degree = view.S.ev_degree + 1 });
+  check_int "another degree is not" (hits + 1) !Memo.view_hits
+
+let suite_view =
+  List.map view_diff_case (Registry.names ())
+  @ [
+      test "buckets stay at four, the table under the cap" view_bounds;
+      test "the key holds the lane bound and the degree" view_key_lanes_degree;
+    ]
+
 let suite_memo =
   [
     test "cap eviction at 2^16 keeps the live set bounded" cap_eviction;
@@ -713,4 +825,5 @@ let () =
       ("hash-audit", [ test "hash-equal => word-equal over corpus" hash_audit ]);
       ("memo-semantics", suite_memo);
       ("group-memo", suite_group);
+      ("view-memo", suite_view);
     ]
