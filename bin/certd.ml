@@ -10,12 +10,9 @@
    with a --jobs 1 run of the same manifest.
 
    With --connect SOCKET the binary is a client of a running
-   certd-server daemon instead: jobs are submitted over the unix-domain
-   socket (a bounded window at a time), replies are collected, and the
-   output — progress lines, --jsonl, exit code — is byte-compatible
-   with the batch paths above. Admission refusals (the daemon's queue
-   or this client's quota is full) are retried with a short backoff;
-   that is the client half of the daemon's explicit backpressure.
+   certd-server daemon (Service.Client; DESIGN.md "Service daemon",
+   "Client"), with output and exit codes byte-compatible with the
+   batch paths above.
 
    Examples:
      certd.exe --manifest jobs.manifest
@@ -50,335 +47,59 @@ let list_properties () =
 (* ---------------------------------------------------------------- *)
 (* client mode: drive a running certd-server over its socket         *)
 
-let try_dial socket_path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-  | () -> Some fd
-  | exception Unix.Unix_error _ ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      None
+(* one stderr line and exit code per client failure; [unexpected]
+   names the exchange a stray response turned up in *)
+let client_failed ~unexpected (e : Service.Client.error) =
+  prerr_endline
+    (match e with
+    | Unexpected -> "certd: unexpected response " ^ unexpected
+    | e -> "certd: " ^ Service.Client.message e);
+  exit (match e with Gave_up _ | Rejected _ | Overloaded_cap _ -> 1 | _ -> 2)
 
-(* the mandatory first exchange on every connection: version check up
-   front, so a protocol mismatch is one descriptive error instead of a
-   decode failure mid-stream *)
-let try_hello fd =
-  match
-    Service.Wire.write_frame fd
-      (Service.Wire.encode_request
-         (Service.Wire.Hello { version = Service.Wire.protocol_version }));
-    Service.Wire.read_frame fd
-  with
-  | Some payload -> (
-      match Service.Wire.decode_response payload with
-      | Ok (Service.Wire.Hello_ok _) -> Ok ()
-      | Ok (Service.Wire.Err { reason; _ }) -> Error (`Fatal reason)
-      | Ok _ -> Error (`Fatal "unexpected handshake response")
-      | Error e -> Error (`Fatal e))
-  | None -> Error `Lost
-  | exception (Sys_error _ | Unix.Unix_error _) -> Error `Lost
-
-let dial socket_path =
-  match try_dial socket_path with
-  | None ->
-      Printf.eprintf "certd: cannot connect to %s\n" socket_path;
-      exit 2
-  | Some fd -> (
-      match try_hello fd with
-      | Ok () -> fd
-      | Error (`Fatal reason) ->
-          Printf.eprintf "certd: server refused the handshake: %s\n" reason;
-          exit 2
-      | Error `Lost ->
-          prerr_endline "certd: server closed the connection during handshake";
-          exit 2)
-
-(* Exponential-backoff redial, for riding out a server restart: a
-   supervised daemon respawns within a couple of seconds plus journal
-   recovery, so ~14 s of patience covers it without hammering the
-   socket. Returns a fresh post-handshake connection, or [None]. *)
-let reconnect socket_path =
-  let rec go n delay =
-    if n > 12 then None
-    else begin
-      Unix.sleepf delay;
-      let next () = go (n + 1) (Float.min 1.6 (delay *. 2.0)) in
-      match try_dial socket_path with
-      | None -> next ()
-      | Some fd -> (
-          match try_hello fd with
-          | Ok () -> Some fd
-          | Error _ ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              next ())
-    end
-  in
-  go 0 0.05
-
-let reconnect_or_die socket_path =
-  match reconnect socket_path with
-  | Some fd -> fd
-  | None ->
-      Printf.eprintf "certd: cannot reconnect to %s; giving up\n" socket_path;
-      exit 1
-
-let client_rpc fd req =
-  Service.Wire.write_frame fd (Service.Wire.encode_request req);
-  match Service.Wire.read_frame fd with
-  | None ->
-      prerr_endline "certd: server closed the connection";
-      exit 2
-  | Some payload -> (
-      match Service.Wire.decode_response payload with
-      | Ok resp -> resp
-      | Error e ->
-          Printf.eprintf "certd: bad response from server: %s\n" e;
-          exit 2)
-
-(* Submit every job and collect the replies. [window] bounds how many
-   submissions this client keeps unanswered — combined with the retry
-   on [Overloaded] below, the client cooperates with the daemon's
-   admission control instead of fighting it. Results are indexed by
-   serial (= manifest order), so the final stable sort by job id
-   reproduces exactly the canonical order of a batch run.
-
-   A lost connection (the server was killed and respawned) is survived
-   by reconnecting with backoff and resubmitting every unanswered
-   serial: one-shot jobs are idempotent — the pipeline is
-   deterministic, so a recomputed reply is the reply — and each serial
-   lands in [results] exactly once, whatever the resend count. *)
-let client_submit fd0 ~socket_path ~window ~deadline_ms ~emit ~failed jobs =
-  let fd = ref fd0 in
-  let jobs = Array.of_list jobs in
-  let total = Array.length jobs in
-  let results = Array.make total None in
-  let attempts = Array.make total 0 in
-  let max_attempts = 100 in
-  let pending = Queue.create () in
-  for i = 0 to total - 1 do
-    Queue.push i pending
-  done;
-  let inflight = Hashtbl.create 16 in
-  let completed = ref 0 in
-  (* serials in replies come from the server; a corrupt one must take
-     the protocol-error exit, not raise Invalid_argument on an array *)
-  let check_serial serial =
-    if serial < 0 || serial >= total then begin
-      Printf.eprintf "certd: bad response from server: serial %d out of range\n"
-        serial;
-      exit 2
-    end
-  in
-  let submit serial =
-    (* register before writing: a write torn by a dying server must
-       still count as in flight, so the resubmission sweep covers it *)
-    Hashtbl.replace inflight serial ();
-    Service.Wire.write_frame !fd
-      (Service.Wire.encode_request
-         (Service.Wire.Submit
-            {
-              serial;
-              canonical = false;
-              deadline_ms;
-              line = Service.Manifest.print_job jobs.(serial);
-            }))
-  in
-  let on_lost () =
-    Printf.eprintf
-      "certd: connection lost; reconnecting to resubmit %d in-flight job(s)\n%!"
-      (Hashtbl.length inflight);
-    fd := reconnect_or_die socket_path;
-    Hashtbl.iter (fun serial () -> Queue.push serial pending) inflight;
-    Hashtbl.reset inflight
-  in
-  while !completed < total do
-    match
-      while (not (Queue.is_empty pending)) && Hashtbl.length inflight < window
-      do
-        submit (Queue.pop pending)
-      done;
-      Service.Wire.read_frame !fd
-    with
-    | exception (Sys_error _ | Unix.Unix_error _) -> on_lost ()
-    | None -> on_lost ()
-    | Some payload -> (
-        match Service.Wire.decode_response payload with
-        | Ok (Service.Wire.Report { serial; id; status; json; canonical }) ->
-            check_serial serial;
-            Hashtbl.remove inflight serial;
-            if results.(serial) = None then incr completed;
-            results.(serial) <- Some (id, status, json, canonical)
-        | Ok (Service.Wire.Overloaded { serial; reason }) ->
-            check_serial serial;
-            Hashtbl.remove inflight serial;
-            attempts.(serial) <- attempts.(serial) + 1;
-            if attempts.(serial) >= max_attempts then begin
-              Printf.eprintf "certd: job %s refused %d times (last: %s)\n"
-                jobs.(serial).Service.Manifest.job_id max_attempts reason;
-              exit 1
-            end;
-            (* admission said "later": honor it before resubmitting *)
-            Unix.sleepf 0.05;
-            Queue.push serial pending
-        | Ok (Service.Wire.Err { serial; reason }) ->
-            Printf.eprintf "certd: server rejected %s: %s\n"
-              (if serial >= 0 && serial < total then
-                 jobs.(serial).Service.Manifest.job_id
-               else "a request")
-              reason;
-            exit 1
-        | Ok
-            ( Service.Wire.Stats_reply _ | Service.Wire.Pong
-            | Service.Wire.Hello_ok _ | Service.Wire.Dreport _ ) ->
-            prerr_endline "certd: unexpected response from server";
-            exit 2
-        | Error e ->
-            Printf.eprintf "certd: bad response from server: %s\n" e;
-            exit 2)
-  done;
-  (* canonical order: stable sort by id over manifest order *)
-  Array.to_list results |> List.filter_map Fun.id
-  |> List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
-  |> List.iter (fun (id, status, json, canonical) ->
-         if List.mem status [ "input_error"; "unsound"; "failed" ] then
-           failed := true;
-         emit ~id ~status ~json ~canonical)
-
-(* Streaming edit mode: open a daemon-side delta session on the
-   manifest's single job, then play the edit file through it one batch
-   at a time — lock-step, because each edit's meaning depends on the
-   graph the previous one left behind. Replies come back in stream
-   order and are emitted that way (no id sort: this is a stream, not a
-   batch). Overloaded answers are retried with the same backoff as
-   batch submissions — with a much deeper budget than batch mode,
-   because a freshly resumed session replays its whole history through
-   the queue before our next edit gets a slot.
-
-   A lost connection mid-stream is survived, not fatal: reconnect with
-   backoff, re-open the session with resume=1 (the server rebuilds the
-   graph from its journal and answers the open from the journaled
-   reply), then resend the request that was in flight. The journal
-   dedups by serial, so a request whose reply we never saw comes back
-   byte-identical whether it had been applied or not — the emitted
-   JSONL is exactly-once either way. *)
-let client_edits fd0 ~socket_path ~sid ~deadline_ms ~full ~emit ~failed ~quiet
-    job edits =
-  let fd = ref fd0 in
-  let opened = ref false in
-  let line = Service.Manifest.print_job job in
-  let max_attempts = 600 in
-  let rec rpc serial req attempts =
-    match
-      Service.Wire.write_frame !fd (Service.Wire.encode_request req);
-      Service.Wire.read_frame !fd
-    with
-    | exception (Sys_error _ | Unix.Unix_error _) -> lost serial req attempts
-    | None -> lost serial req attempts
-    | Some payload -> (
-        match Service.Wire.decode_response payload with
-        | Ok (Service.Wire.Dreport { serial = s; id; status; json; canonical; patch })
-          when s = serial ->
-            (id, status, json, canonical, patch)
-        | Ok (Service.Wire.Overloaded { serial = s; reason }) when s = serial ->
-            if attempts >= max_attempts then begin
-              Printf.eprintf "certd: edit %d refused %d times (last: %s)\n"
-                serial attempts reason;
-              exit 1
-            end;
-            Unix.sleepf 0.05;
-            rpc serial req (attempts + 1)
-        | Ok (Service.Wire.Err { reason; _ }) ->
-            Printf.eprintf "certd: server rejected request %d: %s\n" serial
-              reason;
-            exit 1
-        | Ok _ ->
-            prerr_endline "certd: unexpected response in edit stream";
-            exit 2
-        | Error e ->
-            Printf.eprintf "certd: bad response from server: %s\n" e;
-            exit 2)
-  and lost serial req attempts =
-    Printf.eprintf
-      "certd: connection lost mid-stream; reconnecting to resume session %s\n%!"
-      sid;
-    fd := reconnect_or_die socket_path;
-    if !opened then begin
-      (* the re-open's reply is the journaled open report we already
-         emitted at serial 0 — consume and discard it *)
-      let _, status, _, _, _ =
-        rpc 0
-          (Service.Wire.Delta_open
-             { serial = 0; deadline_ms; sid; resume = true; line = "" })
-          0
-      in
-      Printf.eprintf "certd: session %s resumed (open report: %s)\n%!" sid
-        status
-    end;
-    rpc serial req attempts
-  in
-  let handle (id, status, json, canonical, patch) =
-    if List.mem status [ "input_error"; "unsound"; "failed" ] then
-      failed := true;
-    emit ~id ~status ~json ~canonical;
-    if not quiet then Printf.printf "%-12s %-13s %s\n%!" id status patch
-  in
-  let open_reply =
-    rpc 0
-      (Service.Wire.Delta_open
-         { serial = 0; deadline_ms; sid; resume = false; line })
-      0
-  in
-  opened := true;
-  handle open_reply;
-  List.iteri
-    (fun i ops ->
-      let serial = i + 1 in
-      handle
-        (rpc serial
-           (Service.Wire.Delta_edit { serial; deadline_ms; full; ops })
-           0))
-    edits
+let notice m = Printf.eprintf "certd: %s\n%!" m
+let is_failure status = List.mem status [ "input_error"; "unsound"; "failed" ]
 
 (* the edit file: one delta per line ("add=0-1,2-3 del=4-5"); blank
    lines and #-comments are skipped, an empty line of ops is legal *)
 let load_edit_lines file =
-  match open_in file with
+  match In_channel.with_open_text file In_channel.input_all with
   | exception Sys_error e ->
       Printf.eprintf "certd: %s\n" e;
       exit 2
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-        | line ->
-            let tr = String.trim line in
-            if tr = "" || tr.[0] = '#' then go acc else go (tr :: acc)
-      in
-      go []
+  | text ->
+      String.split_on_char '\n' text
+      |> List.map String.trim
+      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+let open_jsonl = function
+  | None -> None
+  | Some "-" -> Some stdout
+  | Some f -> Some (open_out f)
+
+let close_jsonl = function Some oc when oc != stdout -> close_out oc | _ -> ()
 
 let run_client ~socket_path ~window ~deadline_ms ~server_stats
     ~server_shutdown ~manifest ~base_dir ~jsonl ~canonical ~quiet ~edits
     ~edits_full ~session =
-  let fd = dial socket_path in
+  let module Client = Service.Client in
+  let ok ~unexpected = function
+    | Ok v -> v
+    | Error e -> client_failed ~unexpected e
+  in
+  let conn = ok ~unexpected:"" (Client.connect socket_path) in
   let finish code =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Client.close conn;
     exit code
   in
-  if server_stats then begin
-    (match client_rpc fd Service.Wire.Stats_req with
-    | Service.Wire.Stats_reply json -> print_endline json
-    | _ ->
-        prerr_endline "certd: unexpected response to stats request";
-        finish 2);
-    finish 0
-  end;
-  if server_shutdown then begin
-    (match client_rpc fd Service.Wire.Shutdown with
-    | Service.Wire.Pong -> ()
-    | _ ->
-        prerr_endline "certd: unexpected response to shutdown request";
-        finish 2);
+  if server_stats || server_shutdown then begin
+    let req, unexpected =
+      if server_stats then (Service.Wire.Stats_req, "to stats request")
+      else (Service.Wire.Shutdown, "to shutdown request")
+    in
+    (match ok ~unexpected (Client.rpc conn req) with
+    | Service.Wire.Stats_reply json when server_stats -> print_endline json
+    | Service.Wire.Pong when not server_stats -> ()
+    | _ -> client_failed ~unexpected Unexpected);
     finish 0
   end;
   let manifest =
@@ -397,78 +118,76 @@ let run_client ~socket_path ~window ~deadline_ms ~server_stats
          resolve them against --base-dir (default: the manifest's
          directory, exactly as batch mode does) and make them absolute,
          so the daemon reads the same file whatever its own cwd is *)
+      let absolute base f =
+        if Filename.is_relative f then Filename.concat base f else f
+      in
       let base =
-        match base_dir with
-        | Some d -> d
-        | None -> Filename.dirname manifest
+        absolute (Unix.getcwd ())
+          (Option.value base_dir ~default:(Filename.dirname manifest))
       in
       let jobs =
         List.map
           (fun (j : Service.Manifest.job) ->
-            match j.Service.Manifest.source with
+            match j.source with
             | Service.Manifest.File f ->
-                let f =
-                  if Filename.is_relative f then Filename.concat base f else f
-                in
-                let f =
-                  if Filename.is_relative f then
-                    Filename.concat (Unix.getcwd ()) f
-                  else f
-                in
-                { j with Service.Manifest.source = Service.Manifest.File f }
+                { j with source = Service.Manifest.File (absolute base f) }
             | Service.Manifest.Generated _ -> j)
           jobs
       in
-      let jsonl_oc =
-        match jsonl with
-        | None -> None
-        | Some "-" -> Some stdout
-        | Some f -> Some (open_out f)
-      in
-      let emit ~id ~status ~json ~canonical:canonical_line =
-        (match jsonl_oc with
-        | Some oc ->
-            output_string oc (if canonical then canonical_line else json);
-            output_char oc '\n'
-        | None -> ());
-        if not quiet then Printf.printf "%-12s %s\n%!" id status
-      in
+      let jsonl_oc = open_jsonl jsonl in
       let failed = ref false in
-      (match edits with
-      | Some edits_file -> (
-          match jobs with
-          | [ job ] ->
-              (* the resume handle: stable across reconnects of this
-                 process, unique across processes unless the user pins
-                 it (--session) to hand a stream over deliberately *)
-              let sid =
-                match session with
-                | Some s
-                  when s = ""
-                       || String.exists
-                            (fun ch -> ch = ' ' || ch = '\t' || ch = '\n')
-                            s ->
-                    prerr_endline
-                      "certd: --session must be a nonempty word (no whitespace)";
-                    finish 2
-                | Some s -> s
-                | None ->
-                    Printf.sprintf "c%d-%x" (Unix.getpid ())
-                      (int_of_float (Unix.gettimeofday () *. 1000.) land 0xffffff)
-              in
-              client_edits fd ~socket_path ~sid ~deadline_ms ~full:edits_full
-                ~emit ~failed ~quiet job
-                (load_edit_lines edits_file)
-          | _ ->
-              Printf.eprintf
-                "certd: --edits needs a manifest with exactly one job (got %d)\n"
-                (List.length jobs);
-              finish 2)
-      | None ->
-          client_submit fd ~socket_path ~window ~deadline_ms ~emit ~failed jobs);
-      (match jsonl_oc with
-      | Some oc when oc != stdout -> close_out oc
-      | _ -> ());
+      let emit (r : Client.report) =
+        Option.iter
+          (fun oc ->
+            output_string oc (if canonical then r.canonical else r.json);
+            output_char oc '\n')
+          jsonl_oc;
+        if is_failure r.status then failed := true;
+        if not quiet then Printf.printf "%-12s %s\n%!" r.id r.status
+      in
+      (match (edits, jobs) with
+      | Some edits_file, [ job ] ->
+          (* the resume handle: stable across reconnects of this
+             process, unique across processes unless the user pins it
+             (--session) to hand a stream over deliberately *)
+          let sid =
+            match session with
+            | Some s
+              when s = ""
+                   || String.exists (fun ch -> ch = ' ' || ch = '\t' || ch = '\n') s
+              ->
+                prerr_endline
+                  "certd: --session must be a nonempty word (no whitespace)";
+                finish 2
+            | Some s -> s
+            | None ->
+                Printf.sprintf "c%d-%x" (Unix.getpid ())
+                  (int_of_float (Unix.gettimeofday () *. 1000.) land 0xffffff)
+          in
+          (* a stream, not a batch: replies are emitted in edit order *)
+          let on_reply (r : Client.report) =
+            emit r;
+            if not quiet then
+              Printf.printf "%-12s %-13s %s\n%!" r.id r.status r.patch
+          in
+          ok ~unexpected:"in edit stream"
+            (Client.edit_stream ~log:notice conn ~sid ~deadline_ms
+               ~full:edits_full ~line:(Service.Manifest.print_job job)
+               ~edits:(load_edit_lines edits_file) ~on_reply)
+      | Some _, _ ->
+          Printf.eprintf
+            "certd: --edits needs a manifest with exactly one job (got %d)\n"
+            (List.length jobs);
+          finish 2
+      | None, _ ->
+          (* canonical order: stable sort by id over manifest order *)
+          ok ~unexpected:"from server"
+            (Client.submit_all ~log:notice conn ~window ~deadline_ms
+               (Array.of_list jobs))
+          |> Array.to_list
+          |> List.stable_sort (fun (a : Client.report) b -> compare a.id b.id)
+          |> List.iter emit);
+      close_jsonl jsonl_oc;
       finish (if !failed then 1 else 0)
 
 exception Stream_input of string
@@ -598,12 +317,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
             Printf.eprintf "certd: simulated crash (fault plan) at %s\n" p;
             exit 3
       in
-      let jsonl_oc =
-        match jsonl with
-        | None -> None
-        | Some "-" -> Some stdout
-        | Some f -> Some (open_out f)
-      in
+      let jsonl_oc = open_jsonl jsonl in
       let failed = ref false in
       let emit (r : Service.Stats.job_report) =
         (match jsonl_oc with
@@ -631,9 +345,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
               (if degraded then " [DEGRADED: memory-only]" else "")
         | None -> ());
         Format.printf "%a@." Service.Timing.pp timing;
-        (match jsonl_oc with
-        | Some oc when oc != stdout -> close_out oc
-        | _ -> ());
+        close_jsonl jsonl_oc;
         exit code
       in
       (* on Ctrl-C the pool reaps its workers, then this sweep removes

@@ -513,3 +513,32 @@ let run (cfg : config) =
       log t "listening on %s (%d workers, queue cap %d, client cap %d)"
         cfg.socket_path cfg.workers cfg.queue_cap cfg.client_cap;
       loop t)
+
+(** Fork [run cfg] and return the child's pid once a client can shake
+    hands on its socket; [Error] if the child exits first or is not up
+    within 10 s (it is then killed and reaped). *)
+let spawn (cfg : config) =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      (try run cfg with _ -> Unix._exit 1);
+      Unix._exit 0
+  | pid ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec wait_up () =
+        match Client.connect cfg.socket_path with
+        | Ok c ->
+            Client.close c;
+            Ok pid
+        | Error _ when fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 ->
+            Error (cfg.socket_path ^ ": the daemon exited before accepting")
+        | Error _ when Unix.gettimeofday () > deadline ->
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid);
+            Error (cfg.socket_path ^ ": the daemon did not come up within 10s")
+        | Error _ ->
+            Unix.sleepf 0.005;
+            wait_up ()
+      in
+      wait_up ()

@@ -29,6 +29,21 @@ dune build @packed
 # and agree with the sequential run on the canonical JSONL
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# wait_socket PATH PID WHAT: give a daemon 10 s to create its socket;
+# past that, kill PID and fail naming WHAT
+wait_socket() {
+  waited=0
+  until [ -S "$1" ]; do
+    waited=$((waited + 1))
+    if [ "$waited" -gt 100 ]; then
+      echo "check.sh: $3 did not come up within 10s" >&2
+      kill -KILL "$2" 2>/dev/null || true
+      exit 1
+    fi
+    sleep 0.1
+  done
+}
 ./_build/default/bin/certd.exe --manifest examples/service/jobs.manifest \
   --jobs 1 --cache-dir "$tmp/c1" --jsonl "$tmp/j1" --canonical --quiet
 ./_build/default/bin/certd.exe --manifest examples/service/jobs.manifest \
@@ -53,16 +68,7 @@ EOF
 ./_build/default/bin/certd_server.exe --socket "$tmp/certd.sock" \
   --workers 2 --quiet &
 server_pid=$!
-i=0
-until [ -S "$tmp/certd.sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "check.sh: certd-server did not come up within 10s" >&2
-    kill -KILL "$server_pid" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_socket "$tmp/certd.sock" "$server_pid" "certd-server"
 ./_build/default/bin/certd.exe --manifest "$tmp/daemon.manifest" \
   --connect "$tmp/certd.sock" --jsonl "$tmp/daemon.jsonl" --canonical --quiet
 if ! cmp -s "$tmp/batch.jsonl" "$tmp/daemon.jsonl"; then
@@ -103,16 +109,7 @@ EOF
 ./_build/default/bin/certd_server.exe --socket "$tmp/dyn.sock" \
   --workers 1 --quiet &
 dyn_pid=$!
-i=0
-until [ -S "$tmp/dyn.sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "check.sh: certd-server (edit smoke) did not come up within 10s" >&2
-    kill -KILL "$dyn_pid" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_socket "$tmp/dyn.sock" "$dyn_pid" "certd-server (edit smoke)"
 ./_build/default/bin/certd.exe --manifest "$tmp/dyn.manifest" \
   --connect "$tmp/dyn.sock" --edits "$tmp/dyn.edits" \
   --jsonl "$tmp/dyn-incr.jsonl" --canonical --quiet
@@ -167,16 +164,7 @@ done
   --workers 1 --quiet --supervise --journal-dir "$tmp/kill-journal" \
   --fsync always --checkpoint-every 100000 &
 sup_pid=$!
-i=0
-until [ -S "$tmp/kill.sock" ]; do
-  i=$((i + 1))
-  if [ "$i" -gt 100 ]; then
-    echo "check.sh: supervised certd-server did not come up within 10s" >&2
-    kill -KILL "$sup_pid" 2>/dev/null || true
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_socket "$tmp/kill.sock" "$sup_pid" "supervised certd-server"
 ./_build/default/bin/certd.exe --manifest "$tmp/dyn.manifest" \
   --connect "$tmp/kill.sock" --edits "$tmp/crash.edits" \
   --session smoke-base --jsonl "$tmp/kill-base.jsonl" --canonical --quiet

@@ -8,13 +8,16 @@
    batch run, admission control, the live stats endpoint, crash/respawn
    under a fault plan, external worker kills, SIGTERM drain, garbage
    and pre-hello frames, a delta session, the refusal table, the
-   pidfile lock and a journal across SIGKILL.
+   pidfile lock and a journal across SIGKILL; and [Client]'s failure
+   paths (a batch across a SIGKILL, fake peers that refuse, misnumber
+   or repeat replies).
 
    Runs as its own executable; `dune build @daemon` runs it in
    isolation. *)
 
 module Wire = Lcp_service.Wire
 module Server = Lcp_service.Server
+module Client = Lcp_service.Client
 module Engine = Lcp_service.Engine
 module Manifest = Lcp_service.Manifest
 module Stats = Lcp_service.Stats
@@ -467,34 +470,8 @@ let parse_lines lines =
       | _ -> Alcotest.failf "bad test job line %S" l)
     lines
 
-(* fork a server; wait until its socket accepts *)
 let start_server cfg =
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (try Server.run cfg with _ -> Unix._exit 1);
-      Unix._exit 0
-  | pid ->
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec wait () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        match Unix.connect fd (Unix.ADDR_UNIX cfg.Server.socket_path) with
-        | () ->
-            Unix.close fd;
-            ()
-        | exception Unix.Unix_error _ ->
-            Unix.close fd;
-            if Unix.gettimeofday () > deadline then begin
-              Unix.kill pid Sys.sigkill;
-              ignore (Unix.waitpid [] pid);
-              Alcotest.fail "server did not come up"
-            end;
-            Unix.sleepf 0.02;
-            wait ()
-      in
-      wait ();
-      pid
+  match Server.spawn cfg with Ok pid -> pid | Error e -> Alcotest.fail e
 
 (* a connection that has not yet said hello — only the handshake tests
    want one of these *)
@@ -512,18 +489,20 @@ let read_response fd =
       | Error e -> Alcotest.failf "bad response: %s" e)
 
 let dial path =
-  let fd = dial_raw path in
-  Wire.write_frame fd
-    (Wire.encode_request (Wire.Hello { version = Wire.protocol_version }));
-  (match read_response fd with
-  | Wire.Hello_ok _ -> ()
-  | r -> Alcotest.failf "handshake refused: %s" (Wire.encode_response r));
-  fd
+  match Client.connect path with
+  | Ok c -> c.Client.fd
+  | Error e -> Alcotest.failf "dial: %s" (Client.message e)
 
 let submit fd serial line =
   Wire.write_frame fd
     (Wire.encode_request
        (Wire.Submit { serial; canonical = true; deadline_ms = 0.0; line }))
+
+let stats fd =
+  Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
+  match read_response fd with
+  | Wire.Stats_reply json -> json
+  | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)
 
 let stop_server ?(signal = Sys.sigterm) pid =
   Unix.kill pid signal;
@@ -546,34 +525,35 @@ let base_cfg ~socket_path ~workers =
     journal_checkpoint = 256;
   }
 
+(* [Client.submit_all]'s serial-indexed reports, in the canonical
+   order: stable sort by id over submission order *)
+let canonical_lines (reports : Client.report array) =
+  Array.to_list reports
+  |> List.stable_sort (fun (a : Client.report) b -> compare a.id b.id)
+  |> List.map (fun (r : Client.report) -> r.canonical)
+  |> String.concat "\n"
+
+(* [Client.submit_all] of [lines] over a fresh connection to [path] *)
+let submit_all ?log path lines =
+  Result.bind (Client.connect path) (fun c ->
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.submit_all ?log c ~window:16 ~deadline_ms:0.0
+            (Array.of_list (parse_lines lines))))
+
+let batch_lines lines =
+  Stats.canonical_lines (fst (Engine.run_jobs (Engine.create ()) (parse_lines lines)))
+
 let daemon_matches_batch () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
       let pid = start_server (base_cfg ~socket_path ~workers:2) in
-      let fd = dial socket_path in
-      List.iteri (fun i line -> submit fd i line) jobs_lines;
-      let results = Array.make (List.length jobs_lines) ("", "") in
-      List.iter
-        (fun _ ->
-          match read_response fd with
-          | Wire.Report { serial; id; canonical; _ } ->
-              results.(serial) <- (id, canonical)
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
-        jobs_lines;
-      Unix.close fd;
-      (* the client-side canonical order: stable sort by id over
-         submission order *)
-      let daemon_lines =
-        Array.to_list results
-        |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-        |> List.map snd |> String.concat "\n"
-      in
-      let reports, _ =
-        Engine.run_jobs (Engine.create ()) (parse_lines jobs_lines)
-      in
-      check_str "daemon canonical output = batch canonical output"
-        (Stats.canonical_lines reports)
-        daemon_lines;
+      (match submit_all socket_path jobs_lines with
+      | Ok reports ->
+          check_str "daemon canonical output = batch canonical output"
+            (batch_lines jobs_lines) (canonical_lines reports)
+      | Error e -> Alcotest.fail (Client.message e));
       check_int "clean SIGTERM drain" 0 (stop_server pid);
       check "socket unlinked after drain" true
         (not (Sys.file_exists socket_path)))
@@ -606,13 +586,10 @@ let daemon_backpressure () =
       check "excess refused, not buffered" true (!refused >= 1);
       check_int "every submission answered" burst (!reports + !refused);
       (* the stats endpoint must agree *)
-      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-      (match read_response fd with
-      | Wire.Stats_reply json ->
-          check "stats counts refusals" true
-            (contains json "\"rejected_overload\":"
-            && contains json "\"rejected_quota\":")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      let json = stats fd in
+      check "stats counts refusals" true
+        (contains json "\"rejected_overload\":"
+        && contains json "\"rejected_quota\":");
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
@@ -623,17 +600,14 @@ let daemon_stats_endpoint () =
       let fd = dial socket_path in
       List.iteri (fun i line -> submit fd i line) jobs_lines;
       List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
-      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-      (match read_response fd with
-      | Wire.Stats_reply json ->
-          check "submitted counted" true (contains json "\"submitted\":5");
-          check "completed counted" true (contains json "\"completed\":5");
-          check "workers reported" true (contains json "\"configured\":2");
-          check "queue cap surfaced" true (contains json "\"cap\":16");
-          (* timed=true: worker samples reach the endpoint's percentiles *)
-          check "stage percentiles present" true
-            (contains json "\"stage\":\"prove\"" && contains json "\"p99_ms\":")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      let json = stats fd in
+      check "submitted counted" true (contains json "\"submitted\":5");
+      check "completed counted" true (contains json "\"completed\":5");
+      check "workers reported" true (contains json "\"configured\":2");
+      check "queue cap surfaced" true (contains json "\"cap\":16");
+      (* timed=true: worker samples reach the endpoint's percentiles *)
+      check "stage percentiles present" true
+        (contains json "\"stage\":\"prove\"" && contains json "\"p99_ms\":");
       (* ping still answered while idle *)
       Wire.write_frame fd (Wire.encode_request Wire.Ping);
       (match read_response fd with
@@ -643,27 +617,8 @@ let daemon_stats_endpoint () =
       check_int "clean drain" 0 (stop_server pid))
 
 
-(* the first ["name":int] of each name in a JSON text *)
-let json_ints s =
-  let tbl = Hashtbl.create 64 and n = String.length s in
-  let rec scan i =
-    match String.index_from_opt s i '"' with
-    | None -> ()
-    | Some a ->
-        Option.iter
-          (fun b ->
-            let j = ref (b + 2) in
-            while !j < n && (s.[!j] = '-' || (s.[!j] >= '0' && s.[!j] <= '9')) do incr j done;
-            let k = String.sub s (a + 1) (b - a - 1) in
-            if b + 1 < n && s.[b + 1] = ':' && !j > b + 2 && not (Hashtbl.mem tbl k) then
-              Hashtbl.add tbl k (int_of_string (String.sub s (b + 2) (!j - b - 2)));
-            scan (b + 1))
-          (String.index_from_opt s (a + 1) '"')
-  in
-  scan 0;
-  tbl
 let json_int json field =
-  match Hashtbl.find_opt (json_ints json) field with
+  match Hashtbl.find_opt (Client.stat_ints json) field with
   | Some v -> v
   | None -> Alcotest.failf "field %s missing from %s" field json
 
@@ -715,17 +670,12 @@ let daemon_crash_respawn () =
         lines;
       check_int "every job reached a terminal reply" 8 (!served + !failed);
       check "most jobs served despite crashes" true (!served >= 6);
-      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-      (match read_response fd with
-      | Wire.Stats_reply json ->
-          check "workers died and were respawned" true
-            (json_int json "restarts" >= 2);
-          check "crashed jobs were requeued" true
-            (json_int json "requeued" >= 1);
-          check_int "no slot permanently stopped" 0 (json_int json "stopped");
-          check_int "full pool alive after every crash" 2
-            (json_int json "live")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      let json = stats fd in
+      check "workers died and were respawned" true
+        (json_int json "restarts" >= 2);
+      check "crashed jobs were requeued" true (json_int json "requeued" >= 1);
+      check_int "no slot permanently stopped" 0 (json_int json "stopped");
+      check_int "full pool alive after every crash" 2 (json_int json "live");
       Unix.close fd;
       check_int "clean drain after crashes" 0 (stop_server pid))
 
@@ -772,12 +722,9 @@ let daemon_idle_worker_death () =
           | Wire.Report { serial; _ } ->
               check_int "answered after respawn" 1 serial
           | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-          Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-          (match read_response fd with
-          | Wire.Stats_reply json ->
-              check "the death was counted as a restart" true
-                (json_int json "restarts" >= 1)
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)));
+          let json = stats fd in
+          check "the death was counted as a restart" true
+            (json_int json "restarts" >= 1));
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
@@ -921,13 +868,10 @@ let daemon_delta_session () =
             || contains patch "\"mode\":\"cached\"")
       | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
       (* memo hit/miss counters ride the live stats endpoint *)
-      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-      (match read_response fd with
-      | Wire.Stats_reply json ->
-          check "counters object present" true (contains json "\"counters\":{");
-          check "memo misses surfaced" true (json_int json "memo_miss" >= 1);
-          check "memo hits surfaced" true (json_int json "memo_hit" >= 0)
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      let json = stats fd in
+      check "counters object present" true (contains json "\"counters\":{");
+      check "memo misses surfaced" true (json_int json "memo_miss" >= 1);
+      check "memo hits surfaced" true (json_int json "memo_hit" >= 0);
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 
@@ -1127,14 +1071,11 @@ let daemon_journal_resume () =
       | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
       Unix.close fd2;
       (* durability counters ride the stats endpoint *)
-      Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-      (match read_response fd with
-      | Wire.Stats_reply json ->
-          check "resumed counted" true (json_int json "resumed" >= 1);
-          check "rebuilt steps counted" true (json_int json "rebuilt_steps" >= 3);
-          check "no resume mismatches" true (json_int json "resume_mismatch" = 0);
-          check "dedup served counted" true (json_int json "dedup_served" >= 1)
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+      let json = stats fd in
+      check "resumed counted" true (json_int json "resumed" >= 1);
+      check "rebuilt steps counted" true (json_int json "rebuilt_steps" >= 3);
+      check "no resume mismatches" true (json_int json "resume_mismatch" = 0);
+      check "dedup served counted" true (json_int json "dedup_served" >= 1);
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid);
       (* an unknown session stays unknown after everything *)
@@ -1292,16 +1233,186 @@ let daemon_store_counters_survive_death () =
           | Wire.Report { serial; _ } ->
               check_int "the replacement serves" 1 serial
           | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-          Wire.write_frame fd (Wire.encode_request Wire.Stats_req);
-          (match read_response fd with
-          | Wire.Stats_reply json ->
-              check "the dead worker's corrupt record still counted" true
-                (json_int json "corrupt" >= 1);
-              check "its quarantine still counted" true
-                (json_int json "quarantined" >= 1)
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)));
+          let json = stats fd in
+          check "the dead worker's corrupt record still counted" true
+            (json_int json "corrupt" >= 1);
+          check "its quarantine still counted" true
+            (json_int json "quarantined" >= 1));
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
+(* ---------------------------------------------------------------- *)
+(* the client's failure paths                                        *)
+
+(* A forked peer that speaks raw [Wire] frames: it accepts one client,
+   answers its hello, then answers each further request with [answer]
+   until the client hangs up. *)
+let fake_peer path answer =
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      let fd, _ = Unix.accept lfd in
+      let rec serve () =
+        match Wire.read_frame fd with
+        | Some p ->
+            (match Wire.decode_request p with
+            | Ok (Wire.Hello { version }) -> [ Wire.Hello_ok { version } ]
+            | Ok req -> answer req
+            | Error _ -> [])
+            |> List.iter (fun r -> Wire.write_frame fd (Wire.encode_response r));
+            serve ()
+        | None | (exception _) -> ()
+      in
+      serve ();
+      Unix._exit 0
+  | pid ->
+      Unix.close lfd;
+      pid
+
+(* [submit_all] of [lines] against a fake peer *)
+let submit_to_fake_peer lines answer =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "f.sock" in
+      let peer = fake_peer path answer in
+      let got = submit_all path lines in
+      ignore (Unix.waitpid [] peer);
+      got)
+
+let report serial =
+  let id = Printf.sprintf "s%d" serial in
+  Wire.Report { serial; id; status = "served_fresh"; json = "{}"; canonical = id }
+
+let client_overload_cap () =
+  match
+    submit_to_fake_peer [ List.hd jobs_lines ] (function
+      | Wire.Submit { serial; _ } -> [ Wire.Overloaded { serial; reason = "queue full" } ]
+      | _ -> [])
+  with
+  | Error (Client.Overloaded_cap (what, n, reason)) ->
+      check_str "names the job" "job e2e-ring" what;
+      check_int "gives up at the cap" 100 n;
+      check_str "keeps the last reason" "queue full" reason
+  | Error e -> Alcotest.failf "wrong error: %s" (Client.message e)
+  | Ok _ -> Alcotest.fail "a job refused forever was reported served"
+
+let client_bad_serial () =
+  List.iter
+    (fun bad ->
+      match
+        submit_to_fake_peer jobs_lines (function
+          | Wire.Submit _ -> [ report bad ]
+          | _ -> [])
+      with
+      | Error (Client.Bad_response m) ->
+          check "names the serial" true (contains m (string_of_int bad))
+      | Error e -> Alcotest.failf "wrong error: %s" (Client.message e)
+      | Ok _ -> Alcotest.fail "an out-of-range serial was accepted")
+    [ List.length jobs_lines; -1; 99 ]
+
+let client_duplicate_replies () =
+  match
+    submit_to_fake_peer jobs_lines (function
+      | Wire.Submit { serial; _ } -> [ report serial; report serial ]
+      | _ -> [])
+  with
+  | Ok reports ->
+      check "each serial answered once, by its own reply" true
+        (Array.to_list reports
+        |> List.mapi (fun i (r : Client.report) -> r.id = Printf.sprintf "s%d" i)
+        |> List.for_all Fun.id);
+      check_int "one report per job" (List.length jobs_lines) (Array.length reports)
+  | Error e -> Alcotest.fail (Client.message e)
+
+exception Timed_out
+
+(* [submit_all] across a SIGKILL: a forked helper waits until the
+   daemon has answered some jobs, kills it and starts a replacement on
+   the same socket. Every serial must come back once, and the reports
+   must be the batch driver's. *)
+let client_exactly_once_across_kill () =
+  with_temp_dir (fun dir ->
+      let socket_path = Filename.concat dir "k.sock" in
+      let cfg =
+        { (base_cfg ~socket_path ~workers:1) with queue_cap = 64; client_cap = 64 }
+      in
+      let lines =
+        List.init 48 (fun i ->
+            Printf.sprintf
+              "id=k%02d gen=tree n=%d gseed=%d property=acyclic k=3 seed=2" i
+              (40 + (i mod 7)) i)
+      in
+      let pid = start_server cfg in
+      flush stdout;
+      flush stderr;
+      let helper =
+        match Unix.fork () with
+        | 0 ->
+            let rec until_progress c =
+              match Client.rpc c Wire.Stats_req with
+              | Ok (Wire.Stats_reply j)
+                when Hashtbl.find (Client.stat_ints j) "completed" >= 8 ->
+                  ()
+              | Ok _ ->
+                  Unix.sleepf 0.002;
+                  until_progress c
+              | Error _ -> Unix._exit 3
+            in
+            (match Client.connect socket_path with
+            | Ok c -> until_progress c
+            | Error _ -> Unix._exit 3);
+            Unix.kill pid Sys.sigkill;
+            (* the killed daemon is not this process's child to reap:
+               retry until the kernel has released its instance lock.
+               The replacement's exit status is the helper's. *)
+            let rec replace tries =
+              match Server.spawn cfg with
+              | Ok pid2 -> (
+                  match Unix.waitpid [] pid2 with
+                  | _, Unix.WEXITED c -> c
+                  | _ -> 4)
+              | Error _ when tries < 100 ->
+                  Unix.sleepf 0.01;
+                  replace (tries + 1)
+              | Error _ -> 5
+            in
+            Unix._exit (replace 0)
+        | h -> h
+      in
+      let notices = ref [] and helper_status = ref (Unix.WEXITED 0) in
+      let got =
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Unix.alarm 0);
+            Sys.set_signal Sys.sigalrm Sys.Signal_default;
+            (* the replacement is the helper's child; its pid is in the
+               pidfile every daemon writes *)
+            (match
+               int_of_string_opt (String.trim (read_file (socket_path ^ ".pid")))
+             with
+            | Some pid2 when pid2 <> pid -> Unix.kill pid2 Sys.sigterm
+            | _ -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+            ignore (Unix.waitpid [] pid);
+            helper_status := snd (Unix.waitpid [] helper))
+          (fun () ->
+            (* a client that waits forever for a lost reply fails here *)
+            Sys.set_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out));
+            ignore (Unix.alarm 60);
+            submit_all ~log:(fun m -> notices := m :: !notices) socket_path lines)
+      in
+      check "the replacement drained cleanly" true
+        (!helper_status = Unix.WEXITED 0);
+      match got with
+      | Error e -> Alcotest.fail (Client.message e)
+      | Ok reports ->
+          check "the kill landed mid-stream" true
+            (List.exists (fun m -> contains m "resubmit") !notices);
+          check_int "one report per job" 48 (Array.length reports);
+          check_str "canonical lines = the batch driver's" (batch_lines lines)
+            (canonical_lines reports))
+
 (* ---------------------------------------------------------------- *)
 (* the protocol model: Server_core driven in-process                 *)
 
@@ -1749,7 +1860,7 @@ let core x = Option.get x.core
 let model x = Option.get x.m
 
 let compare_counters x =
-  let got = json_ints (Core.stats_json (core x)) and m = model x in
+  let got = Client.stat_ints (Core.stats_json (core x)) and m = model x in
   let store = Array.fold_left (fun a w -> Option.fold ~none:a ~some:(Cert_store.add_stats a) w.store) x.retired x.ws in
   let count p = Array.fold_left (fun n w -> if p w then n + 1 else n) 0 m.slots in
   List.iter
@@ -1932,7 +2043,7 @@ let play (((workers, _, _, _) as cfg), cmds) =
   boot x;
   List.iter (run_cmd x) cmds;
   settle x;
-  let got = Hashtbl.find (json_ints (Core.stats_json (core x))) in
+  let got = Hashtbl.find (Client.stat_ints (Core.stats_json (core x))) in
   if got "submitted" <> got "completed" + got "dropped" then
     broken "idle, with submitted %d <> completed %d + dropped %d" (got "submitted") (got "completed")
       (got "dropped");
@@ -2019,7 +2130,7 @@ let model_agrees =
 let parent_failures_not_journaled () =
   let after cmds =
     let x = play ((2, 6, 3, true), cmds) in
-    let got = json_ints (Core.stats_json (core x)) in
+    let got = Client.stat_ints (Core.stats_json (core x)) in
     (x, fun k -> Hashtbl.find got k)
   in
   (* a dopen delivered to slot 0, which dies; its retry delivered to
@@ -2087,6 +2198,11 @@ let suite =
       test "every refusal echoes its serial and its reason" daemon_refusals;
       test "store counters survive a worker's death"
         daemon_store_counters_survive_death;
+      test "client: overload cap ends in an error" client_overload_cap;
+      test "client: an out-of-range serial is an error" client_bad_serial;
+      test "client: a duplicate reply is counted once" client_duplicate_replies;
+      test "client: every job answered once across a SIGKILL"
+        client_exactly_once_across_kill;
     ] )
 
 let () = Alcotest.run "lcp-daemon" [ suite ]
