@@ -182,38 +182,6 @@ let decode r =
   let cyclic = Bitenc.read_bit r in
   { partition; dists = !dists; cyclic }
 
-let packed_layout = { Lcp_util.Packed_state.fixed_words = 3; words_per_slot = 8 }
-
-(* distances go down as sorted [PM] bindings, so the packed image is a
-   function of the bindings alone: two maps with equal bindings but
-   different tree shapes pack identically, which is exactly the
-   granularity [equal] (PM.equal) and [encode] (PM.iter) observe *)
-let pack buf st =
-  let module P = Lcp_util.Packed_state in
-  Slot_partition.pack buf st.partition;
-  P.Buf.push buf (PM.cardinal st.dists);
-  PM.iter
-    (fun (a, b) d ->
-      P.Buf.push buf a;
-      P.Buf.push buf b;
-      P.Buf.push buf d)
-    st.dists;
-  P.push_bool buf st.cyclic
-
-let unpack c =
-  let module P = Lcp_util.Packed_state in
-  let partition = Slot_partition.unpack c in
-  let n = P.read c in
-  let dists = ref PM.empty in
-  for _ = 1 to n do
-    let a = P.read c in
-    let b = P.read c in
-    let d = P.read c in
-    dists := PM.add (a, b) d !dists
-  done;
-  let cyclic = P.read_bool c in
-  { partition; dists = !dists; cyclic }
-
 let pp ppf st =
   Format.fprintf ppf "acyclic(%a;%a cyclic=%b)" Slot_partition.pp st.partition
     (fun ppf m ->

@@ -15,7 +15,9 @@
     [add_edge]/[identify] require existing slots; [union] requires disjoint
     slot sets; [accepts] is meaningful once every slot has been forgotten.
     All operations must be deterministic (prover and verifier recompute and
-    compare states for equality). *)
+    compare states for equality). States are values that [equal] compares
+    and [encode] writes; nothing caches or keys on them, since the prover
+    and each verifier compose every hierarchy node once. *)
 
 module type S = sig
   type state
@@ -59,23 +61,6 @@ module type S = sig
 
   val encode : Lcp_util.Bitenc.writer -> state -> unit
   (** Bit-exact encoding, used to measure certificate sizes. *)
-
-  val packed_layout : Lcp_util.Packed_state.layout
-  (** Sizing hint for packed-state buffers (see {!pack}). *)
-
-  val pack : Lcp_util.Packed_state.Buf.t -> state -> unit
-  (** Total flat encoding of the state as native integer words, appended
-      to the buffer. [pack] must be injective up to {!equal} — equal
-      packed images only for states that [equal] identifies and that
-      every observer ([encode], [slots], [accepts], the composition
-      operations) treats identically — because the composition memo
-      serves a cached result whenever the packed inputs match. It must
-      never raise on states built by this algebra's own operations. *)
-
-  val unpack : Lcp_util.Packed_state.cursor -> state
-  (** Left inverse of {!pack}: reading back the words written by [pack]
-      reconstructs an {!equal} state and consumes exactly those words
-      (so concatenated packs parse unambiguously). *)
 
   val pp : Format.formatter -> state -> unit
 end

@@ -150,32 +150,6 @@ let decode r =
   let classes = if is_canonical classes then classes else canonical classes in
   { classes; odd }
 
-let packed_layout = { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 3 }
-
-let pack buf st =
-  let module P = Lcp_util.Packed_state in
-  P.push_list buf
-    (fun b c ->
-      P.push_list b
-        (fun b (s, p) ->
-          P.Buf.push b s;
-          P.push_bool b p)
-        c)
-    st.classes;
-  P.push_bool buf st.odd
-
-let unpack c =
-  let module P = Lcp_util.Packed_state in
-  let classes =
-    P.read_list c (fun c ->
-        P.read_list c (fun c ->
-            let s = P.read c in
-            let p = P.read_bool c in
-            (s, p)))
-  in
-  let odd = P.read_bool c in
-  { classes; odd }
-
 let pp ppf st =
   Format.fprintf ppf "bip({%s}; odd=%b)"
     (String.concat " | "

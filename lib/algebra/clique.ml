@@ -196,42 +196,6 @@ module Make (P : PARAM) = struct
       st.profiles;
     Bitenc.bit w st.found
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 4; words_per_slot = 8 }
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b (x, y) ->
-        P.Buf.push b x;
-        P.Buf.push b y)
-      st.adj;
-    P.push_list buf
-      (fun b (t, cnt) ->
-        P.push_list b P.Buf.push t;
-        P.Buf.push b cnt)
-      st.profiles;
-    P.push_bool buf st.found
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let adj =
-      P.read_list c (fun c ->
-          let x = P.read c in
-          let y = P.read c in
-          (x, y))
-    in
-    let profiles =
-      P.read_list c (fun c ->
-          let t = P.read_list c P.read in
-          let cnt = P.read c in
-          (t, cnt))
-    in
-    let found = P.read_bool c in
-    { slot_list; adj; profiles; found }
-
   let pp ppf st =
     Format.fprintf ppf "K%d(slots=%s; %d profiles; found=%b)" P.size
       (String.concat "," (List.map string_of_int st.slot_list))

@@ -113,33 +113,6 @@ module Make (P : PARAM) = struct
       (fun c -> List.iter (fun (_, col) -> Bitenc.bits w ~width:bits_per_color col) c)
       st.colorings
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 12 }
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b coloring ->
-        P.push_list b
-          (fun b (s, col) ->
-            P.Buf.push b s;
-            P.Buf.push b col)
-          coloring)
-      st.colorings
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let colorings =
-      P.read_list c (fun c ->
-          P.read_list c (fun c ->
-              let s = P.read c in
-              let col = P.read c in
-              (s, col)))
-    in
-    { slot_list; colorings }
-
   let pp ppf st =
     Format.fprintf ppf "%d-col(slots=%s; %d colorings)" P.q
       (String.concat "," (List.map string_of_int st.slot_list))

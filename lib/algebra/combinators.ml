@@ -34,27 +34,6 @@ module Pair (A : Algebra_sig.S) (B : Algebra_sig.S) = struct
     A.encode w a;
     B.encode w b
 
-  let packed_layout =
-    {
-      Lcp_util.Packed_state.fixed_words =
-        A.packed_layout.Lcp_util.Packed_state.fixed_words
-        + B.packed_layout.Lcp_util.Packed_state.fixed_words;
-      words_per_slot =
-        A.packed_layout.Lcp_util.Packed_state.words_per_slot
-        + B.packed_layout.Lcp_util.Packed_state.words_per_slot;
-    }
-
-  (* A's unpack consumes exactly A's pack, so the concatenation parses
-     unambiguously *)
-  let pack buf (a, b) =
-    A.pack buf a;
-    B.pack buf b
-
-  let unpack c =
-    let a = A.unpack c in
-    let b = B.unpack c in
-    (a, b)
-
   let pp ppf (a, b) = Format.fprintf ppf "(%a, %a)" A.pp a B.pp b
 end
 

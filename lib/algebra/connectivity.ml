@@ -59,17 +59,6 @@ let decode r =
   let closed = Bitenc.read_varint r in
   { partition; closed }
 
-let packed_layout = { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 2 }
-
-let pack buf st =
-  Slot_partition.pack buf st.partition;
-  Lcp_util.Packed_state.Buf.push buf st.closed
-
-let unpack c =
-  let partition = Slot_partition.unpack c in
-  let closed = Lcp_util.Packed_state.read c in
-  { partition; closed }
-
 let pp ppf st =
   Format.fprintf ppf "conn(%a; closed=%d)" Slot_partition.pp st.partition
     st.closed

@@ -67,29 +67,6 @@ module Common (P : PARAM) = struct
       st.deg;
     Bitenc.bit w st.bad
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 2 }
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf
-      (fun b (s, d) ->
-        P.Buf.push b s;
-        P.Buf.push b d)
-      st.deg;
-    P.push_bool buf st.bad
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let deg =
-      P.read_list c (fun c ->
-          let s = P.read c in
-          let d = P.read c in
-          (s, d))
-    in
-    let bad = P.read_bool c in
-    { deg; bad }
-
   let accepts st =
     assert (slots st = []);
     not st.bad

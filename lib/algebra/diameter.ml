@@ -393,65 +393,6 @@ module Make (P : PARAM) = struct
     Bitenc.bit w st.bad;
     Bitenc.bit w st.sealed
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 7; words_per_slot = 16 }
-
-  let push_vec b v =
-    Lcp_util.Packed_state.push_list b
-      (fun b (s, x) ->
-        Lcp_util.Packed_state.Buf.push b s;
-        Lcp_util.Packed_state.Buf.push b x)
-      v
-
-  let read_vec c =
-    Lcp_util.Packed_state.read_list c (fun c ->
-        let s = Lcp_util.Packed_state.read c in
-        let x = Lcp_util.Packed_state.read c in
-        (s, x))
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b ((a, bb), x) ->
-        P.Buf.push b a;
-        P.Buf.push b bb;
-        P.Buf.push b x)
-      st.metric;
-    P.push_list buf push_vec st.vectors;
-    P.push_list buf push_vec st.multi;
-    P.push_list buf
-      (fun b ((v, v'), x) ->
-        push_vec b v;
-        push_vec b v';
-        P.Buf.push b x)
-      st.pending;
-    P.push_bool buf st.bad;
-    P.push_bool buf st.sealed
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let metric =
-      P.read_list c (fun c ->
-          let a = P.read c in
-          let b = P.read c in
-          let x = P.read c in
-          ((a, b), x))
-    in
-    let vectors = P.read_list c read_vec in
-    let multi = P.read_list c read_vec in
-    let pending =
-      P.read_list c (fun c ->
-          let v = read_vec c in
-          let v' = read_vec c in
-          let x = P.read c in
-          ((v, v'), x))
-    in
-    let bad = P.read_bool c in
-    let sealed = P.read_bool c in
-    { slot_list; metric; vectors; multi; pending; bad; sealed }
-
   let pp ppf st =
     Format.fprintf ppf "diam<=%d(slots=%s; %d classes; %d pending; bad=%b)"
       P.d

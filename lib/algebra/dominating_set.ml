@@ -163,45 +163,6 @@ module Make (P : PARAM) = struct
         Bitenc.varint w c)
       st.table
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 8 }
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b (p, cnt) ->
-        P.push_list b
-          (fun b (s, v) ->
-            P.Buf.push b s;
-            P.Buf.push b
-              (match v with In_set -> 0 | Dominated -> 1 | Undominated -> 2))
-          p;
-        P.Buf.push b cnt)
-      st.table
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let table =
-      P.read_list c (fun c ->
-          let p =
-            P.read_list c (fun c ->
-                let s = P.read c in
-                let v =
-                  match P.read c with
-                  | 0 -> In_set
-                  | 1 -> Dominated
-                  | 2 -> Undominated
-                  | _ -> invalid_arg "Dominating_set.unpack: bad status"
-                in
-                (s, v))
-          in
-          let cnt = P.read c in
-          (p, cnt))
-    in
-    { slot_list; table }
-
   let pp ppf st =
     Format.fprintf ppf "ds<=%d(slots=%s; %d profiles)" P.budget
       (String.concat "," (List.map string_of_int st.slot_list))

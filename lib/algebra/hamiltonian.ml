@@ -275,56 +275,6 @@ struct
         Bitenc.bit w p.closed)
       st.profiles
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 12 }
-
-  (* endpoints as a tag word plus, for [Slot], the raw (possibly
-     negative temp) slot id — total and injective, unlike [encode]'s
-     boundary-index form *)
-  let push_endp b e =
-    match e with
-    | Gone -> Lcp_util.Packed_state.Buf.push b 0
-    | Slot s ->
-        Lcp_util.Packed_state.Buf.push b 1;
-        Lcp_util.Packed_state.Buf.push b s
-
-  let read_endp c =
-    match Lcp_util.Packed_state.read c with
-    | 0 -> Gone
-    | 1 -> Slot (Lcp_util.Packed_state.read c)
-    | _ -> invalid_arg "Hamiltonian.unpack: bad endpoint tag"
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b p ->
-        P.push_list b
-          (fun b (x, y) ->
-            push_endp b x;
-            push_endp b y)
-          p.segs;
-        P.push_list b P.Buf.push p.interior;
-        P.push_bool b p.closed)
-      st.profiles
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let profiles =
-      P.read_list c (fun c ->
-          let segs =
-            P.read_list c (fun c ->
-                let x = read_endp c in
-                let y = read_endp c in
-                (x, y))
-          in
-          let interior = P.read_list c P.read in
-          let closed = P.read_bool c in
-          { segs; interior; closed })
-    in
-    { slot_list; profiles }
-
   let pp ppf st =
     Format.fprintf ppf "ham(slots=%s; %d profiles)"
       (String.concat "," (List.map string_of_int st.slot_list))

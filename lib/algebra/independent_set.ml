@@ -124,29 +124,6 @@ module Make (P : PARAM) = struct
         Bitenc.varint w c)
       st.table
 
-  let packed_layout =
-    { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 6 }
-
-  let pack buf st =
-    let module P = Lcp_util.Packed_state in
-    P.push_list buf P.Buf.push st.slot_list;
-    P.push_list buf
-      (fun b (p, cnt) ->
-        P.push_list b P.Buf.push p;
-        P.Buf.push b cnt)
-      st.table
-
-  let unpack c =
-    let module P = Lcp_util.Packed_state in
-    let slot_list = P.read_list c P.read in
-    let table =
-      P.read_list c (fun c ->
-          let p = P.read_list c P.read in
-          let cnt = P.read c in
-          (p, cnt))
-    in
-    { slot_list; table }
-
   let pp ppf st =
     Format.fprintf ppf "is>=%d(slots=%s; %d profiles)" P.target
       (String.concat "," (List.map string_of_int st.slot_list))

@@ -125,19 +125,6 @@ let decode r =
   in
   { slot_list; profiles }
 
-let packed_layout = { Lcp_util.Packed_state.fixed_words = 2; words_per_slot = 8 }
-
-let pack buf st =
-  let module P = Lcp_util.Packed_state in
-  P.push_list buf P.Buf.push st.slot_list;
-  P.push_list buf (fun b p -> P.push_list b P.Buf.push p) st.profiles
-
-let unpack c =
-  let module P = Lcp_util.Packed_state in
-  let slot_list = P.read_list c P.read in
-  let profiles = P.read_list c (fun c -> P.read_list c P.read) in
-  { slot_list; profiles }
-
 let pp ppf st =
   Format.fprintf ppf "pm(slots=%s; %d profiles)"
     (String.concat "," (List.map string_of_int st.slot_list))

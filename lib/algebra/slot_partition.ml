@@ -137,16 +137,6 @@ let decode r =
   let t = read_classes r (Lcp_util.Bitenc.read_varint r) in
   if is_canonical t then t else canonical t
 
-let pack buf t =
-  Lcp_util.Packed_state.push_list buf
-    (fun b c ->
-      Lcp_util.Packed_state.push_list b Lcp_util.Packed_state.Buf.push c)
-    t
-
-let unpack c =
-  Lcp_util.Packed_state.read_list c (fun c ->
-      Lcp_util.Packed_state.read_list c Lcp_util.Packed_state.read)
-
 let pp ppf t =
   Format.fprintf ppf "{%s}"
     (String.concat " | "

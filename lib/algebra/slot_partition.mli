@@ -36,11 +36,4 @@ val decode : Lcp_util.Bitenc.reader -> t
     which are non-negative). A decoded list already in canonical form is
     returned as read; any other goes through {!canonical}. *)
 
-val pack : Lcp_util.Packed_state.Buf.t -> t -> unit
-(** Flat word encoding (class count, then per class: size and slots);
-    literal — no re-canonicalization — so [unpack] is a structural
-    inverse. *)
-
-val unpack : Lcp_util.Packed_state.cursor -> t
-
 val pp : Format.formatter -> t -> unit

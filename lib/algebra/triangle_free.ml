@@ -147,32 +147,6 @@ let decode r =
   let tri = Bitenc.read_bit r in
   { slot_list; adj; common; tri }
 
-let packed_layout = { Lcp_util.Packed_state.fixed_words = 4; words_per_slot = 6 }
-
-let push_pair b (x, y) =
-  Lcp_util.Packed_state.Buf.push b x;
-  Lcp_util.Packed_state.Buf.push b y
-
-let read_pair c =
-  let x = Lcp_util.Packed_state.read c in
-  let y = Lcp_util.Packed_state.read c in
-  (x, y)
-
-let pack buf st =
-  let module P = Lcp_util.Packed_state in
-  P.push_list buf P.Buf.push st.slot_list;
-  P.push_list buf push_pair st.adj;
-  P.push_list buf push_pair st.common;
-  P.push_bool buf st.tri
-
-let unpack c =
-  let module P = Lcp_util.Packed_state in
-  let slot_list = P.read_list c P.read in
-  let adj = P.read_list c read_pair in
-  let common = P.read_list c read_pair in
-  let tri = P.read_bool c in
-  { slot_list; adj; common; tri }
-
 let pp ppf st =
   Format.fprintf ppf "trifree(slots=%s; adj=%d common=%d tri=%b)"
     (String.concat "," (List.map string_of_int st.slot_list))

@@ -1,5 +1,4 @@
 module Klane = Lcp_lanewidth.Klane
-module Packed = Lcp_util.Packed_state
 
 module Make (A : Lcp_algebra.Algebra_sig.S) = struct
   type iface = {
@@ -7,121 +6,6 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
     t_in : (int * int) list;
     t_out : (int * int) list;
   }
-
-  (* ---- composition memo on packed words ------------------------------
-     The prover pushes one frame per edge of every klane and the verifier
-     recomputes the same bridge/parent glue for each of those frames, so
-     identical (state, state, glue) joins recur many times per run. Keys
-     are the packed flat images of the exact inputs ([A.pack] words laid
-     down in a reusable arena — no allocation on the lookup path): packs
-     are injective up to [A.equal] and up to everything any observer
-     ([A.encode] included) distinguishes, so a hit returns a value the
-     rest of the pipeline treats identically to recomputation and
-     downstream encodes are byte-identical. Buckets are indexed by the
-     word-wise FNV-1a hash of the key and disambiguated by comparing the
-     words themselves — hash equality alone never certifies a hit.
-     Exceptions are never cached: a raising compute stays uncached and
-     raises again on recomputation, preserving the verifier's
-     Invalid_argument-to-rejection conversion. A raising [pack] (broken
-     algebra contract — packs are total) falls back to an uncached
-     compute and is counted as [memo_key_fallback]. *)
-
-  let memo_tbl : (int, (int array * A.state) list ref) Hashtbl.t =
-    Hashtbl.create 1024
-
-  let intern_tbl : (int, (int array * A.state) list ref) Hashtbl.t =
-    Hashtbl.create 256
-
-  let arena_hint =
-    let l = A.packed_layout in
-    4 + l.Packed.fixed_words + (16 * l.Packed.words_per_slot)
-
-  (* separate arenas so a leaf intern can never clobber an in-flight memo
-     key; keys are copied out of the arena only on a miss *)
-  let memo_buf = Packed.Buf.create (4 + (2 * arena_hint))
-  let intern_buf = Packed.Buf.create arena_hint
-
-  let key_matches (key : int array) (data : int array) len =
-    Array.length key = len
-    &&
-    let rec go i =
-      i >= len || (Array.unsafe_get key i = Array.unsafe_get data i && go (i + 1))
-    in
-    go 0
-
-  let rec find_in_bucket data len = function
-    | [] -> None
-    | (key, st) :: rest ->
-        if key_matches key data len then Some st
-        else find_in_bucket data len rest
-
-  (* look the current arena contents up in [tbl]; on a miss, copy the key
-     out of the arena, run [compute] (never cached if it raises) and
-     remember the result *)
-  let lookup tbl buf ~hit ~miss compute =
-    let data = Packed.Buf.data buf and len = Packed.Buf.len buf in
-    let h = Packed.hash_words data ~len in
-    (* cap check before touching a bucket: reset would orphan it *)
-    if Hashtbl.length tbl >= Memo.max_entries then Hashtbl.reset tbl;
-    match Hashtbl.find_opt tbl h with
-    | Some bucket -> (
-        match find_in_bucket data len !bucket with
-        | Some st ->
-            incr hit;
-            st
-        | None ->
-            incr miss;
-            let key = Packed.Buf.contents buf in
-            let st = compute () in
-            bucket := (key, st) :: !bucket;
-            st)
-    | None ->
-        incr miss;
-        let key = Packed.Buf.contents buf in
-        let st = compute () in
-        Hashtbl.add tbl h (ref [ (key, st) ]);
-        st
-
-  (* distinct first words keep the three key spaces disjoint even though
-     they share one table *)
-  let tag_bridge = 1
-  let tag_glue = 2
-  let tag_forget = 3
-
-  let memoize ~tag fill compute =
-    if not !Memo.enabled then compute ()
-    else
-      match
-        Packed.Buf.reset memo_buf;
-        Packed.Buf.push memo_buf tag;
-        fill memo_buf
-      with
-      | () -> lookup memo_tbl memo_buf ~hit:Memo.hits ~miss:Memo.misses compute
-      | exception _ ->
-          incr Memo.key_fallbacks;
-          compute ()
-
-  (* hash-cons a freshly built state: states with equal packed images
-     collapse to one physical representative, so later memo keys over
-     them hit the same buckets and structural comparisons short-circuit *)
-  let intern st =
-    if not !Memo.enabled then st
-    else
-      match
-        Packed.Buf.reset intern_buf;
-        A.pack intern_buf st
-      with
-      | () ->
-          lookup intern_tbl intern_buf ~hit:Memo.intern_hits
-            ~miss:Memo.intern_misses
-            (fun () -> st)
-      | exception _ ->
-          incr Memo.key_fallbacks;
-          st
-
-  (* table sizes, exposed for the cap-eviction tests *)
-  let memo_table_size () = Hashtbl.length memo_tbl
-  let intern_table_size () = Hashtbl.length intern_tbl
 
   let iface_of_klane ~vid (k : Klane.t) =
     {
@@ -189,8 +73,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
   let v_state f =
     well_formed f;
     match (f.lanes, f.t_in, f.t_out) with
-    | [ _ ], [ (_, v) ], [ (_, v') ] when v = v' ->
-        intern (A.introduce A.empty v)
+    | [ _ ], [ (_, v) ], [ (_, v') ] when v = v' -> A.introduce A.empty v
     | _ -> invalid_arg "Compose.v_state: not a V-node interface"
 
   let e_state f ~real =
@@ -198,7 +81,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
     match (f.lanes, f.t_in, f.t_out) with
     | [ _ ], [ (_, a) ], [ (_, b) ] when a <> b ->
         let st = A.introduce (A.introduce A.empty a) b in
-        intern (if real then A.add_edge st a b else st)
+        if real then A.add_edge st a b else st
     | _ -> invalid_arg "Compose.e_state: not an E-node interface"
 
   let p_state f ~mask =
@@ -216,7 +99,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
       | _, [] -> st
       | _ -> st
     in
-    intern (go st path mask)
+    go st path mask
 
   let disjoint a b = List.for_all (fun x -> not (List.mem x b)) a
 
@@ -228,18 +111,8 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
     check (List.mem j f2.lanes) "bridge: lane j not in right";
     let a = assoc_lane "left t_out" f1.t_out i in
     let b = assoc_lane "right t_out" f2.t_out j in
-    let st =
-      memoize ~tag:tag_bridge
-        (fun buf ->
-          A.pack buf s1;
-          A.pack buf s2;
-          Packed.Buf.push buf a;
-          Packed.Buf.push buf b;
-          Packed.push_bool buf real)
-        (fun () ->
-          let st = A.union s1 s2 in
-          if real then A.add_edge st a b else st)
-    in
+    let st = A.union s1 s2 in
+    let st = if real then A.add_edge st a b else st in
     let f =
       {
         lanes = List.sort compare (f1.lanes @ f2.lanes);
@@ -265,24 +138,17 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
           tin)
         fc.lanes
     in
+    let sc, temp_pairs =
+      List.fold_left
+        (fun (st, acc) s ->
+          let tmp = -(s + 1) in
+          (A.rename st ~old_slot:s ~new_slot:tmp, (s, tmp) :: acc))
+        (sc, []) glued
+    in
     let st =
-      memoize ~tag:tag_glue
-        (fun buf ->
-          A.pack buf sc;
-          A.pack buf sp;
-          Packed.push_list buf Packed.Buf.push glued)
-        (fun () ->
-          let sc, temp_pairs =
-            List.fold_left
-              (fun (st, acc) s ->
-                let tmp = -(s + 1) in
-                (A.rename st ~old_slot:s ~new_slot:tmp, (s, tmp) :: acc))
-              (sc, []) glued
-          in
-          let st = A.union sc sp in
-          List.fold_left
-            (fun st (s, tmp) -> A.identify st ~keep:s ~drop:tmp)
-            st temp_pairs)
+      List.fold_left
+        (fun st (s, tmp) -> A.identify st ~keep:s ~drop:tmp)
+        (A.union sc sp) temp_pairs
     in
     let f =
       {
@@ -298,18 +164,5 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
       }
     in
     well_formed f;
-    (* key on the raw terminal ids in interface order rather than the
-       sorted-uniqued terminal set: [terminals f] is a deterministic
-       function of them, so equal keys still force equal results, and
-       the sort_uniq (the wrapper's single biggest allocation) only runs
-       when the memo misses *)
-    let st =
-      memoize ~tag:tag_forget
-        (fun buf ->
-          A.pack buf st;
-          Packed.push_list buf (fun b (_, v) -> Packed.Buf.push b v) f.t_in;
-          Packed.push_list buf (fun b (_, v) -> Packed.Buf.push b v) f.t_out)
-        (fun () -> forget_to st (terminals f))
-    in
-    (st, f)
+    (forget_to st (terminals f), f)
 end

@@ -6,7 +6,10 @@
 
     All functions raise [Invalid_argument] when a side condition of the
     merge fails (lane overlap, terminal mismatch, slot clashes); the
-    verifier converts exceptions into rejection. *)
+    verifier converts exceptions into rejection. Every call computes
+    its result directly: there is no cache, since each hierarchy node is
+    composed once per proof and once per verifier (DESIGN, "Why there
+    is no composition memo"). *)
 
 module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   type iface = {
@@ -44,12 +47,4 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
   (** f_P: checks [T(child) ⊆ T(parent)] and that each child's in-terminal
       id equals the parent's same-lane out-terminal id, then glues and
       forgets the vertices that stop being terminals. *)
-
-  val memo_table_size : unit -> int
-  (** Number of live hash buckets in this instance's composition memo
-      table — exposed so the cap-eviction tests can assert the bounded
-      live set (see {!Memo.max_entries}). *)
-
-  val intern_table_size : unit -> int
-  (** Same for the leaf-state intern table. *)
 end

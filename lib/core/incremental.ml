@@ -6,8 +6,8 @@
     the hierarchy skeleton. An edge delta that stays {e inside} the
     representation (removals always do; an addition does iff its
     endpoints' intervals already intersect) keeps the representation
-    valid, so a session can reuse it instead of computing a fresh one,
-    and its composition memo serves the subtrees the edit left alone.
+    valid, so a session can reuse it instead of computing a fresh
+    one.
 
     The labels themselves do not survive an edit: the Prop 4.6 spine is
     a shortest path of the current graph and the pointer sub-labels
@@ -186,8 +186,6 @@ let dirty_count rep d =
 (* ---------------------------------------------------------------- *)
 (* the session prover                                                *)
 
-(* One prover instance per functor application: a caller that keeps
-   an instance keeps its composition memo. *)
 module Make (A : Lcp_algebra.Algebra_sig.S) = struct
   module P = Prover.Make (A)
 

@@ -135,12 +135,6 @@ type counters = {
   mutable crashed : bool;
 }
 
-let fault_to_string = function
-  | Fail tag -> Printf.sprintf "fail:%s" tag
-  | Torn b -> Printf.sprintf "torn:%d" b
-  | Flip b -> Printf.sprintf "flip:%d" b
-  | Crash -> "crash"
-
 let planned_to_string p =
   let kind, arg =
     match p.on with

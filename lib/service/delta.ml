@@ -5,10 +5,10 @@
     and keeps what the engine cannot know across edits: the current
     graph, its interval representation, the bundle last served, a table
     of the labelings it decoded or proved, and one [Theorem1.Make]
-    instance whose composition-memo and verifier tables stay warm for
-    the session's life. The property's algebra state type is
-    existential (it comes out of [Registry] as a first-class module), so
-    the typed machinery hides behind closures built once in [create].
+    instance whose verifier memo tables stay warm for the session's
+    life. The property's algebra state type is existential (it comes
+    out of [Registry] as a first-class module), so the typed machinery
+    hides behind closures built once in [create].
 
     A step is an ordinary engine job on the edited graph
     ([Engine.certify], under [Engine.retrying]): store probe, decode
@@ -49,7 +49,6 @@
 module Graph = Lcp_graph.Graph
 module Config = Lcp_pls.Config
 module Incr = Lcp_cert.Incremental
-module Memo = Lcp_cert.Memo
 
 type patch_info = {
   pi_mode : string;
@@ -63,8 +62,6 @@ type patch_info = {
   pi_changed : int;  (** edge labels proved this step: m on a miss *)
   pi_reused : int;  (** always 0: every miss proves every label *)
   pi_verified : int;  (** vertices verified: n when the step served *)
-  pi_memo_hits : int;  (** composition-memo hits during this step *)
-  pi_memo_misses : int;
 }
 
 let no_info mode =
@@ -75,17 +72,15 @@ let no_info mode =
     pi_changed = 0;
     pi_reused = 0;
     pi_verified = 0;
-    pi_memo_hits = 0;
-    pi_memo_misses = 0;
   }
 
 (* one line, no newlines: the wire protocol frames it as a single
    body line of a dreport *)
 let info_json i =
   Printf.sprintf
-    "{\"mode\":\"%s\",\"edits\":%d,\"dirty_windows\":%d,\"changed\":%d,\"reused\":%d,\"verified\":%d,\"memo_hits\":%d,\"memo_misses\":%d}"
+    "{\"mode\":\"%s\",\"edits\":%d,\"dirty_windows\":%d,\"changed\":%d,\"reused\":%d,\"verified\":%d}"
     i.pi_mode i.pi_edits i.pi_dirty_windows i.pi_changed i.pi_reused
-    i.pi_verified i.pi_memo_hits i.pi_memo_misses
+    i.pi_verified
 
 type session = {
   s_job : Manifest.job;
@@ -111,11 +106,6 @@ let bundle s = s.s_bundle ()
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
 let fresh_rep = Engine.fresh_rep
-
-let memo_totals () =
-  let l = Memo.counters () in
-  let get k = Option.value ~default:0 (List.assoc_opt k l) in
-  (get "memo_hit", get "memo_miss")
 
 let input_error (job : Manifest.job) ~id ~n ~m e =
   Engine.blank_report { job with job_id = id } ~n ~m ~t0:(now_ms ())
@@ -143,8 +133,8 @@ let create ?retry engine (job : Manifest.job) =
             (Printf.sprintf "unknown property %S; catalogue: %s" job.property
                (String.concat ", " (Registry.names ())))
       | Some (module Pr) ->
-          (* one prover for the session: its composition memo stays
-             warm across steps *)
+          (* one prover and verifier for the session: the verifier's
+             memos stay warm across steps *)
           let module T1 = Lcp_cert.Theorem1.Make (Pr.A) in
           (* memory-tier warm hits skip the bundle decode: the session
              remembers the labeling it decoded (or proved) for each
@@ -211,11 +201,9 @@ let create ?retry engine (job : Manifest.job) =
                          ~decode_state:Pr.decode_state)
                     g1 bundle
             in
-            let hit0, miss0 = memo_totals () in
             let report, outcome =
               Engine.certify engine ~job:step_job ~t0 ~cfg ~key scheme ~decode
             in
-            let hit1, miss1 = memo_totals () in
             let rep1, transplanted = Lazy.force rep in
             let bundle =
               match outcome with
@@ -242,8 +230,6 @@ let create ?retry engine (job : Manifest.job) =
                   pi_dirty_windows = Incr.dirty_count rep1 delta;
                   pi_changed = (if served then Graph.m g1 else 0);
                   pi_verified = verified;
-                  pi_memo_hits = hit1 - hit0;
-                  pi_memo_misses = miss1 - miss0;
                 }
             in
             (report, { info with pi_edits = Incr.delta_size delta })

@@ -359,7 +359,7 @@ let retrying ?retry:retry_override t ~(job : Manifest.job) ~fallback attempt =
 let run_job ?retry t (job : Manifest.job) : Stats.job_report =
   fst (retrying ?retry t ~job ~fallback:() (fun _ -> (run_once t job, ())))
 
-(* The counters a run reports besides the composition memo's: the
+(* The counters a run reports besides the verifier memos': the
    negative-lookup filter and group-commit traffic, so the certd footer
    and --server-stats can show disk probes saved/paid, and the GC minor
    allocation count. All are cumulative totals of this process. *)
@@ -373,7 +373,7 @@ let process_counters t =
     ("minor_words", int_of_float (Gc.minor_words ()));
   ]
 
-(* Copy the process-global composition-memo counters and
+(* Copy the process-global verifier-memo counters and
    [process_counters] into the timing sink, where they render next to
    the histogram. Counters are cumulative totals, so [set_counter]
    (overwrite) keeps one snapshot per run. *)

@@ -31,11 +31,6 @@ type job = {
   seed : int;
 }
 
-let pp_source ppf = function
-  | File f -> Format.fprintf ppf "file=%s" f
-  | Generated { family; n; gen_seed } ->
-      Format.fprintf ppf "gen=%s n=%d gseed=%d" family n gen_seed
-
 let known_keys = [ "file"; "gen"; "n"; "gseed"; "property"; "k"; "seed"; "id" ]
 
 let err line msg = Error (Printf.sprintf "manifest, line %d: %s" line msg)

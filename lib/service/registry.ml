@@ -64,10 +64,6 @@ let find name = List.assoc_opt name catalogue
 
 let names () = List.map fst catalogue
 
-let name_of (p : t) =
-  let (module P) = p in
-  P.A.name
-
 let description_of (p : t) =
   let (module P) = p in
   P.A.description

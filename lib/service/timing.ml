@@ -16,7 +16,7 @@
     samples, identical to what a sequential run would report.
 
     Besides durations the sink carries named integer {e counters}
-    (composition-memo hits/misses, interned states, GC minor words);
+    (verifier-memo hits/misses, store filter traffic, GC minor words);
     [absorb] merges them by summation and [pp] renders them on one
     [counters:] line after the histogram. *)
 
@@ -179,7 +179,7 @@ let report_json (t : t) =
 (** The counters as one JSON object ([{}] when none have been
     recorded), for the daemon's live stats endpoint — the same numbers
     [pp_counters] renders after the histogram. Counter names are
-    identifier-shaped (memo_hit, minor_words, ...), so no escaping. *)
+    identifier-shaped (view_hit, minor_words, ...), so no escaping. *)
 let counters_json (t : t) =
   "{"
   ^ String.concat ","

@@ -170,8 +170,8 @@ type request =
     }
       (** open a per-connection delta session: certify the base graph
           and keep its typed state (graph, representation, labeling,
-          warm memo) daemon-side for subsequent edits. One session per
-          connection; a second open replaces the first. *)
+          warm verifier memos) daemon-side for subsequent edits. One
+          session per connection; a second open replaces the first. *)
   | Delta_edit of {
       serial : int;
       deadline_ms : float;
@@ -204,7 +204,7 @@ type response =
       json : string;
       canonical : string;
       patch : string;  (** one-line patch-info JSON (mode, dirty windows,
-                           reused/changed labels, memo hits) *)
+                           reused/changed labels, vertices verified) *)
     }  (** the reply to [Delta_open] and [Delta_edit] *)
 
 let encode_request = function

@@ -9,7 +9,7 @@
 
     {b The worker loop.} A worker builds its engine, sends [Ready], and
     answers every [Job] and [Delta_job] with one [Done]: the report, the
-    job's timing samples and composition-memo counter deltas, and its
+    job's timing samples and verifier-memo counter deltas, and its
     store counters. On [Quit], or EOF on its input, it flushes the
     engine and signs off with [Bye]: the final store counters and the
     counters [Engine.process_counters] adds beyond the per-job deltas.

@@ -20,8 +20,8 @@ dune runtest
 # differential oracle: Theorem 1 vs the FMR baseline, >= 500 instances
 dune build @difftest
 
-# packed-state differential suite: unpack.pack = id per algebra, packed
-# memo vs reference compose, hash audit, exact memo semantics
+# verifier-memo differential suite: group-check and view memos on vs
+# off, over honest and faulty labelings of every registered property
 # (see test/test_packed.ml)
 dune build @packed
 

@@ -435,12 +435,12 @@ let timing_flush_discipline () =
      stops a long-lived worker double-counting its history *)
   let w = Timing.create () in
   Timing.record w Timing.Store 1.0;
-  Timing.add_counter w "memo_hits" 3;
+  Timing.add_counter w "view_hit" 3;
   let first = Timing.flush w in
   check "flush carries the sample" true
     (List.assoc "store" first.Timing.w_stages = [ 1.0 ]);
   check "flush carries counters" true
-    (List.assoc "memo_hits" first.Timing.w_ctrs = 3);
+    (List.assoc "view_hit" first.Timing.w_ctrs = 3);
   let second = Timing.flush w in
   check "second flush is empty" true
     (List.for_all (fun (_, vs) -> vs = []) second.Timing.w_stages
@@ -867,11 +867,12 @@ let daemon_delta_session () =
             (contains patch "\"mode\":\"full\""
             || contains patch "\"mode\":\"cached\"")
       | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (* memo hit/miss counters ride the live stats endpoint *)
+      (* the verifier-memo counters ride the live stats endpoint *)
       let json = stats fd in
       check "counters object present" true (contains json "\"counters\":{");
-      check "memo misses surfaced" true (json_int json "memo_miss" >= 1);
-      check "memo hits surfaced" true (json_int json "memo_hit" >= 0);
+      check "view misses surfaced" true (json_int json "view_miss" >= 1);
+      check "view hits surfaced" true (json_int json "view_hit" >= 0);
+      check "group misses surfaced" true (json_int json "group_miss" >= 0);
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 

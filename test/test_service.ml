@@ -433,8 +433,8 @@ let engine_counters () =
   List.iter
     (fun name ->
       check (name ^ " counter present") true (List.mem_assoc name ctrs))
-    [ "memo_hit"; "memo_miss"; "intern_hit"; "intern_miss"; "minor_words" ];
-  check "some memo traffic" true (List.assoc "memo_miss" ctrs > 0);
+    [ "group_hit"; "group_miss"; "view_hit"; "view_miss"; "minor_words" ];
+  check "some memo traffic" true (List.assoc "view_miss" ctrs > 0);
   check "allocation counter positive" true (List.assoc "minor_words" ctrs > 0);
   let footer = Format.asprintf "%a" Lcp_service.Timing.pp timing in
   check "footer has a counters line" true
@@ -449,8 +449,8 @@ let engine_counters () =
   Lcp_service.Timing.absorb t2 (Lcp_service.Timing.samples timing);
   Lcp_service.Timing.absorb t2 (Lcp_service.Timing.samples timing);
   check_int "absorb sums"
-    (2 * List.assoc "memo_miss" ctrs)
-    (List.assoc "memo_miss" (Lcp_service.Timing.counters t2))
+    (2 * List.assoc "view_miss" ctrs)
+    (List.assoc "view_miss" (Lcp_service.Timing.counters t2))
 
 let engine_rejects_unknowns () =
   let job source property =
