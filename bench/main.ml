@@ -70,57 +70,80 @@ let e1 () =
   header
     "E1  Proof size vs n  (Theorem 1 claim: O(log n); FMR+24 baseline: \
      O(log^2 n))";
-  Printf.printf
-    "family=path (pw 1), property=connectivity; bits = max label length\n\n";
-  Printf.printf "%8s %12s %14s %12s %14s %12s\n" "n" "T1 bits" "T1/log2(n)"
-    "FMR bits" "FMR/log2^2(n)" "universal";
-  let universal =
-    PLS.Universal.scheme ~name:"universal" ~property:(fun _ -> true)
-  in
   let heur c =
     Some (PW.heuristic_interval_representation (PLS.Config.graph c))
   in
-  List.iter
-    (fun n ->
-      let g = Gen.path n in
-      let cfg = PLS.Config.make g in
-      let t1 = T1conn.edge_scheme ~rep:heur ~k:1 () in
-      let t1_bits = S.max_edge_label_bits t1 (Option.get (t1.S.es_prove cfg)) in
-      let fmr = Fconn.scheme ~rep:heur ~k:1 () in
-      let fmr_bits =
-        S.max_vertex_label_bits fmr (Option.get (fmr.S.vs_prove cfg))
-      in
-      let uni_bits =
-        S.max_vertex_label_bits universal
-          (Option.get (universal.S.vs_prove cfg))
-      in
-      Printf.printf "%8d %12d %14.1f %12d %14.1f %12d\n" n t1_bits
-        (float_of_int t1_bits /. log2 n)
-        fmr_bits
-        (float_of_int fmr_bits /. (log2 n *. log2 n))
-        uni_bits)
-    [ 16; 32; 64; 128; 256; 512; 1024; 2048 ];
+  (* Theorem 1's max label on the pinned Prop 4.6 partition and on the
+     default hybrid one, and FMR's *)
+  let sizes ~k g =
+    let cfg = PLS.Config.make g in
+    let t1 strategy =
+      let s = T1conn.edge_scheme ~strategy ~rep:heur ~k () in
+      S.max_edge_label_bits s (Option.get (s.S.es_prove cfg))
+    in
+    let fmr = Fconn.scheme ~rep:heur ~k () in
+    ( cfg,
+      t1 `Prop46,
+      t1 `Hybrid,
+      S.max_vertex_label_bits fmr (Option.get (fmr.S.vs_prove cfg)) )
+  in
+  (* the first n at which the hybrid labels are smaller than FMR's *)
+  let crossover rows =
+    match List.find_opt (fun (_, _, hyb, fmr) -> hyb < fmr) rows with
+    | Some (n, _, _, _) ->
+        let below = List.filter (fun (m, _, _, _) -> m < n) rows in
+        if below = [] then Printf.printf "hybrid below FMR from the smallest n (%d)\n" n
+        else
+          Printf.printf "crossover: hybrid above FMR at n = %d, below at n = %d\n"
+            (List.fold_left (fun a (m, _, _, _) -> max a m) 0 below) n
+    | None ->
+        let n, _, hyb, fmr = List.nth rows (List.length rows - 1) in
+        Printf.printf
+          "no crossover measured: hybrid still %.2fx FMR at n = %d\n"
+          (float_of_int hyb /. float_of_int fmr) n
+  in
   Printf.printf
-    "\nShape check: T1/log2(n) must flatten (O(log n)); FMR/log2^2(n) must\n\
+    "family=path (pw 1), property=connectivity; bits = max label length\n\n";
+  Printf.printf "%8s %10s %10s %10s %10s %12s %12s\n" "n" "T1 4.6" "T1 hybrid"
+    "hyb/log2n" "FMR" "FMR/log2^2n" "universal";
+  let universal =
+    PLS.Universal.scheme ~name:"universal" ~property:(fun _ -> true)
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let cfg, b46, hyb, fmr = sizes ~k:1 (Gen.path n) in
+        let uni_bits =
+          S.max_vertex_label_bits universal
+            (Option.get (universal.S.vs_prove cfg))
+        in
+        Printf.printf "%8d %10d %10d %10.1f %10d %12.1f %12d\n%!" n b46 hyb
+          (float_of_int hyb /. log2 n)
+          fmr
+          (float_of_int fmr /. (log2 n *. log2 n))
+          uni_bits;
+        (n, b46, hyb, fmr))
+      [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096; 8192 ]
+  in
+  crossover rows;
+  Printf.printf
+    "\nShape check: hyb/log2(n) must flatten (O(log n)); FMR/log2^2(n) must\n\
      flatten (O(log^2 n)); the universal column grows superlinearly.\n\n";
   Printf.printf "family=cycle (pw 2), property=connectivity\n\n";
-  Printf.printf "%8s %12s %14s %12s %14s\n" "n" "T1 bits" "T1/log2(n)"
-    "FMR bits" "FMR/log2^2(n)";
-  List.iter
-    (fun n ->
-      let g = Gen.cycle n in
-      let cfg = PLS.Config.make g in
-      let t1 = T1conn.edge_scheme ~rep:heur ~k:2 () in
-      let t1_bits = S.max_edge_label_bits t1 (Option.get (t1.S.es_prove cfg)) in
-      let fmr = Fconn.scheme ~rep:heur ~k:2 () in
-      let fmr_bits =
-        S.max_vertex_label_bits fmr (Option.get (fmr.S.vs_prove cfg))
-      in
-      Printf.printf "%8d %12d %14.1f %12d %14.1f\n" n t1_bits
-        (float_of_int t1_bits /. log2 n)
-        fmr_bits
-        (float_of_int fmr_bits /. (log2 n *. log2 n)))
-    [ 16; 32; 64; 128; 256; 512 ];
+  Printf.printf "%8s %10s %10s %10s %10s %12s\n" "n" "T1 4.6" "T1 hybrid"
+    "hyb/log2n" "FMR" "FMR/log2^2n";
+  let rows =
+    List.map
+      (fun n ->
+        let _, b46, hyb, fmr = sizes ~k:2 (Gen.cycle n) in
+        Printf.printf "%8d %10d %10d %10.1f %10d %12.1f\n%!" n b46 hyb
+          (float_of_int hyb /. log2 n)
+          fmr
+          (float_of_int fmr /. (log2 n *. log2 n));
+        (n, b46, hyb, fmr))
+      [ 16; 32; 64; 128; 256; 512 ]
+  in
+  crossover rows;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -369,44 +392,91 @@ let faults () =
 (* ------------------------------------------------------------------ *)
 (* E7: ablation — Prop 4.6 vs greedy lane partition                     *)
 
+(* A path folded in two (p_i at [2i, 2i+2], q_i at [2i+1, 2i+3], joined
+   by p_0-q_0): a width-3 representation whose greedy lanes alternate
+   between the halves, so their completion edges all route through the
+   fold *)
+let folded_path l =
+  let g =
+    G.of_edges ~n:(2 * (l + 1))
+      ((0, l + 1)
+      :: List.concat
+           (List.init l (fun i -> [ (i, i + 1); (l + 1 + i, l + 2 + i) ])))
+  in
+  let ivs =
+    Array.init (2 * (l + 1)) (fun v ->
+        let i = if v <= l then 2 * v else (2 * (v - l - 1)) + 1 in
+        (i, i + 2))
+  in
+  (g, Rep.of_pairs g ivs)
+
 let e7 () =
   header
     "E7  Ablation: Prop 4.6 partition (guaranteed congestion) vs greedy \
-     Obs 4.3 partition";
-  Printf.printf "%4s | %10s %10s | %12s %12s | %12s %12s\n" "k" "lanes(46)"
-    "lanes(gr)" "cong(46)" "cong(gr)" "bits(46)" "bits(gr)";
+     Obs 4.3 partition vs the hybrid default";
+  let strategies = [ `Prop46; `Greedy; `Hybrid ] in
+  (* max lanes, congestion and label bits per strategy over [insts], and
+     the hybrid's fallbacks *)
+  let measure ~k insts =
+    let pass strategy =
+      let before = !Lcp_cert.Prover.lanes_fallback in
+      let row =
+        List.fold_left
+          (fun (lanes, cong, bits) (rep, cfg) ->
+            match T1conn.P.prepare ~strategy ~rep cfg with
+            | Error _ -> (lanes, cong, bits)
+            | Ok art ->
+                let scheme = T1conn.edge_scheme ~k () in
+                ( max lanes art.T1conn.P.lane_count,
+                  max cong art.T1conn.P.congestion,
+                  max bits (S.max_edge_label_bits scheme art.T1conn.P.labels) ))
+          (0, 0, 0) insts
+      in
+      (row, !Lcp_cert.Prover.lanes_fallback - before)
+    in
+    let passes = List.map pass strategies in
+    (List.map fst passes, snd (List.nth passes 2))
+  in
+  let print label rows fallbacks =
+    let col f = List.map f rows in
+    let l = col (fun (a, _, _) -> a)
+    and c = col (fun (_, b, _) -> b)
+    and b = col (fun (_, _, x) -> x) in
+    Printf.printf "%-8s | %4d %4d %4d | %6d %6d %6d | %8d %8d %8d | %3d\n" label
+      (List.nth l 0) (List.nth l 1) (List.nth l 2) (List.nth c 0) (List.nth c 1)
+      (List.nth c 2) (List.nth b 0) (List.nth b 1) (List.nth b 2) fallbacks
+  in
+  Printf.printf "%-8s | %14s | %20s | %26s | %3s\n" "" "lanes" "congestion"
+    "bits" "";
+  Printf.printf "%-8s | %4s %4s %4s | %6s %6s %6s | %8s %8s %8s | %3s\n" "input"
+    "4.6" "gr" "hyb" "4.6" "gr" "hyb" "4.6" "gr" "hyb" "fb";
   List.iter
     (fun k ->
-      let lanes46 = ref 0 and lanesgr = ref 0 in
-      let cong46 = ref 0 and conggr = ref 0 in
-      let bits46 = ref 0 and bitsgr = ref 0 in
-      for _ = 1 to 12 do
-        let n = 80 + Random.State.int rng 60 in
-        let g, ivs = Gen.random_pathwidth rng ~n ~k () in
-        let cfg = PLS.Config.random_ids rng g in
-        let rep = Rep.of_pairs g ivs in
-        List.iter
-          (fun (strategy, lanes, cong, bits) ->
-            match T1conn.P.prepare ~strategy ~rep cfg with
-            | Error _ -> ()
-            | Ok art ->
-                lanes := max !lanes art.T1conn.P.lane_count;
-                cong := max !cong art.T1conn.P.congestion;
-                let scheme = T1conn.edge_scheme ~k () in
-                bits :=
-                  max !bits (S.max_edge_label_bits scheme art.T1conn.P.labels))
-          [
-            (`Prop46, lanes46, cong46, bits46);
-            (`Greedy, lanesgr, conggr, bitsgr);
-          ]
-      done;
-      Printf.printf "%4d | %10d %10d | %12d %12d | %12d %12d\n" k !lanes46
-        !lanesgr !cong46 !conggr !bits46 !bitsgr)
+      let insts =
+        List.init 12 (fun _ ->
+            let n = 80 + Random.State.int rng 60 in
+            let g, ivs = Gen.random_pathwidth rng ~n ~k () in
+            (Rep.of_pairs g ivs, PLS.Config.random_ids rng g))
+      in
+      let rows, fallbacks = measure ~k insts in
+      print (Printf.sprintf "k=%d" k) rows fallbacks)
     [ 1; 2; 3 ];
+  List.iter
+    (fun l ->
+      let g, rep = folded_path l in
+      let rows, fallbacks = measure ~k:2 [ (rep, PLS.Config.make g) ] in
+      print (Printf.sprintf "fold %d" l) rows fallbacks)
+    [ 10; 40; 160 ];
   Printf.printf
-    "\nGreedy uses fewer lanes (cheaper DP states, smaller labels) but its\n\
-     congestion is unbounded in theory; Prop 4.6 trades label size for the\n\
-     worst-case guarantee the O(log n) proof needs.\n\n"
+    "\nfb = hybrid prepares that fell back to Prop 4.6 (12 random instances a\n\
+     k row, one folded path of 2(l+1) vertices, width 3, a fold row).\n\
+     Greedy uses fewer lanes (cheaper DP states, smaller labels) but its\n\
+     congestion is unbounded: on the folded path it grows with l. The\n\
+     hybrid keeps greedy while it has at most w lanes (w the width) and\n\
+     congestion at most h(w) (h(2) = %d, h(3) = %d, h(4) = %d), within the\n\
+     bounds Theorem 1's O(log n) argument needs, and falls back to Prop\n\
+     4.6 otherwise.\n\n"
+    (B.h 2) (B.h 3) (B.h 4)
 
 (* ------------------------------------------------------------------ *)
 (* SERVICE: batch throughput through the certification service          *)

@@ -130,7 +130,6 @@ let run input family n k property strategy scheme_kind seed corrupt =
           if G.n g <= 20 then Some (PW.exact_interval_representation g)
           else Some (PW.heuristic_interval_representation g)
   in
-  let strategy = if strategy = "greedy" then `Greedy else `Prop46 in
   let outcome =
     if scheme_kind = "fmr" then begin
       let report name scheme =
@@ -233,9 +232,13 @@ let property =
 let strategy =
   Arg.(
     value
-    & opt string "prop46"
+    & opt
+        (enum [ ("hybrid", `Hybrid); ("prop46", `Prop46); ("greedy", `Greedy) ])
+        `Hybrid
     & info [ "strategy" ]
-        ~doc:"Lane partition strategy: prop46 (default) or greedy.")
+        ~doc:
+          "Lane partition strategy: hybrid (default: greedy when it meets \
+           the Prop 4.6 bounds, else prop46), prop46 or greedy.")
 
 let scheme_kind =
   Arg.(

@@ -132,16 +132,12 @@ let is_canonical classes =
     classes
   && sorted classes
 
-let rec read_n n f = if n <= 0 then [] else
-  let x = f () in
-  x :: read_n (n - 1) f
-
 let decode r =
   let nclasses = Bitenc.read_varint r in
   let classes =
-    read_n nclasses (fun () ->
+    Bitenc.read_n nclasses (fun () ->
         let size = Bitenc.read_varint r in
-        read_n size (fun () ->
+        Bitenc.read_n size (fun () ->
             let s = Bitenc.read_varint r in
             let p = Bitenc.read_bit r in
             (s, p)))

@@ -100,12 +100,8 @@ let encode w st =
 (* inverse of [encode] for nonnegative slot names (host vertex ids):
    profiles come back as bitmaps over the sorted slot list *)
 let decode r =
-  let rec read_n n f = if n <= 0 then [] else
-    let x = f () in
-    x :: read_n (n - 1) f
-  in
   let nslots = Bitenc.read_varint r in
-  let slot_list = read_n nslots (fun () -> Bitenc.read_varint r) in
+  let slot_list = Bitenc.read_n nslots (fun () -> Bitenc.read_varint r) in
   let nprofiles = Bitenc.read_varint r in
   (* one bit per slot, read strictly in slot order *)
   let rec read_profile = function
@@ -114,7 +110,16 @@ let decode r =
         let b = Bitenc.read_bit r in
         if b then s :: read_profile rest else read_profile rest
   in
-  let profiles = read_n nprofiles (fun () -> read_profile slot_list) in
+  let profiles =
+    (* without slots every profile is the empty one and reads no bits, so
+       any count canonicalizes to one empty profile: a corrupt count must
+       not cost a read per profile. With slots, a count the remaining
+       bits cannot hold is out of data before the first read. *)
+    if nslots = 0 then if nprofiles > 0 then [ [] ] else []
+    else if nprofiles > Bitenc.bits_remaining r / nslots then
+      invalid_arg "Matching.decode: out of data for the profiles"
+    else Bitenc.read_n nprofiles (fun () -> read_profile slot_list)
+  in
   (* strictly increasing is exactly what [canonical] returns unchanged *)
   let rec increasing = function
     | a :: (b :: _ as rest) -> compare a b < 0 && increasing rest

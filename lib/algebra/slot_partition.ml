@@ -105,18 +105,6 @@ let encode w t =
       List.iter (fun s -> Lcp_util.Bitenc.varint w (abs s)) c)
     t
 
-let rec read_slots r n =
-  if n <= 0 then []
-  else
-    let s = Lcp_util.Bitenc.read_varint r in
-    s :: read_slots r (n - 1)
-
-let rec read_classes r n =
-  if n <= 0 then []
-  else
-    let c = read_slots r (Lcp_util.Bitenc.read_varint r) in
-    c :: read_classes r (n - 1)
-
 (* [canonical t] is structurally equal to [t] exactly when no class is
    empty, every class is sorted and the classes are sorted: the sorts
    are stable and equal elements are structurally equal. *)
@@ -134,7 +122,9 @@ let rec is_canonical = function
       | [] -> true)
 
 let decode r =
-  let t = read_classes r (Lcp_util.Bitenc.read_varint r) in
+  let module B = Lcp_util.Bitenc in
+  let read_list f = B.read_n (B.read_varint r) f in
+  let t = read_list (fun () -> read_list (fun () -> B.read_varint r)) in
   if is_canonical t then t else canonical t
 
 let pp ppf t =

@@ -128,13 +128,7 @@ let encode w st =
 (* inverse of [encode] for the nonnegative slot names the certification
    pipeline uses (host vertex ids), where [abs] is the identity *)
 let decode r =
-  (* decoding must read strictly left to right; List.init order is
-     unspecified *)
-  let rec read_n n f = if n <= 0 then [] else
-    let x = f () in
-    x :: read_n (n - 1) f
-  in
-  let read_list f = read_n (Bitenc.read_varint r) f in
+  let read_list f = Bitenc.read_n (Bitenc.read_varint r) f in
   let slot_list = read_list (fun () -> Bitenc.read_varint r) in
   let read_pairs () =
     read_list (fun () ->

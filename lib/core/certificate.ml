@@ -169,15 +169,9 @@ let encode_plain ~encode_state =
   let frame = encode_frame (encode_info encode_state) in
   encode_label frame (fun w v -> encode_stack frame w v.vframes)
 
-(* List.init applies its function in unspecified order; decoding must read
-   strictly left to right *)
-let rec read_n n f = if n <= 0 then [] else
-  let x = f () in
-  x :: read_n (n - 1) f
-
 let decode_lane_map r =
   let n = Bitenc.read_varint r in
-  read_n n (fun () ->
+  Bitenc.read_n n (fun () ->
       let lane = Bitenc.read_varint r in
       let v = Bitenc.read_varint r in
       (lane, v))
@@ -185,7 +179,7 @@ let decode_lane_map r =
 let decode_info decode_state r =
   let node_id = Bitenc.read_varint r in
   let nlanes = Bitenc.read_varint r in
-  let lanes = read_n nlanes (fun () -> Bitenc.read_varint r) in
+  let lanes = Bitenc.read_n nlanes (fun () -> Bitenc.read_varint r) in
   let t_in = decode_lane_map r in
   let t_out = decode_lane_map r in
   let state = decode_state r in
@@ -215,10 +209,10 @@ let decode_frame info r =
     let merged = info r in
     let is_tree_root = Bitenc.read_bit r in
     let nreal = Bitenc.read_varint r in
-    let member_real = read_n nreal (fun () -> Bitenc.read_bit r) in
+    let member_real = Bitenc.read_n nreal (fun () -> Bitenc.read_bit r) in
     let nchildren = Bitenc.read_varint r in
     let children =
-      read_n nchildren (fun () ->
+      Bitenc.read_n nchildren (fun () ->
           let nid = Bitenc.read_varint r in
           let cinfo = info r in
           (nid, cinfo))
@@ -377,7 +371,7 @@ let sharing_decoder decode_state =
     let n = Bitenc.read_varint r in
     let key = ref n in
     let frames =
-      read_n n (fun () ->
+      Bitenc.read_n n (fun () ->
           let f = frame r in
           key := (!key lxor t.frame_key) * 0x100000001b3;
           f)
@@ -399,7 +393,7 @@ let sharing_decoder decode_state =
     let accept_state = Bitenc.read_bit r in
     let ntrans = Bitenc.read_varint r in
     let transported =
-      read_n ntrans (fun () ->
+      Bitenc.read_n ntrans (fun () ->
           let vu = Bitenc.read_varint r in
           let vv = Bitenc.read_varint r in
           let rank_fwd = Bitenc.read_varint r in

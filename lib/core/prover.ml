@@ -5,6 +5,7 @@ module Lane_partition = Lcp_lanes.Lane_partition
 module Completion = Lcp_lanes.Completion
 module Embedding = Lcp_lanes.Embedding
 module Low_congestion = Lcp_lanes.Low_congestion
+module Bounds = Lcp_lanes.Bounds
 module Klane = Lcp_lanewidth.Klane
 module Hierarchy = Lcp_lanewidth.Hierarchy
 module Prop52 = Lcp_lanewidth.Prop52
@@ -14,7 +15,45 @@ module Scheme = Lcp_pls.Scheme
 module Spanning_tree = Lcp_pls.Spanning_tree
 open Certificate
 
-type strategy = [ `Prop46 | `Greedy ]
+type strategy = [ `Hybrid | `Prop46 | `Greedy ]
+
+let lanes_fallback = ref 0
+
+(* The Obs 4.3 partition, and shortest paths for the edges its
+   completion adds *)
+let greedy_lanes g rep =
+  let p = Lane_partition.of_greedy_coloring rep in
+  let edges = Completion.new_edges_full p in
+  let embedding =
+    List.filter_map
+      (fun ((a, b), path) ->
+        Option.map (fun path -> (Graph.canonical_edge a b, path)) path)
+      (List.combine edges (Traversal.shortest_paths g edges))
+  in
+  (p, embedding)
+
+let prop46_lanes rep =
+  incr lanes_fallback;
+  let r = Low_congestion.construct rep in
+  (r.Low_congestion.partition, r.Low_congestion.full_embedding)
+
+(* Theorem 1's size argument asks two things of the lane partition of a
+   width-w representation: at most f(w) lanes, and an embedding of its
+   completion with congestion at most h(w) (Prop 4.6 builds one). The
+   scheme for pathwidth k caps the lanes at f(k+1), so w = k+1 there;
+   without a cap, w is the representation's own width. The greedy
+   partition has exactly as many lanes as the representation is wide,
+   and it is kept only for a representation of width at most w: a wider
+   one is left to Prop 4.6, as before, so the hybrid serves and declines
+   exactly the jobs Prop 4.6 alone does. From w = 17 on, h(w) overflows
+   a native int and bounds nothing. *)
+let within_bounds ?max_lanes rep ~lanes ~congestion =
+  let w =
+    match max_lanes with
+    | Some m -> Bounds.width_for_lanes m
+    | None -> Representation.width rep
+  in
+  lanes <= w && (w >= 17 || congestion <= Bounds.h w)
 
 module Make (A : Lcp_algebra.Algebra_sig.S) = struct
   module C = Compose.Make (A)
@@ -240,7 +279,7 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
 
   (* ------------------------------------------------------------------ *)
 
-  let prepare ?(strategy = `Prop46) ?rep ?max_lanes cfg =
+  let prepare ?(strategy = `Hybrid) ?rep ?max_lanes cfg =
     let g = Config.graph cfg in
     if Graph.n g = 0 then Error "empty graph"
     else if not (Traversal.is_connected g) then Error "disconnected graph"
@@ -256,22 +295,22 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
               invalid_arg "Prover.prepare: representation of a different graph"
         | None -> Lcp_interval.Pathwidth.exact_interval_representation g
       in
-      let partition, embedding =
+      let with_congestion (p, embedding) =
+        (p, embedding, Embedding.congestion g embedding)
+      in
+      let partition, embedding, congestion =
         match strategy with
-        | `Prop46 ->
-            let r = Low_congestion.construct rep in
-            (r.Low_congestion.partition, r.Low_congestion.full_embedding)
-        | `Greedy ->
-            let p = Lane_partition.of_greedy_coloring rep in
-            let paths =
-              List.filter_map
-                (fun (a, b) ->
-                  match Traversal.shortest_path g a b with
-                  | Some path -> Some (Graph.canonical_edge a b, path)
-                  | None -> None)
-                (Completion.new_edges_full p)
+        | `Prop46 -> with_congestion (prop46_lanes rep)
+        | `Greedy -> with_congestion (greedy_lanes g rep)
+        | `Hybrid ->
+            let ((p, _, congestion) as greedy) =
+              with_congestion (greedy_lanes g rep)
             in
-            (p, paths)
+            if
+              within_bounds ?max_lanes rep
+                ~lanes:(Lane_partition.lane_count p) ~congestion
+            then greedy
+            else with_congestion (prop46_lanes rep)
       in
       let lanes = Lane_partition.lane_count partition in
       if lanes > Option.value max_lanes ~default:max_int then
@@ -364,8 +403,8 @@ module Make (A : Lcp_algebra.Algebra_sig.S) = struct
           labels;
           completion = host;
           hierarchy;
-          lane_count = Lane_partition.lane_count partition;
-          congestion = Embedding.congestion g embedding;
+          lane_count = lanes;
+          congestion;
           holds = root_accepts;
         }
     end

@@ -24,7 +24,9 @@ module Make (A : Lcp_algebra.Algebra_sig.S) : sig
       The prover declines when the lane partition of that
       representation has more than f(k+1) lanes (a representation
       wider than k+1 can give one), before building the certificates
-      the verifier would reject. *)
+      the verifier would reject. [strategy] picks the lane partition
+      (default [`Hybrid], see {!Prover.strategy}); the verifier is the
+      same for all three. *)
 
   val vertex_scheme :
     ?strategy:Prover.strategy ->

@@ -61,6 +61,38 @@ let shortest_path g s t =
     Some (walk t [])
   end
 
+(* A BFS sets a vertex's parent when it first reaches it, so one cut
+   short when the target is reached has already set every parent on the
+   target's path, to the values the full search sets. [stamp] marks the
+   vertices the current search has reached, so the arrays are reused
+   without clearing. *)
+let shortest_paths g pairs =
+  let n = Graph.n g in
+  let parent = Array.make n (-1) and stamp = Array.make n 0 in
+  let queue = Array.make n 0 in
+  let search mark (s, t) =
+    stamp.(s) <- mark;
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 and found = ref (s = t) in
+    while (not !found) && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      Graph.iter_neighbors g u (fun v ->
+          if (not !found) && stamp.(v) <> mark then begin
+            stamp.(v) <- mark;
+            parent.(v) <- u;
+            queue.(!tail) <- v;
+            incr tail;
+            if v = t then found := true
+          end)
+    done;
+    if not !found then None
+    else
+      let rec walk v acc = if v = s then s :: acc else walk parent.(v) (v :: acc) in
+      Some (walk t [])
+  in
+  List.mapi (fun i pair -> search (i + 1) pair) pairs
+
 let any_path g s t =
   let n = Graph.n g in
   let seen = Array.make n false in

@@ -19,6 +19,11 @@ val is_connected : Graph.t -> bool
 val shortest_path : Graph.t -> int -> int -> int list option
 (** Vertex sequence from source to target inclusive, or [None]. *)
 
+val shortest_paths : Graph.t -> (int * int) list -> int list option list
+(** [shortest_path g s t] for each pair [(s, t)], in order: the same
+    paths, from searches that share one set of scratch arrays and stop
+    at their target. *)
+
 val any_path : Graph.t -> int -> int -> int list option
 (** Some simple path between the endpoints (DFS order), or [None]. *)
 

@@ -11,3 +11,8 @@
 val f : int -> int
 val g : int -> int
 val h : int -> int
+
+val width_for_lanes : int -> int
+(** [width_for_lanes m] is the least [w ≥ 1] with [f w ≥ m], so
+    [width_for_lanes (f w) = w]. Values of [m] past [f 16] give 17, the
+    first width whose bounds overflow a native int. *)

@@ -77,6 +77,9 @@ let make ~host ~vertices ~edges ~lane_in ~lane_out =
         lane_out = List.sort compare lane_out;
       }
 
+let unchecked ~host ~vertices ~edges ~lane_in ~lane_out =
+  { host; vertices; edges; lane_in; lane_out }
+
 let singleton ~host ~lane v =
   make ~host ~vertices:[ v ] ~edges:[] ~lane_in:[ (lane, v) ]
     ~lane_out:[ (lane, v) ]

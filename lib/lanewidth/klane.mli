@@ -27,6 +27,19 @@ val make :
   t
 (** Validates; raises [Invalid_argument] with a diagnostic. *)
 
+val unchecked :
+  host:Lcp_graph.Graph.t ->
+  vertices:int list ->
+  edges:Lcp_graph.Graph.edge list ->
+  lane_in:(int * int) list ->
+  lane_out:(int * int) list ->
+  t
+(** The k-lane graph with exactly these parts, without a check: the
+    caller guarantees they are valid and already in the form [make]
+    returns (vertices sorted without repeats, canonical edges sorted
+    without repeats, both terminal maps sorted by lane). {!Merge} builds
+    its results this way, from operands [make] has already checked. *)
+
 val validate :
   host:Lcp_graph.Graph.t ->
   vertices:int list ->

@@ -373,17 +373,24 @@ let process_counters t =
     ("minor_words", int_of_float (Gc.minor_words ()));
   ]
 
-(* Copy the process-global verifier-memo counters and
-   [process_counters] into the timing sink, where they render next to
-   the histogram. Counters are cumulative totals, so [set_counter]
-   (overwrite) keeps one snapshot per run. *)
+(* The process-global counters of the certification library: the
+   verifier memos' traffic, and [lanes_fallback], the prepares that
+   built the Prop 4.6 lane partition because the greedy one missed a
+   bound. Workers ship them per job, as deltas. *)
+let cert_counters () =
+  Lcp_cert.Memo.counters ()
+  @ [ ("lanes_fallback", !Lcp_cert.Prover.lanes_fallback) ]
+
+(* Copy [cert_counters] and [process_counters] into the timing sink,
+   where they render next to the histogram. Counters are cumulative
+   totals, so [set_counter] (overwrite) keeps one snapshot per run. *)
 let snapshot_counters t =
   match t.timing with
   | None -> ()
   | Some timing ->
       List.iter
         (fun (name, v) -> Timing.set_counter timing name v)
-        (Lcp_cert.Memo.counters () @ process_counters t)
+        (cert_counters () @ process_counters t)
 
 (* Reports are emitted and returned in canonical order (sorted by job
    id), not arrival order, so the JSONL stream of a sequential run is

@@ -9,7 +9,7 @@
 
     {b The worker loop.} A worker builds its engine, sends [Ready], and
     answers every [Job] and [Delta_job] with one [Done]: the report, the
-    job's timing samples and verifier-memo counter deltas, and its
+    job's timing samples and [Engine.cert_counters] deltas, and its
     store counters. On [Quit], or EOF on its input, it flushes the
     engine and signs off with [Bye]: the final store counters and the
     counters [Engine.process_counters] adds beyond the per-job deltas.
@@ -110,13 +110,13 @@ let handler ~make_engine ~timed =
   let engine = make_engine timing in
   let store = Engine.store engine in
   let sessions : (int, Delta.session) Hashtbl.t = Hashtbl.create 8 in
-  (* per-job memo-counter DELTAS into the timing sink: [take_samples]
+  (* per-job cert-counter DELTAS into the timing sink: [take_samples]
      resets the counters after every job and the parent's [absorb]
      merges by summation, so shipping cumulative totals would
      overcount *)
-  let with_memo_counters f =
+  let with_cert_counters f =
     let before =
-      match timing with Some _ -> Lcp_cert.Memo.counters () | None -> []
+      match timing with Some _ -> Engine.cert_counters () | None -> []
     in
     let result = f () in
     (match timing with
@@ -125,7 +125,7 @@ let handler ~make_engine ~timed =
           (fun (name, v) ->
             let v0 = Option.value ~default:0 (List.assoc_opt name before) in
             Timing.set_counter tsink name (v - v0))
-          (Lcp_cert.Memo.counters ())
+          (Engine.cert_counters ())
     | None -> ());
     result
   in
@@ -150,7 +150,7 @@ let handler ~make_engine ~timed =
     | Quit -> None
     | Job { token; job; deadline_ms } ->
         let report =
-          with_memo_counters (fun () ->
+          with_cert_counters (fun () ->
               Engine.run_job ?retry:(retry_of deadline_ms) engine job)
         in
         finish ~token ~report ~patch:None
@@ -160,7 +160,7 @@ let handler ~make_engine ~timed =
     | Delta_job { token; client; deadline_ms; op } ->
         let retry = retry_of deadline_ms in
         let report, info =
-          with_memo_counters (fun () ->
+          with_cert_counters (fun () ->
               match op with
               | Dopen job -> (
                   match Delta.create ?retry engine job with

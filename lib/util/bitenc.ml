@@ -193,6 +193,12 @@ let read_varint r =
   let y = small_read r 8 in
   if y < 0x80 then y else read_varint_groups r (y land 0x7f) 7
 
+let[@tail_mod_cons] rec read_n n f =
+  if n <= 0 then []
+  else
+    let x = f () in
+    x :: read_n (n - 1) f
+
 let bits_remaining r = r.total_bits - r.pos
 
 let position r = r.pos

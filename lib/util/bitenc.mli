@@ -71,6 +71,12 @@ val read_varint : reader -> int
     Decoders of untrusted bits (certificate bundles) rely on this to stay
     total. *)
 
+val read_n : int -> (unit -> 'a) -> 'a list
+(** [read_n n f] calls [f] [n] times, strictly in order, and lists the
+    results in that order ([[]] when [n <= 0]). It runs in constant
+    stack: when every call of [f] reads at least one bit, a corrupt count
+    [n] ends in [f]'s out-of-data error, not in a stack overflow. *)
+
 val bits_remaining : reader -> int
 (** Bits not yet consumed (includes any zero padding from [to_bytes]). *)
 

@@ -281,6 +281,37 @@ let prop_matching_decode =
       && st = A.Matching.decode (decode_with write (bitmaps @ bitmaps))
       && st' = st)
 
+(* A corrupt profile count must not cost a read per profile: 2^40
+   profiles over no slots decode at once to the one empty profile they
+   canonicalize to, and over one slot they run out of data. The first
+   used to overflow the stack inside Bundle.decode, which turns only
+   Invalid_argument into an Error. *)
+let matching_corrupt_count () =
+  let g = Lcp_graph.Graph.of_edges ~n:2 [ (0, 1) ] in
+  let bundle nslots nprofiles =
+    let w = B.writer () in
+    B.varint w 2;
+    B.varint w 1;
+    B.varint w nslots;
+    for s = 0 to nslots - 1 do
+      B.varint w s
+    done;
+    B.varint w nprofiles;
+    { Lcp_service.Bundle.bytes = B.to_bytes w; bits = B.length_bits w }
+  in
+  let decode nslots nprofiles =
+    Lcp_service.Bundle.decode ~decode_label:A.Matching.decode g
+      (bundle nslots nprofiles)
+  in
+  let state = function
+    | Ok labels -> Lcp_pls.Scheme.Edge_map.find labels (0, 1)
+    | Error e -> Alcotest.fail e
+  in
+  check "2^40 empty profiles are one" true
+    (state (decode 0 (1 lsl 40)) = state (decode 0 1));
+  check "2^40 one-slot profiles are out of data" true
+    (Result.is_error (decode 1 (1 lsl 40)))
+
 let suite =
   ( "algebra",
     List.map exhaustive_small catalogue
@@ -297,4 +328,6 @@ let suite =
         prop_slot_partition_decode;
         prop_bipartite_decode;
         prop_matching_decode;
+        test "Matching.decode: a corrupt profile count is total"
+          matching_corrupt_count;
       ] )

@@ -873,6 +873,7 @@ let daemon_delta_session () =
       check "view misses surfaced" true (json_int json "view_miss" >= 1);
       check "view hits surfaced" true (json_int json "view_hit" >= 0);
       check "group misses surfaced" true (json_int json "group_miss" >= 0);
+      check "lane fallbacks surfaced" true (json_int json "lanes_fallback" >= 0);
       Unix.close fd;
       check_int "clean drain" 0 (stop_server pid))
 

@@ -213,6 +213,18 @@ let prop_shuffle_preserves =
          = List.sort compare
              (G.fold_vertices (fun v acc -> G.degree h v :: acc) h []))
 
+(* every pair, two isolated vertices included: the batched searches
+   give [shortest_path]'s paths and [None]s, in order *)
+let prop_shortest_paths =
+  qcheck ~count:100 "shortest_paths = shortest_path on every pair"
+    (arb_pw_graph ~max_k:3 ~max_n:25)
+    (fun (_, g, _) ->
+      let n = G.n g + 2 in
+      let g = G.of_edges ~n (G.edges g) in
+      let pairs = List.concat (List.init n (fun s -> List.init n (fun t -> (s, t)))) in
+      T.shortest_paths g pairs
+      = List.map (fun (s, t) -> T.shortest_path g s t) pairs)
+
 let suite =
   ( "graph",
     [
@@ -238,4 +250,5 @@ let suite =
       test "excluding forest bound" excluding_forest;
       prop_pw_generator;
       prop_shuffle_preserves;
+      prop_shortest_paths;
     ] )

@@ -206,6 +206,142 @@ let builder_full_pipeline =
       && H.depth h <= 2 * kk
       && G.equal (G.of_edges ~n:(G.n host) (H.klane_of h).K.edges) host)
 
+(* The merges as they were first written: every precondition checked
+   with list scans, the result rebuilt and re-validated by [Klane.make]
+   from the concatenated parts. The linear merges must agree with them,
+   result for result and diagnostic for diagnostic. *)
+module Reference = struct
+  let disjoint l1 l2 = List.for_all (fun x -> not (List.mem x l2)) l1
+
+  let bridge_merge (g1 : K.t) (g2 : K.t) ~i ~j =
+    if g1.K.host != g2.K.host then
+      invalid_arg "Merge.bridge_merge: different hosts";
+    if not (disjoint (K.lanes g1) (K.lanes g2)) then
+      invalid_arg "Merge.bridge_merge: lane sets not disjoint";
+    if not (disjoint g1.K.vertices g2.K.vertices) then
+      invalid_arg "Merge.bridge_merge: vertex sets not disjoint";
+    let a = K.tau_out g1 i and b = K.tau_out g2 j in
+    if not (G.mem_edge g1.K.host a b) then
+      invalid_arg "Merge.bridge_merge: bridge is not a host edge";
+    K.make ~host:g1.K.host
+      ~vertices:(g1.K.vertices @ g2.K.vertices)
+      ~edges:(G.canonical_edge a b :: (g1.K.edges @ g2.K.edges))
+      ~lane_in:(g1.K.lane_in @ g2.K.lane_in)
+      ~lane_out:(g1.K.lane_out @ g2.K.lane_out)
+
+  let parent_merge ~(child : K.t) ~(parent : K.t) =
+    if child.K.host != parent.K.host then
+      invalid_arg "Merge.parent_merge: different hosts";
+    let cl = K.lanes child and pl = K.lanes parent in
+    if not (List.for_all (fun i -> List.mem i pl) cl) then
+      invalid_arg "Merge.parent_merge: child lanes not a subset of parent lanes";
+    let identified =
+      List.map
+        (fun i ->
+          let tin = K.tau_in child i and tout = K.tau_out parent i in
+          if tin <> tout then
+            invalid_arg
+              (Printf.sprintf
+                 "Merge.parent_merge: lane %d: child in-terminal %d is not \
+                  the parent out-terminal %d"
+                 i tin tout);
+          tin)
+        cl
+    in
+    let shared =
+      List.filter (fun v -> List.mem v parent.K.vertices) child.K.vertices
+    in
+    if List.sort_uniq compare shared <> List.sort_uniq compare identified then
+      invalid_arg
+        "Merge.parent_merge: vertex sets overlap beyond the identified terminals";
+    if not (disjoint child.K.edges parent.K.edges) then
+      invalid_arg "Merge.parent_merge: edge sets not disjoint";
+    let lane_out =
+      List.map
+        (fun i ->
+          match K.tau_out_opt child i with
+          | Some v -> (i, v)
+          | None -> (i, K.tau_out parent i))
+        pl
+    in
+    K.make ~host:parent.K.host
+      ~vertices:(child.K.vertices @ parent.K.vertices)
+      ~edges:(child.K.edges @ parent.K.edges)
+      ~lane_in:parent.K.lane_in ~lane_out
+end
+
+let outcome f = match f () with k -> Ok k | exception Invalid_argument m -> Error m
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> K.equal x y
+  | Error m, Error m' -> m = m'
+  | _ -> false
+
+(* valid, and already in the form [Klane.make] gives its own parts *)
+let normal (k : K.t) =
+  let host = k.K.host
+  and vertices = k.K.vertices
+  and edges = k.K.edges
+  and lane_in = k.K.lane_in
+  and lane_out = k.K.lane_out in
+  K.validate ~host ~vertices ~edges ~lane_in ~lane_out = Ok ()
+  && K.equal k (K.make ~host ~vertices ~edges ~lane_in ~lane_out)
+
+(* the hierarchies of both lane partitions of a random pathwidth graph *)
+let hierarchies (g, ivs) =
+  let rep = rep_of (g, ivs) in
+  List.map
+    (fun part ->
+      let tr, to_host = P52.trace_of_partition part in
+      Bld.of_trace_on ~host:(Cmp.completion part) ~to_host tr)
+    [ (LC.construct rep).LC.partition; LP.of_greedy_coloring rep ]
+
+(* Every merge the builder made, recomputed by the reference: equal, and
+   in normal form. Then merges of random node pairs, nearly all of which
+   break a precondition: the same result or the same diagnostic. *)
+let linear_merges =
+  qcheck ~count:80 "linear merges equal the re-validating reference"
+    (QCheck.pair (arb_pw_graph ~max_k:3 ~max_n:40) QCheck.small_nat)
+    (fun ((_, g, ivs), seed) ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun h ->
+          let rec ttree_ok (t : H.ttree) =
+            List.for_all ttree_ok t.H.children
+            && normal t.H.merged
+            && K.equal t.H.merged
+                 (List.fold_left
+                    (fun acc (c : H.ttree) ->
+                      Reference.parent_merge ~child:c.H.merged ~parent:acc)
+                    (H.klane_of t.H.piece) t.H.children)
+          in
+          let node_ok = function
+            | H.B_node { result; left; right; i; j } ->
+                normal result
+                && K.equal result
+                     (Reference.bridge_merge (H.klane_of left)
+                        (H.klane_of right) ~i ~j)
+            | H.T_node { tree; _ } -> ttree_ok tree
+            | H.V_node _ | H.E_node _ | H.P_node _ -> true
+          in
+          let nodes = Array.of_list (H.fold (fun acc n -> H.klane_of n :: acc) [] h) in
+          let pick () = nodes.(Random.State.int st (Array.length nodes)) in
+          let lane () = Random.State.int st 4 in
+          H.fold (fun acc n -> acc && node_ok n) true h
+          && List.for_all
+               (fun _ ->
+                 let a = pick () and b = pick () in
+                 let i = lane () and j = lane () in
+                 same_outcome
+                   (outcome (fun () -> M.bridge_merge a b ~i ~j))
+                   (outcome (fun () -> Reference.bridge_merge a b ~i ~j))
+                 && same_outcome
+                      (outcome (fun () -> M.parent_merge ~child:a ~parent:b))
+                      (outcome (fun () -> Reference.parent_merge ~child:a ~parent:b)))
+               (List.init 40 Fun.id))
+        (hierarchies (g, ivs)))
+
 let hierarchy_structure () =
   let tr =
     { Tr.k = 2; ops = [ Tr.V_insert 0; Tr.V_insert 1; Tr.E_insert (0, 1) ] }
@@ -249,6 +385,7 @@ let suite =
       prop52_roundtrip;
       builder_on_traces;
       builder_full_pipeline;
+      linear_merges;
       test "hierarchy structure" hierarchy_structure;
       test "validation catches corruption" validate_catches_corruption;
     ] )

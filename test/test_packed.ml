@@ -331,12 +331,15 @@ let view_bounds () =
 (* the key holds the lane bound and the degree: a k = 2 labeling the
    k = 1 scheme of the same instance rejects is still rejected after
    the k = 2 scheme accepted it, and the same labels under another
-   degree are not answered from the memo *)
+   degree are not answered from the memo. The k = 2 labeling is built
+   on the Prop 4.6 partition: the default greedy one of these instances
+   has at most 3 lanes, within k = 1's cap of 4, so k = 1 accepts it. *)
 let view_key_lanes_degree () =
   let module C = A.Connectivity in
   let module T1 = Lcp_cert.Theorem1.Make (C) in
   Memo.enabled := true;
-  let k2 = T1.edge_scheme ~rep ~k:2 () and k1 = T1.edge_scheme ~rep ~k:1 () in
+  let k2 = T1.edge_scheme ~strategy:`Prop46 ~rep ~k:2 ()
+  and k1 = T1.edge_scheme ~rep ~k:1 () in
   let found =
     List.find_map
       (fun seed ->

@@ -433,7 +433,10 @@ let engine_counters () =
   List.iter
     (fun name ->
       check (name ^ " counter present") true (List.mem_assoc name ctrs))
-    [ "group_hit"; "group_miss"; "view_hit"; "view_miss"; "minor_words" ];
+    [
+      "group_hit"; "group_miss"; "view_hit"; "view_miss"; "lanes_fallback";
+      "minor_words";
+    ];
   check "some memo traffic" true (List.assoc "view_miss" ctrs > 0);
   check "allocation counter positive" true (List.assoc "minor_words" ctrs > 0);
   let footer = Format.asprintf "%a" Lcp_service.Timing.pp timing in

@@ -165,6 +165,122 @@ let greedy_strategy () =
       end)
     named_families
 
+(* A path folded in two: p_0..p_l and q_0..q_l joined by the edge
+   p_0-q_0, with p_i at [2i, 2i+2] and q_i at [2i+1, 2i+3], a width-3
+   representation. Greedy lanes alternate between the halves, so nearly
+   every lane edge is routed through the fold and the greedy congestion
+   grows with l, past h(3) = 49 at l = 40. *)
+let folded_path l =
+  let p i = i and q i = l + 1 + i in
+  let g =
+    G.of_edges ~n:(2 * (l + 1))
+      ((p 0, q 0)
+      :: List.concat (List.init l (fun i -> [ (p i, p (i + 1)); (q i, q (i + 1)) ])))
+  in
+  let ivs =
+    Array.init (2 * (l + 1)) (fun v ->
+        if v <= l then (2 * v, (2 * v) + 2)
+        else
+          let i = v - l - 1 in
+          ((2 * i) + 1, (2 * i) + 3))
+  in
+  (g, Rep.of_pairs g ivs)
+
+let prepare_k2 strategy rep cfg =
+  match
+    T1conn.P.prepare ~strategy ~rep ~max_lanes:(T1conn.max_lanes_for ~k:2) cfg
+  with
+  | Ok art -> art
+  | Error e -> Alcotest.fail e
+
+let bundle_bytes scheme cfg labels =
+  match
+    Lcp_service.Bundle.encode ~encode_label:scheme.S.es_encode
+      (PLS.Config.graph cfg) labels
+  with
+  | Ok b -> Bytes.to_string b.Lcp_service.Bundle.bytes
+  | Error e -> Alcotest.fail e
+
+let hybrid_falls_back () =
+  let g, rep = folded_path 40 in
+  check_int "width 3" 3 (Rep.width rep);
+  let cfg = PLS.Config.random_ids rng g in
+  let greedy = prepare_k2 `Greedy rep cfg in
+  check "greedy lanes within f(3)" true (greedy.T1conn.P.lane_count <= B.f 3);
+  check "greedy congestion past h(3)" true (greedy.T1conn.P.congestion > B.h 3);
+  let before = !Lcp_cert.Prover.lanes_fallback in
+  let hybrid = prepare_k2 `Hybrid rep cfg in
+  check_int "one fallback counted" (before + 1) !Lcp_cert.Prover.lanes_fallback;
+  let prop46 = prepare_k2 `Prop46 rep cfg in
+  let scheme = T1conn.edge_scheme ~k:2 () in
+  check "the Prop 4.6 certificate" true
+    (bundle_bytes scheme cfg hybrid.T1conn.P.labels
+    = bundle_bytes scheme cfg prop46.T1conn.P.labels);
+  check "within h(3)" true (hybrid.T1conn.P.congestion <= B.h 3);
+  check "accepted" true (S.accepted (S.run_edge cfg scheme hybrid.T1conn.P.labels))
+
+let hybrid_keeps_greedy () =
+  let st = rng_of_seed 7 in
+  for _ = 1 to 6 do
+    let g, ivs = Gen.random_pathwidth st ~n:64 ~k:2 () in
+    let rep = Rep.of_pairs g ivs and cfg = PLS.Config.random_ids st g in
+    let before = !Lcp_cert.Prover.lanes_fallback in
+    let hybrid = prepare_k2 `Hybrid rep cfg in
+    check_int "no fallback" before !Lcp_cert.Prover.lanes_fallback;
+    let scheme = T1conn.edge_scheme ~k:2 () in
+    check "the greedy certificate" true
+      (bundle_bytes scheme cfg hybrid.T1conn.P.labels
+      = bundle_bytes scheme cfg (prepare_k2 `Greedy rep cfg).T1conn.P.labels);
+    check "accepted" true (S.accepted (S.run_edge cfg scheme hybrid.T1conn.P.labels))
+  done
+
+(* The pinned strategies build the same bundles as before the hybrid
+   default and the linear merges: digests of E1's first paths and cycles
+   and of the first instances of the benchmark's fresh n = 128 pool
+   (manifest jobs gen=random n=128 k=2, gseed = Hashtbl.hash (1, "f", i),
+   ids seeded by gseed lxor 0x5bd1), taken from the earlier build. *)
+let pinned_bundles () =
+  let digest strategy ~k insts =
+    let scheme = T1conn.edge_scheme ~k () in
+    Digest.to_hex
+      (Digest.string
+         (String.concat ","
+            (List.map
+               (fun (rep, cfg) ->
+                 match
+                   T1conn.P.prepare ~strategy ~rep
+                     ~max_lanes:(T1conn.max_lanes_for ~k) cfg
+                 with
+                 | Error e -> Alcotest.fail e
+                 | Ok art ->
+                     Digest.to_hex
+                       (Digest.string (bundle_bytes scheme cfg art.T1conn.P.labels)))
+               insts)))
+  in
+  let seq g = (PW.heuristic_interval_representation g, PLS.Config.make g) in
+  let pool =
+    List.init 4 (fun i ->
+        let gseed = Hashtbl.hash (1, "f", i) in
+        let g = fst (Gen.random_pathwidth (rng_of_seed gseed) ~n:128 ~k:2 ()) in
+        ( Lcp_service.Engine.fresh_rep g,
+          PLS.Config.random_ids (rng_of_seed (gseed lxor 0x5bd1)) g ))
+  in
+  List.iter
+    (fun (name, strategy, k, insts, want) ->
+      Alcotest.(check string) name want (digest strategy ~k insts))
+    [
+      ( "paths, prop46", `Prop46, 1, List.map (fun n -> seq (Gen.path n)) [ 16; 32; 64; 128 ],
+        "e89bca7bb6a51c977b20c03368d09eea" );
+      ( "paths, greedy", `Greedy, 1, List.map (fun n -> seq (Gen.path n)) [ 16; 32; 64; 128 ],
+        "35d537e69a8ad69011ae2014ed3f161b" );
+      ( "cycles, prop46", `Prop46, 2, List.map (fun n -> seq (Gen.cycle n)) [ 16; 32; 64 ],
+        "4754b2d98666665ee704f8fd304b6944" );
+      ( "cycles, greedy", `Greedy, 2, List.map (fun n -> seq (Gen.cycle n)) [ 16; 32; 64 ],
+        "9d20c83d7e9a5f468f819d00c0c4e30a" );
+      ("pool, prop46", `Prop46, 2, pool, "66913eeb033d8adf3bc3409eec221e01");
+      ("pool, greedy", `Greedy, 2, pool, "0529da7669e564ba315b16d3700b2c6c");
+    ]
+
 let vertex_scheme_variant () =
   let g = Gen.caterpillar ~spine:5 ~legs:1 in
   let cfg = PLS.Config.random_ids rng g in
@@ -214,6 +330,9 @@ let suite =
       artifacts_invariants;
       slow_test "label growth is logarithmic" label_growth_logarithmic;
       test "greedy-partition ablation" greedy_strategy;
+      test "hybrid falls back past h(k+1)" hybrid_falls_back;
+      test "hybrid keeps greedy within the bounds" hybrid_keeps_greedy;
+      test "pinned strategies build the same bundles" pinned_bundles;
       test "vertex scheme variant (Prop 2.1)" vertex_scheme_variant;
       test "single-vertex network" single_vertex_network;
       test "two-vertex network" two_vertex_network;
