@@ -2631,6 +2631,202 @@ let perf () =
   else Printf.printf "PERF: all gates passed\n\n"
 
 (* ------------------------------------------------------------------ *)
+(* bits: where a label's bits go                                        *)
+
+(* The six reference instances of perfbench's fresh_pw2 (its
+   label_bits_mean is their mean largest label): manifest jobs
+   gen=random n=128 k=2 property=connected, gseed =
+   Hashtbl.hash (0, "ref", i), ids seeded by gseed lxor 0x5bd1. *)
+let bits_reference_jobs =
+  List.init 6 (fun i ->
+      let gseed = Hashtbl.hash (0, "ref", i) in
+      {
+        Lcp_service.Manifest.job_id = Printf.sprintf "ref%d" i;
+        source =
+          Lcp_service.Manifest.Generated
+            { family = "random"; n = 128; gen_seed = gseed };
+        property = "connected";
+        k = 2;
+        seed = gseed lxor 0x5bd1;
+      })
+
+(* The field classes of a label under the label codec (DESIGN "Label
+   codec"), in the order they are printed. Each is counted from the
+   label's values with [Bitenc.varint_size] and the codec's fixed
+   widths, not from the encoder, so that their sum, checked against
+   the encoder's count, cross-checks the layout. *)
+let bit_classes =
+  [
+    "table_count"; "table_node_ids"; "table_lanes"; "table_terminals";
+    "table_states"; "frame_refs"; "frame_scalars"; "transported_headers";
+    "pointers_accept";
+  ]
+
+let label_breakdown (l : A.Connectivity.state Cert.label) =
+  let vs = Bitenc.varint_size in
+  let sum f xs = List.fold_left (fun a x -> a + f x) 0 xs in
+  let infos_of = function
+    | Cert.T_frame { member = m, _; merged; children; _ } ->
+        m :: merged :: List.map snd children
+    | Cert.B_frame { bnode; left = li, _; right = ri, _; _ } -> [ bnode; li; ri ]
+  in
+  let stacks = l.Cert.frames :: List.map (fun v -> v.Cert.vframes) l.Cert.transported in
+  let frames = List.concat stacks in
+  let table =
+    List.sort_uniq
+      (fun (a : _ Cert.info) b -> compare a.Cert.node_id b.Cert.node_id)
+      (List.concat_map infos_of frames)
+  in
+  let lane_map m = vs (List.length m) + sum (fun (a, b) -> vs a + vs b) m in
+  let state_bits st =
+    let w = Bitenc.writer () in
+    A.Connectivity.encode w st;
+    Bitenc.length_bits w
+  in
+  let ptr (p : PLS.Spanning_tree.label) =
+    vs p.PLS.Spanning_tree.target + 1
+    + match p.PLS.Spanning_tree.parent with Some (d, c) -> vs d + vs c | None -> 0
+  in
+  let opt f = function None -> 1 | Some x -> 1 + f x in
+  let refs f = sum (fun (i : _ Cert.info) -> vs i.Cert.node_id) (infos_of f) in
+  let scalars = function
+    | Cert.T_frame { member_real; children; _ } ->
+        1 + 3 + 1
+        + vs (List.length member_real) + List.length member_real
+        + vs (List.length children)
+        + sum (fun (nid, _) -> vs nid) children
+    | Cert.B_frame { i; j; left_root_member; right_root_member; _ } ->
+        1 + vs i + vs j + 3 + 3 + 1 + opt vs left_root_member
+        + opt vs right_root_member + 2
+  in
+  let frame_ptrs = function
+    | Cert.T_frame _ -> 0
+    | Cert.B_frame { left_ptr; right_ptr; _ } -> opt ptr left_ptr + opt ptr right_ptr
+  in
+  [
+    vs (List.length table);
+    sum (fun (i : _ Cert.info) -> vs i.Cert.node_id) table;
+    sum (fun (i : _ Cert.info) -> vs (List.length i.Cert.lanes) + sum vs i.Cert.lanes) table;
+    sum (fun (i : _ Cert.info) -> lane_map i.Cert.t_in + lane_map i.Cert.t_out) table;
+    sum (fun (i : _ Cert.info) -> state_bits i.Cert.state) table;
+    sum refs frames;
+    sum (fun s -> vs (List.length s)) stacks + sum scalars frames;
+    vs (List.length l.Cert.transported)
+    + sum
+        (fun v -> vs v.Cert.vu + vs v.Cert.vv + vs v.Cert.rank_fwd + vs v.Cert.rank_bwd)
+        l.Cert.transported;
+    ptr l.Cert.global_ptr + 1 + sum frame_ptrs frames;
+  ]
+
+(* one instance per line, so that a difference names its instance *)
+let bits_json rows =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b "{\n  \"schema\": 1,\n  \"instances\": {\n";
+  let nrows = List.length rows in
+  List.iteri
+    (fun k (id, label_bits, classes) ->
+      Buffer.add_string b
+        (Printf.sprintf "    %S: {\"label_bits\": %d, %s}%s\n" id label_bits
+           (String.concat ", "
+              (List.map2 (Printf.sprintf "%S: %d") bit_classes classes))
+           (if k = nrows - 1 then "" else ",")))
+    rows;
+  Buffer.add_string b "  }\n}\n";
+  Buffer.contents b
+
+(* [bits] prints, for each reference instance, its largest label's bits
+   by field class; [bits update] writes BENCH_BITS.json and [bits check]
+   fails on any difference from it. *)
+let bits () =
+  header "Label bits by field class (fresh_pw2 reference instances)";
+  let mode = if Array.length Sys.argv > 2 then Sys.argv.(2) else "" in
+  let scheme = T1conn.edge_scheme ~rep:Lcp_service.Engine.default_rep ~k:2 () in
+  let fail = ref [] in
+  let rows =
+    List.map
+      (fun (job : Lcp_service.Manifest.job) ->
+        let id = job.Lcp_service.Manifest.job_id in
+        let report =
+          Lcp_service.Engine.run_job (Lcp_service.Engine.create ()) job
+        in
+        let g =
+          Result.get_ok
+            (Lcp_service.Engine.graph_of_source ~base_dir:"." ~k:job.k
+               job.Lcp_service.Manifest.source)
+        in
+        let cfg = PLS.Config.random_ids (Random.State.make [| job.seed |]) g in
+        let labels = Option.get (scheme.S.es_prove cfg) in
+        let size l =
+          let w = Bitenc.writer () in
+          scheme.S.es_encode w l;
+          Bitenc.length_bits w
+        in
+        let bits, largest =
+          List.fold_left
+            (fun (best, bl) (_, l) ->
+              let b = size l in
+              if b > best then (b, Some l) else (best, bl))
+            (0, None) (EM.bindings labels)
+        in
+        let classes = label_breakdown (Option.get largest) in
+        let total = List.fold_left ( + ) 0 classes in
+        if bits <> report.Lcp_service.Stats.r_label_bits then
+          fail :=
+            Printf.sprintf "%s: largest label %d bits, the engine reports %d" id
+              bits report.Lcp_service.Stats.r_label_bits
+            :: !fail;
+        if total <> bits then
+          fail :=
+            Printf.sprintf "%s: the classes sum to %d, not %d" id total bits
+            :: !fail;
+        (id, bits, classes))
+      bits_reference_jobs
+  in
+  Printf.printf "%-20s" "class";
+  List.iter (fun (id, _, _) -> Printf.printf " %7s" id) rows;
+  Printf.printf " %7s\n" "share";
+  let all = List.fold_left (fun a (_, b, _) -> a + b) 0 rows in
+  List.iteri
+    (fun k name ->
+      Printf.printf "%-20s" name;
+      let total =
+        List.fold_left
+          (fun a (_, _, cs) ->
+            let c = List.nth cs k in
+            Printf.printf " %7d" c;
+            a + c)
+          0 rows
+      in
+      Printf.printf " %6.1f%%\n" (100.0 *. float_of_int total /. float_of_int all))
+    bit_classes;
+  Printf.printf "%-20s" "label_bits";
+  List.iter (fun (_, b, _) -> Printf.printf " %7d" b) rows;
+  Printf.printf "\nmean largest label: %.1f bits\n"
+    (float_of_int all /. float_of_int (List.length rows));
+  let out = bits_json rows in
+  let file = "BENCH_BITS.json" in
+  (match mode with
+  | "update" ->
+      let oc = open_out file in
+      output_string oc out;
+      close_out oc;
+      Printf.printf "wrote %s\n" file
+  | "check" -> (
+      match In_channel.with_open_bin file In_channel.input_all with
+      | committed when committed = out -> Printf.printf "%s: no difference\n" file
+      | committed ->
+          fail :=
+            Printf.sprintf "%s differs from this build:\ncommitted:\n%sthis build:\n%s"
+              file committed out
+            :: !fail
+      | exception Sys_error e -> fail := e :: !fail)
+  | _ -> ());
+  if !fail <> [] then begin
+    List.iter (fun m -> Printf.eprintf "BITS: FAIL — %s\n" m) (List.rev !fail);
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -2642,14 +2838,14 @@ let () =
       ("timing", timing); ("incr", e13_incr);
     ]
   in
-  (* perf is the regression *gate*, not an experiment: it is run
-     explicitly (check.sh) and deliberately excluded from "all" *)
-  match List.assoc_opt what (("perf", perf) :: all) with
+  (* perf and bits are regression *gates*, not experiments: they are
+     run explicitly (check.sh) and deliberately excluded from "all" *)
+  match List.assoc_opt what (("perf", perf) :: ("bits", bits) :: all) with
   | Some f -> f ()
   | None ->
       if what = "all" then List.iter (fun (_, f) -> f ()) all
       else begin
-        Printf.eprintf "unknown experiment %S; known: perf %s all\n" what
+        Printf.eprintf "unknown experiment %S; known: perf bits %s all\n" what
           (String.concat " " (List.map fst all));
         exit 1
       end

@@ -83,26 +83,36 @@ val encode :
 (** Bit-exact serialization (for proof-size measurement): the same bits
     as {!encode_plain}.
 
+    A label is written as a table of the distinct info records its own
+    stack and its transported stacks mention, in strictly increasing
+    [node_id], each in full, followed by the frames, which name each
+    info by its [node_id] (DESIGN "Label codec"). The codec therefore
+    represents only labels in which one node id names one info; the
+    prover's labels all have that form. On a label that names two
+    structurally different infos under one id, the encoder raises
+    [Invalid_argument].
+
     Partially applied, [encode ~encode_state] is a {e sharing} encoder:
     over the labels it writes to one stream (one writer, between two
-    {!Lcp_util.Bitenc.reset}s), an info record or a transported stack
+    {!Lcp_util.Bitenc.reset}s), a table entry or a transported stack
     that is physically ([==]) one it has written before is not encoded
-    again; the bits written for it the first time are copied
+    again; the bits written for it before are copied
     ({!Lcp_util.Bitenc.copy_span}). Since only identical immutable
-    values are copied, and a record's bits do not depend on where it
-    starts, the stream is byte for byte the one {!encode_plain} writes.
-    The tables are emptied when the encoder sees another writer, a reset
-    one, or a writer shorter than the furthest record it remembers; they
-    keep the last stream's writer and values alive until then.
-    [encode_state] must be a function of the state alone. *)
+    values are copied, and a record's bits depend neither on where it
+    starts nor on the label around it, the stream is byte for byte the
+    one {!encode_plain} writes. The memos are emptied when the encoder
+    sees another writer, a reset one, or a writer shorter than the
+    furthest record it remembers; they keep the last stream's writer
+    and values alive until then. [encode_state] must be a function of
+    the state alone. *)
 
 val encode_plain :
   encode_state:(Lcp_util.Bitenc.writer -> 'state -> unit) ->
   Lcp_util.Bitenc.writer ->
   'state label ->
   unit
-(** The reference encoder: every record is encoded where it occurs, with
-    no state kept between labels. *)
+(** The reference encoder: every table entry and every frame is encoded
+    where it occurs, with no record kept between labels. *)
 
 val decode :
   decode_state:(Lcp_util.Bitenc.reader -> 'state) ->
@@ -110,21 +120,25 @@ val decode :
   'state label
 (** Inverse of {!encode}, given the state decoder of the property algebra
     in use — certificates really are just the emitted bits (tested by
-    round-tripping full labelings).
+    round-tripping full labelings). Besides out-of-data and invalid
+    field values, a table out of node-id order, an id repeated in the
+    table, a table count larger than the bits left, and a frame naming
+    an id the table lacks all raise [Invalid_argument]. Within one
+    decoded label, every frame that names an id holds the very info of
+    the table.
 
     Partially applied, [decode ~decode_state] is a {e sharing} decoder:
     over the labels it reads from one stream (one reader, between two
-    {!Lcp_util.Bitenc.reset_reader}s), a repeated info record is decoded
+    {!Lcp_util.Bitenc.reset_reader}s), a repeated table entry is decoded
     once and its later copies are skipped, and equal frames and equal
-    frame stacks ([frames], [vframes]) come back physically equal, so
-    the verifier's [==] short cuts apply. Each label is still exactly
-    the value a fresh decoder computes from its bits, and out-of-data
-    or invalid bits still raise [Invalid_argument]. The tables are
-    emptied when the decoder sees another reader, a repointed one, or a
-    position behind the furthest record it remembers; they keep the
-    last stream's buffer and values alive until then. A lookup compares
-    at most four candidates, so no stream costs more than a constant
-    factor over decoding it without sharing. [decode_state] must be a
-    pure function of the bits it reads. *)
+    frame stacks ([frames], [vframes]) over the same infos come back
+    physically equal, so the verifier's [==] short cuts apply. Each
+    label is still exactly the value a fresh decoder computes from its
+    bits. The tables are emptied when the decoder sees another reader, a
+    repointed one, or a position behind the furthest record it
+    remembers; they keep the last stream's buffer and values alive until
+    then. A lookup compares at most four candidates, so no stream costs
+    more than a constant factor over decoding it without sharing.
+    [decode_state] must be a pure function of the bits it reads. *)
 
 val pp_kind : Format.formatter -> kind -> unit

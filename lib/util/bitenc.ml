@@ -101,15 +101,17 @@ let bits w ~width x =
     w.len_bits <- !pos
   end
 
-(* LEB128-style groups, low group first; each 8-bit group is one
-   [small_bits] write: continuation flag in the stream-first (value-MSB)
-   position. A value below 128 is a single group. *)
+(* LEB128-style groups of 3 data bits, low group first, each group's
+   continuation flag in its stream-first (value-MSB) position. Groups
+   go out two to a [small_bits] write: a value below 8 is one 4-bit
+   write, one below 64 a single 8-bit write. *)
 let rec varint w x =
   assert (x >= 0);
-  if x < 128 then small_bits w 8 x
+  if x < 8 then small_bits w 4 x
+  else if x < 64 then small_bits w 8 (0x80 lor ((x land 7) lsl 4) lor (x lsr 3))
   else begin
-    small_bits w 8 (0x80 lor (x land 0x7f));
-    varint w (x lsr 7)
+    small_bits w 8 (0x88 lor ((x land 7) lsl 4) lor ((x lsr 3) land 7));
+    varint w (x lsr 6)
   end
 
 let length_bits w = w.len_bits
@@ -146,10 +148,9 @@ let read_bit r =
   Char.code (Bytes.unsafe_get r.data (pos lsr 3)) land (1 lsl (pos land 7))
   <> 0
 
-(* Fast path of [read_bits] for [1 <= width <= 8]: at most two bytes. *)
-let small_read r width =
-  let pos = r.pos in
-  if pos + width > r.total_bits then out_of_data ();
+(* [width <= 8] stream bits from [pos], MSB-first, without a bounds
+   check: at most two bytes *)
+let peek_small r pos width =
   let i = pos lsr 3 and off = pos land 7 in
   let lo = Char.code (Bytes.unsafe_get r.data i) in
   let word =
@@ -157,9 +158,15 @@ let small_read r width =
       lo lor (Char.code (Bytes.unsafe_get r.data (i + 1)) lsl 8)
     else lo
   in
-  r.pos <- pos + width;
   Array.unsafe_get rev8 ((word lsr off) land ((1 lsl width) - 1))
   lsr (8 - width)
+
+(* Fast path of [read_bits] for [1 <= width <= 8]. *)
+let small_read r width =
+  let pos = r.pos in
+  if pos + width > r.total_bits then out_of_data ();
+  r.pos <- pos + width;
+  peek_small r pos width
 
 let read_bits r ~width =
   assert (width >= 0 && width <= 62);
@@ -182,16 +189,30 @@ let read_bits r ~width =
     !acc
   end
 
-(* Top-level recursion with explicit arguments, so a read allocates no
-   closure. *)
-let rec read_varint_groups r acc shift =
-  let y = small_read r 8 in
-  let acc = acc lor ((y land 0x7f) lsl shift) in
-  if y land 0x80 <> 0 then read_varint_groups r acc (shift + 7) else acc
+(* Groups are read two to an 8-bit peek while 8 bits remain, one at a
+   time near the end of the stream. Top-level recursion with explicit
+   arguments, so a read allocates no closure. *)
+let rec read_varint_from r acc shift =
+  let pos = r.pos in
+  if pos + 8 <= r.total_bits then begin
+    let y = peek_small r pos 8 in
+    let acc = acc lor (((y lsr 4) land 7) lsl shift) in
+    if y < 0x80 then begin
+      r.pos <- pos + 4;
+      acc
+    end
+    else begin
+      r.pos <- pos + 8;
+      let acc = acc lor ((y land 7) lsl (shift + 3)) in
+      if y land 8 = 0 then acc else read_varint_from r acc (shift + 6)
+    end
+  end
+  else
+    let y = small_read r 4 in
+    let acc = acc lor ((y land 7) lsl shift) in
+    if y land 8 <> 0 then read_varint_from r acc (shift + 3) else acc
 
-let read_varint r =
-  let y = small_read r 8 in
-  if y < 0x80 then y else read_varint_groups r (y land 0x7f) 7
+let read_varint r = read_varint_from r 0 0
 
 let[@tail_mod_cons] rec read_n n f =
   if n <= 0 then []
@@ -325,5 +346,5 @@ let flip_bit data pos =
   Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor (1 lsl (pos mod 8))))
 
 let varint_size x =
-  let rec go x acc = if x < 128 then acc + 8 else go (x lsr 7) (acc + 8) in
+  let rec go x acc = if x < 8 then acc + 4 else go (x lsr 3) (acc + 4) in
   go x 0

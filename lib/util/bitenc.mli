@@ -33,8 +33,11 @@ val bits : writer -> width:int -> int -> unit
 
 val varint : writer -> int -> unit
 (** [varint w x] appends a non-negative integer in a self-delimiting
-    LEB128-style encoding: groups of 7 bits, low group first, each group
-    preceded by a continuation bit. Uses [O(log x)] bits. *)
+    LEB128-style encoding: groups of 3 bits, low group first, each group
+    preceded by a continuation bit. A value below 8 takes 4 bits; in
+    general [4 * ceil(bitlength x / 3)] bits, [O(log x)]. This is the
+    one integer code of the repository: certificates, the FMR baseline,
+    bundle headers and the store's key bytes all use it. *)
 
 val length_bits : writer -> int
 (** Number of bits appended so far. *)

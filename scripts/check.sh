@@ -146,6 +146,12 @@ wait "$dyn_pid" || true
 # `./_build/default/bench/main.exe perf update` and commit BENCH_PERF.json.
 ./_build/default/bench/main.exe perf quick
 
+# label-size breakdown gate: the largest label of each fresh_pw2
+# reference instance, split by field class, must match the committed
+# BENCH_BITS.json exactly (a codec change refreshes it with
+# `./_build/default/bench/main.exe bits update`)
+./_build/default/bench/main.exe bits check
+
 # crash-recovery smoke: a supervised, journaled daemon is SIGKILLed
 # mid edit-stream. The supervisor must respawn it, the client must
 # reconnect and resume its session, and the canonical JSONL must be

@@ -17,7 +17,7 @@ let roundtrip_bits () =
   check_int "12 bits" 4095 (B.read_bits r ~width:12)
 
 let roundtrip_varint () =
-  let values = [ 0; 1; 5; 127; 128; 300; 16383; 16384; 123456789 ] in
+  let values = [ 0; 1; 5; 7; 8; 63; 64; 127; 128; 300; 511; 512; 16383; 16384; 123456789 ] in
   let w = B.writer () in
   List.iter (B.varint w) values;
   let r = B.reader_of_writer w in
@@ -30,7 +30,7 @@ let varint_size_matches () =
       B.varint w v;
       check_int (Printf.sprintf "size %d" v) (B.varint_size v)
         (B.length_bits w))
-    [ 0; 1; 127; 128; 16383; 16384; 1 lsl 30 ]
+    [ 0; 1; 7; 8; 63; 64; 127; 128; 511; 512; 16383; 16384; 1 lsl 30 ]
 
 let varint_logarithmic () =
   (* varint of x uses O(log x) bits *)
@@ -77,14 +77,14 @@ let reference_bits w ~width x =
   done
 
 let rec reference_varint w x =
-  if x < 128 then begin
+  if x < 8 then begin
     B.bit w false;
-    reference_bits w ~width:7 x
+    reference_bits w ~width:3 x
   end
   else begin
     B.bit w true;
-    reference_bits w ~width:7 (x land 0x7f);
-    reference_varint w (x lsr 7)
+    reference_bits w ~width:3 (x land 7);
+    reference_varint w (x lsr 3)
   end
 
 let arb_ops =
@@ -150,9 +150,9 @@ let prop_read_bits_vs_per_bit =
               && (* reference decode, bit by bit *)
               let rec go acc shift =
                 let continue_ = B.read_bit rr in
-                let group = read_bits_ref 7 in
+                let group = read_bits_ref 3 in
                 let acc = acc lor (group lsl shift) in
-                if continue_ then go acc (shift + 7) else acc
+                if continue_ then go acc (shift + 3) else acc
               in
               go 0 0 = x)
         ops)
@@ -172,7 +172,7 @@ let writer_reset_reuse () =
   B.reset_reader r first;
   check_int "reader reset decodes" 987654 (B.read_varint r)
 
-(* The read fast paths (widths <= 8, one-group varints) against reads
+(* The read fast paths (widths <= 8, two-group varints) against reads
    of the stream one bit at a time, on streams of every length mod 8:
    reads that end exactly at [total_bits], reads inside the last byte,
    and reads past the end, which must raise [Invalid_argument] (bundle
@@ -198,14 +198,14 @@ let reads_match_stream stream_bits total reader ops =
     done;
     !acc
   in
-  (* reference varint: 8-bit groups, flag first, low group first *)
+  (* reference varint: 4-bit groups, flag first, low group first *)
   let rec varint pos acc shift =
-    if pos + 8 > total then None
+    if pos + 4 > total then None
     else
-      let y = value pos 8 in
-      let acc = acc lor ((y land 0x7f) lsl shift) in
-      if y land 0x80 <> 0 then varint (pos + 8) acc (shift + 7)
-      else Some (acc, pos + 8)
+      let y = value pos 4 in
+      let acc = acc lor ((y land 7) lsl shift) in
+      if y land 8 <> 0 then varint (pos + 4) acc (shift + 3)
+      else Some (acc, pos + 4)
   in
   let out_of_data f =
     match f () with

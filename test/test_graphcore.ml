@@ -837,35 +837,59 @@ let sharing_is_complete () =
     by_edge;
   check "some virtual edge rides several edges" true (!longest >= 2)
 
-(* Every info below starts with the same 48 bits (node id 1, five lanes
-   0..3 then x), so all of them land in one bucket, which holds only a
-   few candidates: the rest are decoded each time and still equal. *)
+(* Every info below with node id [id] starts with the same 48 bits
+   (node id, a count of ten lanes, nine fixed lanes; x comes next), so
+   all of them land in one bucket
+   per id, which holds only a few candidates: the rest are decoded each
+   time and still equal. A label names one info per id, so the
+   collisions are across labels: each label picks its own x per id. *)
 let crafted_prefix_collisions () =
   let st =
     let w = Bitenc.writer () in
     Conn.encode w (Conn.add_edge (Conn.introduce (Conn.introduce Conn.empty 0) 1) 0 1);
     Conn.decode (Bitenc.reader_of_writer w)
   in
-  let info x =
-    { Cert.node_id = 1; lanes = [ 0; 1; 2; 3; x ]; t_in = [ (0, x) ]; t_out = []; state = st }
+  let info id x =
+    {
+      Cert.node_id = id;
+      lanes = [ 0; 1; 2; 3; 4; 5; 6; 7; 1; x ];
+      t_in = [ (0, x) ];
+      t_out = [];
+      state = st;
+    }
   in
+  let bits i =
+    let w = Bitenc.writer () in
+    Bitenc.varint w i.Cert.node_id;
+    Bitenc.varint w (List.length i.Cert.lanes);
+    List.iter (Bitenc.varint w) i.Cert.lanes;
+    (Bitenc.length_bits w, Bitenc.to_bytes w)
+  in
+  let shared_prefix a b =
+    let (la, ba), (lb, bb) = (bits a, bits b) in
+    let rec go k =
+      if k < la && k < lb && Bitenc.get_bit ba k = Bitenc.get_bit bb k then go (k + 1)
+      else k
+    in
+    go 0
+  in
+  check_int "same id, other x: 48 shared bits" 48 (shared_prefix (info 1 4) (info 1 23));
+  check_int "same id, other x: 48 shared bits (2)" 48 (shared_prefix (info 3 5) (info 3 9));
   let rng = Random.State.make [| 48 |] in
-  let pick () = info (4 + Random.State.int rng 20) in
-  let frame () =
-    let member = pick () in
-    let merged = pick () in
-    let child = pick () in
-    Cert.T_frame
-      {
-        member = (member, Cert.KV);
-        merged;
-        is_tree_root = false;
-        member_real = [ true ];
-        children = [ (7, child) ];
-      }
-  in
-  let stack () = List.init (1 + Random.State.int rng 5) (fun _ -> frame ()) in
   let label () =
+    let pick id = info id (4 + Random.State.int rng 20) in
+    let member = pick 1 and merged = pick 2 and child = pick 3 in
+    let frame () =
+      Cert.T_frame
+        {
+          member = (member, Cert.KV);
+          merged;
+          is_tree_root = false;
+          member_real = [ true ];
+          children = [ (7, child) ];
+        }
+    in
+    let stack () = List.init (1 + Random.State.int rng 5) (fun _ -> frame ()) in
     let frames = stack () in
     let vframes = stack () in
     {
@@ -981,6 +1005,261 @@ let suite_sharing =
     test "no stale span after reset or another writer" stale_tables;
   ]
 
+(* ---------------------------------------------------------------- *)
+(* the label codec: each label opens with a table of the infos it
+   mentions, in increasing node id, and its frames name infos by id *)
+
+let infos_of_label (l : _ Cert.label) =
+  List.concat_map infos_of_frame
+    (l.Cert.frames @ List.concat_map (fun v -> v.Cert.vframes) l.Cert.transported)
+
+(* the form the codec represents: one node id names one info *)
+let one_info_per_id l =
+  let by_id = Hashtbl.create 16 in
+  List.for_all
+    (fun (i : _ Cert.info) ->
+      match Hashtbl.find_opt by_id i.Cert.node_id with
+      | Some j -> j == i || j = i
+      | None ->
+          Hashtbl.add by_id i.Cert.node_id i;
+          true)
+    (infos_of_label l)
+
+(* [l] with every state replaced by [f] of it *)
+let map_states f (l : _ Cert.label) =
+  let info (i : _ Cert.info) = { i with Cert.state = f i.Cert.state } in
+  let frame = function
+    | Cert.T_frame t ->
+        Cert.T_frame
+          {
+            t with
+            member = (info (fst t.member), snd t.member);
+            merged = info t.merged;
+            children = List.map (fun (nid, c) -> (nid, info c)) t.children;
+          }
+    | Cert.B_frame b ->
+        Cert.B_frame
+          {
+            b with
+            bnode = info b.bnode;
+            left = (info (fst b.left), snd b.left);
+            right = (info (fst b.right), snd b.right);
+          }
+  in
+  {
+    l with
+    Cert.frames = List.map frame l.Cert.frames;
+    transported =
+      List.map
+        (fun v -> { v with Cert.vframes = List.map frame v.Cert.vframes })
+        l.Cert.transported;
+  }
+
+(* prove [name] under [strategy] on [cfg]: every label is of the
+   codec's form and decodes to itself (states up to their own encoding:
+   an algebra's decoder may rebuild a map of another shape), the sharing and the plain
+   encoder write the same bundle, the bundle decodes to the labeling,
+   and its one-pass label bits equal [max_edge_label_bits]; true when
+   the prover declines *)
+let codec_roundtrip name ~strategy ~k cfg =
+  let (module P : Registry.PROPERTY) = Option.get (Registry.find name) in
+  let module T1 = Lcp_cert.Theorem1.Make (P.A) in
+  let scheme = T1.edge_scheme ~strategy ~rep:Engine.default_rep ~k () in
+  match scheme.S.es_prove cfg with
+  | None -> true
+  | Some labels ->
+      let g = PLS.Config.graph cfg in
+      let plain = Cert.encode_plain ~encode_state:P.A.encode in
+      let decode_label = Cert.decode ~decode_state:P.decode_state in
+      let bundle, bits =
+        Result.get_ok (Bundle.encode_sized ~encode_label:scheme.S.es_encode g labels)
+      in
+      let canon l =
+        map_states
+          (fun st ->
+            let w = Bitenc.writer () in
+            P.A.encode w st;
+            Bytes.to_string (Bitenc.to_bytes w))
+          l
+      in
+      let same a b = List.equal (fun (e, x) (e', y) -> e = e' && canon x = canon y) a b in
+      List.for_all
+        (fun (_, l) ->
+          one_info_per_id l
+          &&
+          let w = Bitenc.writer () in
+          plain w l;
+          canon (Cert.decode ~decode_state:P.decode_state (Bitenc.reader_of_writer w))
+          = canon l)
+        (S.Edge_map.bindings labels)
+      && Bundle.equal bundle
+           (Result.get_ok (Bundle.encode ~encode_label:plain g labels))
+      && bits = S.max_edge_label_bits scheme labels
+      &&
+      match Bundle.decode ~decode_label g bundle with
+      | Ok decoded -> same (S.Edge_map.bindings decoded) (S.Edge_map.bindings labels)
+      | Error _ -> false
+
+let prop_codec_roundtrip =
+  let families = [ "random"; "path"; "tree"; "cycle" ] in
+  qcheck ~count:120
+    "codec: decode (encode l) = l, sharing = plain, one pass = max bits"
+    QCheck.(
+      quad
+        (pair (int_bound (List.length property_names - 1)) bool)
+        (int_bound (List.length families - 1))
+        (int_range 2 24) (pair (int_range 1 2) (int_bound 10_000)))
+    (fun ((pi, prop46), fi, n, (k, seed)) ->
+      let source =
+        Manifest.Generated { family = List.nth families fi; n; gen_seed = seed }
+      in
+      (* the shrinker can step out of the ranges above *)
+      k < 1 || n < 2
+      ||
+      match Engine.graph_of_source ~base_dir:"." ~k source with
+      | Error _ -> true
+      | Ok g ->
+          codec_roundtrip (List.nth property_names pi)
+            ~strategy:(if prop46 then `Prop46 else `Hybrid)
+            ~k
+            (PLS.Config.random_ids (Random.State.make [| seed |]) g))
+
+let codec_roundtrip_128 () =
+  List.iteri
+    (fun i property ->
+      List.iter
+        (fun strategy ->
+          let rng = Random.State.make [| 60 + i |] in
+          let g = graph_128 property rng in
+          check
+            (Printf.sprintf "%s n=128 %s" property
+               (if strategy = `Prop46 then "prop46" else "hybrid"))
+            true
+            (codec_roundtrip property ~strategy ~k:2 (PLS.Config.random_ids rng g)))
+        [ `Hybrid; `Prop46 ])
+    property_names
+
+(* Hand-written bundles for the one-edge graph 0-1: a label with the
+   table [ids], whose one frame names [refs] (member, merged), behind a
+   table count of [count]. *)
+let crafted_bundle ?count ids (member, merged) =
+  let st = Conn.introduce Conn.empty 0 in
+  let w = Bitenc.writer () in
+  Bitenc.varint w 2;
+  Bitenc.varint w 1;
+  Bitenc.varint w (Option.value count ~default:(List.length ids));
+  List.iter
+    (fun id ->
+      Bitenc.varint w id;
+      Bitenc.varint w 1;
+      Bitenc.varint w 0;
+      Bitenc.varint w 0;
+      Bitenc.varint w 0;
+      Conn.encode w st)
+    ids;
+  (* own stack: one T frame *)
+  Bitenc.varint w 1;
+  Bitenc.bit w false;
+  Bitenc.varint w member;
+  Bitenc.bits w ~width:3 (Cert.kind_code Cert.KE);
+  Bitenc.varint w merged;
+  Bitenc.bit w true;
+  Bitenc.varint w 0;
+  Bitenc.varint w 0;
+  (* pointer, accept bit, no transported records *)
+  Bitenc.varint w 0;
+  Bitenc.bit w false;
+  Bitenc.bit w true;
+  Bitenc.varint w 0;
+  { Bundle.bytes = Bitenc.to_bytes w; bits = Bitenc.length_bits w }
+
+let malformed_tables () =
+  let g = Gen.path 2 in
+  let decode b =
+    match Bundle.decode ~decode_label:(Cert.decode ~decode_state:Conn.decode) g b with
+    | r -> r
+    | exception e -> Alcotest.failf "Bundle.decode raised %s" (Printexc.to_string e)
+  in
+  (match decode (crafted_bundle [ 3; 5 ] (3, 5)) with
+  | Ok labels ->
+      let l = Option.get (S.Edge_map.find labels (0, 1)) in
+      check "the well-formed control decodes to its two infos" true
+        (List.map (fun (i : _ Cert.info) -> i.Cert.node_id) (infos_of_label l) = [ 3; 5 ])
+  | Error e -> Alcotest.failf "well-formed control: %s" e);
+  List.iter
+    (fun (what, b) ->
+      check (what ^ " is an Error") true (Result.is_error (decode b)))
+    [
+      ("a table out of order", crafted_bundle [ 5; 3 ] (3, 5));
+      ("a repeated id", crafted_bundle [ 3; 3 ] (3, 3));
+      ("a reference to an absent id", crafted_bundle [ 3; 5 ] (3, 9));
+      ("a count past the remaining bits", crafted_bundle ~count:1_000_000 [ 3; 5 ] (3, 5));
+      ("a count one past the entries", crafted_bundle ~count:3 [ 3; 5 ] (3, 5));
+    ]
+
+(* two infos under one node id: neither encoder writes such a label *)
+let two_infos_one_id () =
+  let st = Conn.introduce Conn.empty 0 in
+  let info lanes =
+    { Cert.node_id = 4; lanes; t_in = []; t_out = []; state = st }
+  in
+  let label =
+    {
+      Cert.frames =
+        [
+          Cert.T_frame
+            {
+              member = (info [ 0 ], Cert.KE);
+              merged = info [ 1 ];
+              is_tree_root = true;
+              member_real = [];
+              children = [];
+            };
+        ];
+      global_ptr = { PLS.Spanning_tree.target = 0; parent = None };
+      accept_state = true;
+      transported = [];
+    }
+  in
+  List.iter
+    (fun (what, encode) ->
+      check what true
+        (match encode (Bitenc.writer ()) label with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("the sharing encoder raises", Cert.encode ~encode_state:Conn.encode);
+      ("the plain encoder raises", Cert.encode_plain ~encode_state:Conn.encode);
+    ];
+  (* the same info twice, as two equal values, is one entry *)
+  let same =
+    { label with
+      Cert.frames =
+        [
+          Cert.T_frame
+            {
+              member = (info [ 0 ], Cert.KE);
+              merged = info [ 0 ];
+              is_tree_root = true;
+              member_real = [];
+              children = [];
+            };
+        ];
+    }
+  in
+  let w = Bitenc.writer () in
+  Cert.encode ~encode_state:Conn.encode w same;
+  check "equal infos under one id decode back" true
+    (Cert.decode ~decode_state:Conn.decode (Bitenc.reader_of_writer w) = same)
+
+let suite_codec =
+  [
+    prop_codec_roundtrip;
+    test "n=128: round trips under both strategies" codec_roundtrip_128;
+    test "malformed tables decode to an Error" malformed_tables;
+    test "two infos under one id are refused" two_infos_one_id;
+  ]
+
 let () =
   Alcotest.run "lcp-graphcore"
     [
@@ -989,4 +1268,5 @@ let () =
       ("memo", suite_memo);
       ("label-bits", suite_label_bits);
       ("sharing", suite_sharing);
+      ("codec", suite_codec);
     ]

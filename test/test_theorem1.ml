@@ -234,14 +234,93 @@ let hybrid_keeps_greedy () =
     check "accepted" true (S.accepted (S.run_edge cfg scheme hybrid.T1conn.P.labels))
   done
 
-(* The pinned strategies build the same bundles as before the hybrid
-   default and the linear merges: digests of E1's first paths and cycles
-   and of the first instances of the benchmark's fresh n = 128 pool
-   (manifest jobs gen=random n=128 k=2, gseed = Hashtbl.hash (1, "f", i),
-   ids seeded by gseed lxor 0x5bd1), taken from the earlier build. *)
+(* A labeling as text, field by field, with no use of the bit codec: a
+   digest of it pins the certificates themselves, whatever codec writes
+   them. States are printed by the algebra's [pp]. *)
+let labels_text (labels : A.Connectivity.state Lcp_cert.Certificate.label S.Edge_map.t) =
+  let module C = Lcp_cert.Certificate in
+  let b = Buffer.create 4096 in
+  let p fmt = Printf.bprintf b fmt in
+  let ints xs = String.concat ";" (List.map string_of_int xs) in
+  let pairs xs =
+    String.concat ";" (List.map (fun (x, y) -> Printf.sprintf "%d>%d" x y) xs)
+  in
+  let info (i : _ C.info) =
+    p "{%d|%s|%s|%s|%s}" i.C.node_id (ints i.C.lanes) (pairs i.C.t_in)
+      (pairs i.C.t_out)
+      (Format.asprintf "%a" A.Connectivity.pp i.C.state)
+  in
+  let kind k = p "%s" (Format.asprintf "%a" C.pp_kind k) in
+  let ptr (x : PLS.Spanning_tree.label) =
+    match x.PLS.Spanning_tree.parent with
+    | None -> p "<%d>" x.PLS.Spanning_tree.target
+    | Some (d, c) -> p "<%d,%d,%d>" x.PLS.Spanning_tree.target d c
+  in
+  let opt f = function None -> p "-" | Some x -> f x in
+  let frame = function
+    | C.T_frame { member = m, mk; merged; is_tree_root; member_real; children } ->
+        p "T(";
+        info m;
+        kind mk;
+        info merged;
+        p "%b[%s]" is_tree_root
+          (String.concat "" (List.map (fun x -> if x then "1" else "0") member_real));
+        List.iter
+          (fun (nid, c) ->
+            p "%d:" nid;
+            info c)
+          children;
+        p ")"
+    | C.B_frame
+        {
+          bnode; i; j; left = li, lk; right = ri, rk; bridge_real;
+          left_root_member; right_root_member; position; left_ptr; right_ptr;
+        } ->
+        p "B(";
+        info bnode;
+        p "%d,%d" i j;
+        info li;
+        kind lk;
+        info ri;
+        kind rk;
+        p "%b" bridge_real;
+        opt (p "%d") left_root_member;
+        opt (p "%d") right_root_member;
+        p "%s" (match position with `Bridge -> "b" | `Left -> "l" | `Right -> "r");
+        opt ptr left_ptr;
+        opt ptr right_ptr;
+        p ")"
+  in
+  let stack fs =
+    p "[";
+    List.iter frame fs;
+    p "]"
+  in
+  List.iter
+    (fun ((u, v), (l : _ C.label)) ->
+      p "%d-%d:" u v;
+      stack l.C.frames;
+      ptr l.C.global_ptr;
+      p "%b" l.C.accept_state;
+      List.iter
+        (fun (r : _ C.vrecord) ->
+          p "(%d,%d,%d,%d)" r.C.vu r.C.vv r.C.rank_fwd r.C.rank_bwd;
+          stack r.C.vframes)
+        l.C.transported;
+      p "\n")
+    (S.Edge_map.bindings labels);
+  Buffer.contents b
+
+(* The pinned strategies build the same certificates as before the
+   hybrid default and the linear merges: digests of E1's first paths
+   and cycles and of the first instances of the benchmark's fresh
+   n = 128 pool (manifest jobs gen=random n=128 k=2, gseed =
+   Hashtbl.hash (1, "f", i), ids seeded by gseed lxor 0x5bd1), taken
+   from the earlier build. They digest [labels_text], not bundle bytes,
+   so that a change of the bit codec leaves them standing: the label
+   values are what the strategies build. *)
 let pinned_bundles () =
   let digest strategy ~k insts =
-    let scheme = T1conn.edge_scheme ~k () in
     Digest.to_hex
       (Digest.string
          (String.concat ","
@@ -253,8 +332,7 @@ let pinned_bundles () =
                  with
                  | Error e -> Alcotest.fail e
                  | Ok art ->
-                     Digest.to_hex
-                       (Digest.string (bundle_bytes scheme cfg art.T1conn.P.labels)))
+                     Digest.to_hex (Digest.string (labels_text art.T1conn.P.labels)))
                insts)))
   in
   let seq g = (PW.heuristic_interval_representation g, PLS.Config.make g) in
@@ -270,15 +348,15 @@ let pinned_bundles () =
       Alcotest.(check string) name want (digest strategy ~k insts))
     [
       ( "paths, prop46", `Prop46, 1, List.map (fun n -> seq (Gen.path n)) [ 16; 32; 64; 128 ],
-        "e89bca7bb6a51c977b20c03368d09eea" );
+        "3bc3b0694d711259b41cdf15accbe7cb" );
       ( "paths, greedy", `Greedy, 1, List.map (fun n -> seq (Gen.path n)) [ 16; 32; 64; 128 ],
-        "35d537e69a8ad69011ae2014ed3f161b" );
+        "93b639b630b7387b006da3de09a3ae5b" );
       ( "cycles, prop46", `Prop46, 2, List.map (fun n -> seq (Gen.cycle n)) [ 16; 32; 64 ],
-        "4754b2d98666665ee704f8fd304b6944" );
+        "4d324ae9a93271bd2d21389d25d723a9" );
       ( "cycles, greedy", `Greedy, 2, List.map (fun n -> seq (Gen.cycle n)) [ 16; 32; 64 ],
-        "9d20c83d7e9a5f468f819d00c0c4e30a" );
-      ("pool, prop46", `Prop46, 2, pool, "66913eeb033d8adf3bc3409eec221e01");
-      ("pool, greedy", `Greedy, 2, pool, "0529da7669e564ba315b16d3700b2c6c");
+        "44f9364882f110550ba0e3bd5a0fe5a6" );
+      ("pool, prop46", `Prop46, 2, pool, "b247c2f72ed5ee7c3eecc55576812e09");
+      ("pool, greedy", `Greedy, 2, pool, "d3123393389166d85d006d496ec459d3");
     ]
 
 let vertex_scheme_variant () =
