@@ -708,7 +708,7 @@ let e16_stream ~quick ~update =
   let timing = Svc.Timing.create () in
   let make_engine wt =
     Svc.Engine.create ~cache_cap:4096 ~cache_dir:cache ~base_dir:dir
-      ~write_batch:64 ?timing:wt ()
+      ~write_batch:64 ~timing:wt ()
   in
   let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
   let served = ref 0 and errors = ref 0 in
@@ -791,7 +791,7 @@ let e16_stream ~quick ~update =
   let fresh_engine tag wt =
     Svc.Engine.create ~cache_cap:2048
       ~cache_dir:(Filename.concat dir ("cache_" ^ tag))
-      ~base_dir:dir ~write_batch:16 ?timing:wt ()
+      ~base_dir:dir ~write_batch:16 ~timing:wt ()
   in
   let batch_reports, _ =
     Svc.Pool.run ~workers:1 ~make_engine:(fresh_engine "b1") batch_jobs
@@ -870,8 +870,7 @@ let e16_stream ~quick ~update =
            (fun ~worker:_ wt ->
              Svc.Engine.create ~cache_cap:2048
                ~cache_dir:(Filename.concat dir "cache_daemon")
-               ~base_dir:dir ~write_batch:16 ?timing:wt ());
-         timed = false;
+               ~base_dir:dir ~write_batch:16 ~timing:wt ());
          verbose = false;
          journal_dir = None;
          journal_fsync = `Every 8;
@@ -928,7 +927,7 @@ let e16_stream ~quick ~update =
       ~make_engine:(fun wt ->
         Svc.Engine.create ~cache_cap:256
           ~cache_dir:(Filename.concat dir "cache_pressure")
-          ~base_dir:dir ~write_batch:16 ?timing:wt ())
+          ~base_dir:dir ~write_batch:16 ~timing:wt ())
       (fun feed -> Svc.Workload.iter specd ~f:feed)
   in
   let sd = outcome_d.Svc.Pool.store_stats in
@@ -980,7 +979,7 @@ let scale () =
       let cache_dir = Filename.concat dir (Printf.sprintf "cache_w%d" n) in
       let timing = Svc.Timing.create () in
       let make_engine wt =
-        Svc.Engine.create ~cache_cap:1024 ~cache_dir ~base_dir:dir ?timing:wt ()
+        Svc.Engine.create ~cache_cap:1024 ~cache_dir ~base_dir:dir ~timing:wt ()
       in
       let t0 = Unix.gettimeofday () in
       let reports, outcome = Svc.Pool.run ~timing ~workers:n ~make_engine jobs in
@@ -1400,7 +1399,7 @@ let chaos () =
       | Error e -> failwith e
     in
     let io = fst (Blob.inject ~plan Blob.real) in
-    Svc.Engine.create ~cache_dir:cache ~io ?timing ()
+    Svc.Engine.create ~cache_dir:cache ~io ~timing ()
   in
   let cfg =
     {
@@ -1409,7 +1408,6 @@ let chaos () =
       queue_cap;
       client_cap;
       make_engine;
-      timed = true;
       verbose = false;
       journal_dir = None;
       journal_fsync = `Every 8;
@@ -1740,8 +1738,7 @@ let e14_crash () =
         workers = 1;
         queue_cap = 64;
         client_cap = 48;
-        make_engine = (fun ~worker:_ timing -> Svc.Engine.create ?timing ());
-        timed = false;
+        make_engine = (fun ~worker:_ timing -> Svc.Engine.create ~timing ());
         verbose = false;
         journal_dir = Some (Filename.concat dir "journal");
         journal_fsync = `Always;
@@ -2430,6 +2427,24 @@ let perf () =
       for _ = 1 to 1000 do
         sink := !sink + Bitenc.read_varint r
       done);
+  (* the timing sink every engine carries: the record [Timing.time]
+     makes after each stage, over durations spread across the buckets,
+     and one job's flush into a parent, as a daemon worker ships it
+     after each job (two stages and the certification counters) *)
+  let module Timing = Lcp_service.Timing in
+  let tsink = Timing.create () in
+  let tvalues = Array.init 1000 (fun i -> (i * 7919) mod 100_000 * 1000) in
+  op "timing.record" ~iters:200 ~per:1000 (fun () ->
+      for i = 0 to 999 do
+        Timing.record_ns tsink Timing.Verify tvalues.(i)
+      done);
+  let tparent = Timing.create () in
+  op "timing.flush_absorb" ~iters:1000 ~per:1 (fun () ->
+      Timing.record tsink Timing.Parse 0.01;
+      Timing.record tsink Timing.Store 0.02;
+      List.iter (fun (name, v) -> Timing.set_counter tsink name v)
+        (Lcp_service.Engine.cert_counters ());
+      Timing.absorb tparent (Timing.flush tsink));
   let prove128 () = ignore (t1_128.PLS.Scheme.es_prove cfg128) in
   (* a fresh record for every label over the same frames: the view memo
      has never accepted these values, so a verify op keeps timing the
@@ -2574,6 +2589,10 @@ let perf () =
   check
     (List.assoc "encode_sharing_speedup_x" derived >= 1.5)
     "sharing encode speedup below the 1.5x floor";
+  (* every engine times every stage, so recording must stay free *)
+  check
+    (List.exists (fun (n, _, w) -> n = "timing.record" && w = 0.0) ops)
+    "timing.record allocates";
   (* -- gate against the committed baseline --
      Wall-clock on this class of shared 1-core container swings ~2x
      between identical back-to-back runs, so a tight ns gate would be

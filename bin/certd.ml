@@ -280,7 +280,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
         plan
     in
     Service.Engine.create ~cache_cap ?cache_dir ~cache_disk_cap:disk_cap
-      ~write_batch ?io ~base_dir ?timing ()
+      ~write_batch ?io ~base_dir ~timing ()
   in
   let jobs_or_stream =
     if streaming then `Stream
@@ -309,7 +309,7 @@ let run manifest base_dir cache_cap cache_dir disk_cap faults jsonl canonical
          fresh fault-plan counters) and this one's store counters are
          folded into the cold pass's footer instead of being lost *)
       let first_engine =
-        try make_engine (Some timing) with
+        try make_engine timing with
         | Sys_error e ->
             Printf.eprintf "certd: %s\n" e;
             exit 2

@@ -7,8 +7,7 @@
    Examples:
      certd_server.exe --socket /tmp/certd.sock --workers 4 \
        --cache-dir /tmp/certs --base-dir examples/service
-     certd_server.exe --socket /tmp/certd.sock --faults 'torn@9:8' \
-       --timed           # storage-fault drill with stage percentiles
+     certd_server.exe --socket /tmp/certd.sock --faults 'torn@9:8'  # fault drill
 
    The daemon runs until SIGTERM/SIGINT or a client's shutdown request,
    drains its queue through the workers, and exits 0. Exit code 2 is a
@@ -99,7 +98,7 @@ let supervise serve =
   loop ()
 
 let run socket workers queue_cap client_cap cache_cap cache_dir disk_cap
-    degrade_after deadline_ms faults base_dir timed quiet journal_dir fsync
+    degrade_after deadline_ms faults base_dir quiet journal_dir fsync
     checkpoint_every supervise_flag write_batch =
   if workers < 1 then begin
     prerr_endline "certd-server: --workers must be >= 1";
@@ -145,7 +144,7 @@ let run socket workers queue_cap client_cap cache_cap cache_dir disk_cap
         plan
     in
     Service.Engine.create ~cache_cap ?cache_dir ~cache_disk_cap:disk_cap
-      ~degrade_after ~write_batch ?io ~retry ~base_dir ?timing ()
+      ~degrade_after ~write_batch ?io ~retry ~base_dir ~timing ()
   in
   let journal_fsync =
     match Service.Journal.fsync_policy_of_string fsync with
@@ -169,7 +168,6 @@ let run socket workers queue_cap client_cap cache_cap cache_dir disk_cap
           queue_cap;
           client_cap;
           make_engine;
-          timed;
           verbose = not quiet;
           journal_dir;
           journal_fsync;
@@ -271,14 +269,6 @@ let base_dir =
     & info [ "base-dir" ] ~docv:"DIR"
         ~doc:"Directory that file= paths in submitted jobs resolve against.")
 
-let timed =
-  Arg.(
-    value & flag
-    & info [ "timed" ]
-        ~doc:
-          "Collect per-stage timing samples from the workers; they feed \
-           the p50/p90/p99 figures on the stats endpoint.")
-
 let quiet =
   Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress lifecycle log lines.")
 
@@ -340,7 +330,7 @@ let cmd =
     Term.(
       const run $ socket $ workers $ queue_cap $ client_cap $ cache_cap
       $ cache_dir $ disk_cap $ degrade_after $ deadline_ms $ faults
-      $ base_dir $ timed $ quiet $ journal_dir $ fsync $ checkpoint_every
+      $ base_dir $ quiet $ journal_dir $ fsync $ checkpoint_every
       $ supervise_flag $ write_batch)
 
 let () = exit (Cmd.eval cmd)

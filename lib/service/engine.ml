@@ -49,13 +49,12 @@ type t = {
   store : Cert_store.t;
   base_dir : string;  (** file= paths in manifests resolve against this *)
   retry : retry_policy;
-  timing : Timing.t option;
-      (** when present, every pipeline stage records its duration here *)
+  timing : Timing.t;  (** every pipeline stage records its duration here *)
 }
 
 let create ?(cache_cap = 4096) ?cache_dir ?(cache_disk_cap = 0)
     ?(degrade_after = 3) ?write_batch ?filter_bits ?io ?(retry = default_retry)
-    ?(base_dir = ".") ?timing () =
+    ?(base_dir = ".") ?(timing = Timing.create ()) () =
   {
     store =
       Cert_store.create ~cap:cache_cap ?dir:cache_dir ~disk_cap:cache_disk_cap
@@ -385,12 +384,9 @@ let cert_counters () =
    where they render next to the histogram. Counters are cumulative
    totals, so [set_counter] (overwrite) keeps one snapshot per run. *)
 let snapshot_counters t =
-  match t.timing with
-  | None -> ()
-  | Some timing ->
-      List.iter
-        (fun (name, v) -> Timing.set_counter timing name v)
-        (cert_counters () @ process_counters t)
+  List.iter
+    (fun (name, v) -> Timing.set_counter t.timing name v)
+    (cert_counters () @ process_counters t)
 
 (* Reports are emitted and returned in canonical order (sorted by job
    id), not arrival order, so the JSONL stream of a sequential run is

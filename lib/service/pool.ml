@@ -102,8 +102,8 @@ exception Stream_stop
     While workers are alive, SIGINT is owned by the pool: the handler
     kills and reaps every child (no orphans holding the shared cache
     directory), runs [on_interrupt], and exits 130. *)
-let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
-    ?window ~workers ~make_engine produce =
+let run_stream ?(emit = fun (_ : Stats.job_report) -> ())
+    ?(timing = Timing.create ()) ?on_interrupt ?window ~workers ~make_engine produce =
   let workers = max 1 workers in
   let window =
     match window with Some w when w > 0 -> w | _ -> max 64 (8 * workers)
@@ -128,7 +128,7 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
   else begin
     let ws =
       Array.init workers (fun _ ->
-          Worker.spawn ~inherited:[] ~make_engine ~timed:(timing <> None))
+          Worker.spawn ~inherited:[] ~make_engine)
     in
     let kill_all () =
       Array.iter Worker.kill ws;
@@ -184,18 +184,15 @@ let run_stream ?(emit = fun (_ : Stats.job_report) -> ()) ?timing ?on_interrupt
                 progress := true)
       done
     in
-    let absorb samples =
-      match timing with Some t -> Timing.absorb t samples | None -> ()
-    in
     let handle i (msg : Worker.from_worker) =
       match msg with
       | Worker.Ready -> ()
       | Worker.Done { report; samples; _ } ->
-          absorb samples;
+          Timing.absorb timing samples;
           Queue.push report reports.(i)
       | Worker.Bye { samples; store_stats = s; degraded = d } ->
           signed_off.(i) <- true;
-          absorb samples;
+          Timing.absorb timing samples;
           store_stats := Cert_store.add_stats !store_stats s;
           degraded := !degraded || d
       | Worker.Crashed p -> if !crashed = None then crashed := Some p

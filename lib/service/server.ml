@@ -29,11 +29,10 @@ type config = {
   workers : int;  (** size of the long-lived worker pool, >= 1 *)
   queue_cap : int;  (** global admission-queue bound, >= 1 *)
   client_cap : int;  (** per-client share of the queue, >= 1 *)
-  make_engine : worker:int -> Timing.t option -> Engine.t;
+  make_engine : worker:int -> Timing.t -> Engine.t;
       (** called once {e inside} each worker process, after the fork;
           [worker] is the pool slot, letting drills give each worker
           its own fault plan *)
-  timed : bool;  (** ship per-stage samples from workers to the stats sink *)
   verbose : bool;
   journal_dir : string option;
       (** where the write-ahead session journal lives; [None] disables
@@ -181,8 +180,7 @@ and spawn_worker t slot =
   in
   t.procs.(slot) <-
     Some
-      (Worker.spawn ~inherited ~make_engine:(t.cfg.make_engine ~worker:slot)
-         ~timed:t.cfg.timed);
+      (Worker.spawn ~inherited ~make_engine:(t.cfg.make_engine ~worker:slot));
   t.job_frame.(slot) <- 0
 
 and adopt_client t fd =

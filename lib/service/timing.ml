@@ -1,19 +1,18 @@
-(** Lightweight per-stage timing for the certification pipeline: every
-    engine stage (parse, prove, encode, verify, store) records its
-    duration into a growable sample buffer keyed by stage, and the
-    buffer renders as a histogram footer (count, total, p50/p90/p99,
-    max per stage).
+(** Per-stage timing for the certification pipeline: every engine stage
+    (parse, prove, encode, verify, store) records its duration, on the
+    monotonic clock, into a fixed-size histogram, rendered as a footer
+    (count, total, p50/p90/p99, max per stage) and as the daemon's
+    stats JSON.
 
-    Durations are measured on the {e monotonic} clock
-    ([Monotonic_clock.now], CLOCK_MONOTONIC under the hood), so a
-    wall-clock step (NTP slew, suspend) can never produce a negative or
-    wildly inflated sample — gettimeofday arithmetic can.
-
-    The sink is deliberately dumb: raw samples, no pre-bucketing. A
-    worker process serializes its samples with [samples] and the pool
-    merges them into the parent's sink with [absorb], so percentiles
-    over a sharded run are computed from the {e exact} union of
-    samples, identical to what a sequential run would report.
+    The sink has one shape and is always on. A stage keeps an exact
+    count, total (integer nanoseconds), min and max, and log-linear
+    buckets, 16 per power of two from 2^9 to 2^40 ns (about 2^-11 to
+    2^20 ms; a sample outside lands in an end bucket), so a percentile
+    in range is within 1/32 of the exact value. [record_ns], which
+    [time] calls, allocates nothing, and the sink never grows. A worker
+    ships each stage's buckets between its min's and its max's with
+    [flush] and the parent adds them with [absorb], a bucket-wise sum:
+    a sharded run's histogram is the sequential run's, bucket for bucket.
 
     Besides durations the sink carries named integer {e counters}
     (verifier-memo hits/misses, store filter traffic, GC minor words);
@@ -25,103 +24,136 @@ type stage = Parse | Prove | Encode | Verify | Store
 let stages = [ Parse; Prove; Encode; Verify; Store ]
 
 let stage_name = function
-  | Parse -> "parse"
-  | Prove -> "prove"
-  | Encode -> "encode"
-  | Verify -> "verify"
-  | Store -> "store"
+  | Parse -> "parse" | Prove -> "prove" | Encode -> "encode" | Verify -> "verify" | Store -> "store"
 
-(* a growable float buffer; Buffer for floats, nothing more *)
-type buf = { mutable data : float array; mutable len : int }
+let stage_index = function
+  | Parse -> 0 | Prove -> 1 | Encode -> 2 | Verify -> 3 | Store -> 4
 
-let buf_create () = { data = Array.make 64 0.0; len = 0 }
+(* log-linear buckets over integer nanoseconds: 16 per power of two,
+   bucket 0 starting at 2^lo_exp ns and the last ending at 2^40 ns *)
+let sub_bits = 4 and lo_exp = 9
 
-let buf_push b x =
-  if b.len = Array.length b.data then begin
-    let grown = Array.make (2 * b.len) 0.0 in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
+let n_buckets = (40 - lo_exp) lsl sub_bits
 
-let buf_to_list b = Array.to_list (Array.sub b.data 0 b.len)
+let bucket_of_ns v =
+  (* [e] + the index of [v]'s highest set bit, halving the step [s] *)
+  let rec msb v e s =
+    if s = 0 then e else if v lsr s <> 0 then msb (v lsr s) (e + s) (s / 2) else msb v e (s / 2)
+  in
+  if v < 1 lsl lo_exp then 0
+  else
+    let e = msb v 0 32 in
+    Int.min (n_buckets - 1) (((e - lo_exp) lsl sub_bits) lor ((v lsr (e - sub_bits)) land 15))
+
+(* the middle of bucket [i]: within half a bucket, 1/32, of any
+   in-range sample the bucket holds *)
+let bucket_mid_ns i =
+  let shift = lo_exp + (i lsr sub_bits) - sub_bits in
+  ((16 + (i land 15)) lsl shift) + ((1 lsl shift) / 2)
+
+type hist = {
+  mutable count : int;
+  mutable total_ns : int;
+  mutable min_ns : int;
+  mutable max_ns : int;
+  buckets : int array;
+}
 
 type t = {
-  bufs : (stage * buf) list;
-      (* assoc over the five fixed stages; tiny, allocation-free on record *)
-  mutable ctrs : (string * int) list;
+  hists : hist array;  (** indexed by [stage_index] *)
+  ctrs : (string, int) Hashtbl.t;
       (* named event counters (memo hits, allocation words, ...) riding
          along with the histogram; merged across workers by summation *)
 }
 
-let create () : t = { bufs = List.map (fun s -> (s, buf_create ())) stages; ctrs = [] }
+let create () : t =
+  let hist _ =
+    { count = 0; total_ns = 0; min_ns = max_int; max_ns = 0; buckets = Array.make n_buckets 0 }
+  in
+  { hists = Array.init (List.length stages) hist; ctrs = Hashtbl.create 16 }
 
-let now_ns () = Monotonic_clock.now ()
+let record_ns (t : t) stage ns =
+  let h = t.hists.(stage_index stage) and ns = Int.max 0 ns in
+  h.count <- h.count + 1;
+  h.total_ns <- h.total_ns + ns;
+  h.min_ns <- Int.min h.min_ns ns;
+  h.max_ns <- Int.max h.max_ns ns;
+  let i = bucket_of_ns ns in
+  h.buckets.(i) <- h.buckets.(i) + 1
 
-let ms_of_ns ns = Int64.to_float ns /. 1e6
+(* [record_ns] for a duration in milliseconds *)
+let record (t : t) stage ms =
+  record_ns t stage (int_of_float (Float.round (ms *. 1e6)))
 
-let record (t : t) stage ms = buf_push (List.assoc stage t.bufs) ms
-
-let set_counter (t : t) name v =
-  t.ctrs <- (name, v) :: List.remove_assoc name t.ctrs
+let set_counter (t : t) name v = Hashtbl.replace t.ctrs name v
 
 let add_counter (t : t) name v =
-  let cur = match List.assoc_opt name t.ctrs with Some c -> c | None -> 0 in
-  set_counter t name (cur + v)
+  set_counter t name (v + Option.value ~default:0 (Hashtbl.find_opt t.ctrs name))
 
-let counters (t : t) =
-  List.sort (fun (a, _) (b, _) -> compare a b) t.ctrs
+let unsorted_counters (t : t) = Hashtbl.fold (fun name v acc -> (name, v) :: acc) t.ctrs []
 
-(** [time t stage f] runs [f ()], recording its duration under [stage]
-    when a sink is present. The [option] lives here so call sites stay
-    one line. *)
-let time (t : t option) stage f =
-  match t with
-  | None -> f ()
-  | Some t ->
-      let t0 = now_ns () in
-      let r = f () in
-      record t stage (ms_of_ns (Int64.sub (now_ns ()) t0));
-      r
+let counters (t : t) = List.sort compare (unsorted_counters t)
+
+(** [time t stage f] runs [f ()], recording its duration under [stage]. *)
+let time (t : t) stage f =
+  let now () = Int64.to_int (Monotonic_clock.now ()) in
+  let t0 = now () in
+  let r = f () in
+  record_ns t stage (now () - t0);
+  r
 
 (* ---------------------------------------------------------------- *)
 (* cross-process merge                                               *)
 
-type samples = {
-  w_stages : (string * float list) list;
-  w_ctrs : (string * int) list;
-}
-(** the wire form: stage name -> raw samples, plus the counter snapshot.
-    Strings rather than the variant so a marshalled payload from a
-    worker of a different build degrades to an error, not a segfault. *)
+type samples = { w_stages : (stage * hist) list; w_ctrs : (string * int) list }
+(** the wire form: each recorded stage's histogram, its buckets cut to
+    the window from [min_ns]'s bucket to [max_ns]'s, which holds every
+    nonzero one; plus the counters *)
+
+(* (first, length) of the buckets from [min_ns]'s to [max_ns]'s, the
+   ones a recorded stage can have nonzero *)
+let window h =
+  let lo = bucket_of_ns h.min_ns in
+  (lo, bucket_of_ns h.max_ns - lo + 1)
 
 let samples (t : t) : samples =
-  {
-    w_stages = List.map (fun (s, b) -> (stage_name s, buf_to_list b)) t.bufs;
-    w_ctrs = t.ctrs;
-  }
+  let stage s =
+    let h = t.hists.(stage_index s) in
+    let lo, len = window h in
+    (s, { h with buckets = Array.sub h.buckets lo len })
+  in
+  let recorded s = t.hists.(stage_index s).count > 0 in
+  { w_stages = List.map stage (List.filter recorded stages); w_ctrs = unsorted_counters t }
 
 let absorb (t : t) (xs : samples) =
   List.iter
-    (fun (name, values) ->
-      match List.find_opt (fun (s, _) -> stage_name s = name) t.bufs with
-      | Some (_, b) -> List.iter (buf_push b) values
-      | None -> ())
+    (fun (s, w) ->
+      let h = t.hists.(stage_index s) and lo = fst (window w) in
+      h.count <- h.count + w.count;
+      h.total_ns <- h.total_ns + w.total_ns;
+      h.min_ns <- Int.min h.min_ns w.min_ns;
+      h.max_ns <- Int.max h.max_ns w.max_ns;
+      Array.iteri (fun i c -> h.buckets.(lo + i) <- h.buckets.(lo + i) + c) w.buckets)
     xs.w_stages;
   List.iter (fun (name, v) -> add_counter t name v) xs.w_ctrs
-
-(** Drop every sample and counter, keeping the sink itself. *)
-let reset (t : t) =
-  List.iter (fun (_, b) -> b.len <- 0) t.bufs;
-  t.ctrs <- []
 
 (** Take the sink's samples and reset it: the shipping discipline of a
     long-lived daemon worker, which flushes after every job so the
     supervisor absorbs each job's stage durations exactly once. *)
 let flush (t : t) : samples =
   let s = samples t in
-  reset t;
+  Array.iter
+    (fun h ->
+      if h.count > 0 then begin
+        let lo, len = window h in
+        Array.fill h.buckets lo len 0
+      end;
+      h.count <- 0;
+      h.total_ns <- 0;
+      h.min_ns <- max_int;
+      h.max_ns <- 0)
+    t.hists;
+  Hashtbl.clear t.ctrs;
   s
 
 (* ---------------------------------------------------------------- *)
@@ -137,34 +169,38 @@ type line = {
   l_max : float;
 }
 
-(* nearest-rank percentile over a sorted copy of the samples *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+let ms_of_ns ns = float_of_int ns /. 1e6
+
+(* nearest-rank percentile: the middle of the bucket holding the
+   rank-th smallest sample, clamped to [min, max] so that a stage whose
+   samples are all equal reports that value exactly *)
+let percentile h q =
+  let rank =
+    Int.max 1 (Int.min h.count (int_of_float (ceil (q *. float_of_int h.count))))
+  in
+  let rec find i seen =
+    let seen = seen + h.buckets.(i) in
+    if seen >= rank || i = n_buckets - 1 then i else find (i + 1) seen
+  in
+  ms_of_ns (Int.max h.min_ns (Int.min h.max_ns (bucket_mid_ns (find 0 0))))
 
 let report (t : t) : line list =
   List.filter_map
-    (fun ((s : stage), b) ->
-      if b.len = 0 then None
-      else begin
-        let sorted = Array.sub b.data 0 b.len in
-        Array.sort compare sorted;
-        let total = Array.fold_left ( +. ) 0.0 sorted in
+    (fun s ->
+      let h = t.hists.(stage_index s) in
+      if h.count = 0 then None
+      else
         Some
           {
             l_stage = stage_name s;
-            l_count = b.len;
-            l_total_ms = total;
-            l_p50 = percentile sorted 0.50;
-            l_p90 = percentile sorted 0.90;
-            l_p99 = percentile sorted 0.99;
-            l_max = sorted.(b.len - 1);
-          }
-      end)
-    t.bufs
+            l_count = h.count;
+            l_total_ms = ms_of_ns h.total_ns;
+            l_p50 = percentile h 0.50;
+            l_p90 = percentile h 0.90;
+            l_p99 = percentile h 0.99;
+            l_max = ms_of_ns h.max_ns;
+          })
+    stages
 
 (** The percentile lines as a JSON array, for the daemon's live stats
     endpoint — same numbers [pp] renders as the histogram footer. *)

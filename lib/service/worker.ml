@@ -9,10 +9,11 @@
 
     {b The worker loop.} A worker builds its engine, sends [Ready], and
     answers every [Job] and [Delta_job] with one [Done]: the report, the
-    job's timing samples and [Engine.cert_counters] deltas, and its
+    job's timing samples with each counter's change since the last
+    message ([Engine.cert_counters], [Engine.process_counters]), and its
     store counters. On [Quit], or EOF on its input, it flushes the
-    engine and signs off with [Bye]: the final store counters and the
-    counters [Engine.process_counters] adds beyond the per-job deltas.
+    engine and signs off with [Bye]: the counter changes since the last
+    job, and the final store counters.
     A simulated process death ([Blob_io.Crashed]) is reported as
     [Crashed] and the process exits 3; an engine that cannot be built
     (or any other exception that escapes) is reported as [Failed] and
@@ -100,34 +101,24 @@ type handler = {
 }
 
 (* Build the engine: a failure here is the worker's [Failed]. *)
-let handler ~make_engine ~timed =
-  let timing = if timed then Some (Timing.create ()) else None in
-  let take_samples () =
-    match timing with
-    | Some t -> Timing.flush t
-    | None -> { Timing.w_stages = []; w_ctrs = [] }
-  in
+let handler ~make_engine =
+  let timing = Timing.create () in
   let engine = make_engine timing in
   let store = Engine.store engine in
   let sessions : (int, Delta.session) Hashtbl.t = Hashtbl.create 8 in
-  (* per-job cert-counter DELTAS into the timing sink: [take_samples]
-     resets the counters after every job and the parent's [absorb]
-     merges by summation, so shipping cumulative totals would
-     overcount *)
-  let with_cert_counters f =
-    let before =
-      match timing with Some _ -> Engine.cert_counters () | None -> []
-    in
-    let result = f () in
-    (match timing with
-    | Some tsink ->
-        List.iter
-          (fun (name, v) ->
-            let v0 = Option.value ~default:0 (List.assoc_opt name before) in
-            Timing.set_counter tsink name (v - v0))
-          (Engine.cert_counters ())
-    | None -> ());
-    result
+  let counters () = Engine.cert_counters () @ Engine.process_counters engine in
+  (* every flush ships the counters' change since the previous one: the
+     parent's [absorb] sums, so cumulative totals would overcount, and
+     the totals a forked child starts from are its parent's *)
+  let shipped = ref (counters ()) in
+  let take_samples () =
+    let now = counters () in
+    (* [counters] lists the same names in the same order every time *)
+    List.iter2
+      (fun (name, v) (_, v0) -> Timing.set_counter timing name (v - v0))
+      now !shipped;
+    shipped := now;
+    Timing.flush timing
   in
   let retry_of deadline_ms =
     if deadline_ms > 0.0 then
@@ -149,10 +140,7 @@ let handler ~make_engine ~timed =
   let answer = function
     | Quit -> None
     | Job { token; job; deadline_ms } ->
-        let report =
-          with_cert_counters (fun () ->
-              Engine.run_job ?retry:(retry_of deadline_ms) engine job)
-        in
+        let report = Engine.run_job ?retry:(retry_of deadline_ms) engine job in
         finish ~token ~report ~patch:None
     | Delta_close { client } ->
         Hashtbl.remove sessions client;
@@ -160,33 +148,26 @@ let handler ~make_engine ~timed =
     | Delta_job { token; client; deadline_ms; op } ->
         let retry = retry_of deadline_ms in
         let report, info =
-          with_cert_counters (fun () ->
-              match op with
-              | Dopen job -> (
-                  match Delta.create ?retry engine job with
-                  | Ok (session, report, info) ->
-                      Hashtbl.replace sessions client session;
-                      (report, info)
-                  | Error (report, info) ->
-                      (* a failed open leaves no session to edit *)
-                      Hashtbl.remove sessions client;
-                      (report, info))
-              | Dedit { full; ops } -> (
-                  match Hashtbl.find_opt sessions client with
-                  | None -> (no_session_report, Delta.no_info "none")
-                  | Some s -> Delta.step ?retry s ~full ops))
+          match op with
+          | Dopen job -> (
+              match Delta.create ?retry engine job with
+              | Ok (session, report, info) ->
+                  Hashtbl.replace sessions client session;
+                  (report, info)
+              | Error (report, info) ->
+                  (* a failed open leaves no session to edit *)
+                  Hashtbl.remove sessions client;
+                  (report, info))
+          | Dedit { full; ops } -> (
+              match Hashtbl.find_opt sessions client with
+              | None -> (no_session_report, Delta.no_info "none")
+              | Some s -> Delta.step ?retry s ~full ops)
         in
         finish ~token ~report ~patch:(Some (Delta.info_json info))
   in
   let sign_off () =
     (* group-commit the dirty records before signing off *)
     Engine.flush engine;
-    (match timing with
-    | Some t ->
-        List.iter
-          (fun (name, v) -> Timing.set_counter t name v)
-          (Engine.process_counters engine)
-    | None -> ());
     Bye
       {
         samples = take_samples ();
@@ -197,8 +178,8 @@ let handler ~make_engine ~timed =
   { answer; sign_off; sessions }
 
 (* Build the engine, then serve frames until Quit/EOF and sign off. *)
-let serve ~send ~make_engine ~timed rfd =
-  let h = handler ~make_engine ~timed in
+let serve ~send ~make_engine rfd =
+  let h = handler ~make_engine in
   send Ready;
   let rec loop () =
     match Wire.read_frame rfd with
@@ -215,14 +196,14 @@ let serve ~send ~make_engine ~timed rfd =
   send (h.sign_off ())
 
 (* The whole life of a child: it never returns into the parent's code. *)
-let child_main ~make_engine ~timed rfd wfd =
+let child_main ~make_engine rfd wfd =
   let send (msg : from_worker) =
     try Wire.write_frame wfd (Marshal.to_string msg [])
     with Sys_error _ | Unix.Unix_error _ -> raise Parent_gone
   in
   let last_word msg = try send msg with Parent_gone -> () in
   Unix._exit
-    (match serve ~send ~make_engine ~timed rfd with
+    (match serve ~send ~make_engine rfd with
     | () -> 0
     | exception Parent_gone -> 1
     | exception Blob_io.Crashed p ->
@@ -256,10 +237,10 @@ let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let live : t list ref = ref []
 
 (** Fork a worker that builds its engine with [make_engine] (called in
-    the child, with a timing sink when [timed]) and runs the worker
+    the child, with the worker's timing sink) and runs the worker
     loop. The child restores the default SIGTERM/SIGINT disposition and
     closes [inherited] — the driver's own fds it must not hold. *)
-let spawn ~inherited ~make_engine ~timed =
+let spawn ~inherited ~make_engine =
   let p2w_r, p2w_w = Unix.pipe ~cloexec:false () in
   let w2p_r, w2p_w = Unix.pipe ~cloexec:false () in
   (* a child forked mid-buffer would duplicate unflushed output *)
@@ -277,7 +258,7 @@ let spawn ~inherited ~make_engine ~timed =
         !live;
       close_quietly p2w_w;
       close_quietly w2p_r;
-      child_main ~make_engine ~timed p2w_r w2p_w
+      child_main ~make_engine p2w_r w2p_w
   | pid ->
       Unix.close p2w_r;
       Unix.close w2p_w;

@@ -387,22 +387,29 @@ let timing_single_sample () =
        && l.Timing.l_max = 7.5 && l.Timing.l_total_ms = 7.5)
   | None -> Alcotest.fail "single sample produced no line"
 
+(* [l]'s percentile [p] lies within 1/16 of the exact value [x] *)
+let within_bound p x = Float.abs (p -. x) <= x /. 16.0
+
 let timing_partial_worker_merge () =
   (* worker 1 recorded prove only; worker 2 recorded verify only; the
      merged report must treat each stage as the exact union — a stage
      one worker never saw must not dilute the other's percentiles *)
+  let prove_values = [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0 ] in
   let w1 = Timing.create () and w2 = Timing.create () in
-  List.iter (fun v -> Timing.record w1 Timing.Prove v)
-    [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0 ];
+  List.iter (fun v -> Timing.record w1 Timing.Prove v) prove_values;
   Timing.record w2 Timing.Verify 42.0;
   let parent = Timing.create () in
   Timing.absorb parent (Timing.samples w1);
   Timing.absorb parent (Timing.samples w2);
+  let unsharded = Timing.create () in
+  List.iter (fun v -> Timing.record unsharded Timing.Prove v) prove_values;
   (match find_line parent "prove" with
   | Some l ->
       check_int "prove count is w1's alone" 9 l.Timing.l_count;
-      check "prove p50 exact" true (l.Timing.l_p50 = 5.0);
-      check "prove p99 exact" true (l.Timing.l_p99 = 9.0)
+      check "prove line equals the unsharded sink's" true
+        (Some l = find_line unsharded "prove");
+      check "prove p50 within the bound of 5.0" true (within_bound l.Timing.l_p50 5.0);
+      check "prove p99 within the bound of 9.0" true (within_bound l.Timing.l_p99 9.0)
   | None -> Alcotest.fail "prove line missing");
   (match find_line parent "verify" with
   | Some l ->
@@ -434,21 +441,100 @@ let timing_flush_discipline () =
   (* flush hands over each sample exactly once — the invariant that
      stops a long-lived worker double-counting its history *)
   let w = Timing.create () in
+  let absorbed () =
+    let parent = Timing.create () in
+    Timing.absorb parent (Timing.flush w);
+    parent
+  in
   Timing.record w Timing.Store 1.0;
   Timing.add_counter w "view_hit" 3;
-  let first = Timing.flush w in
+  let first = absorbed () in
   check "flush carries the sample" true
-    (List.assoc "store" first.Timing.w_stages = [ 1.0 ]);
+    (match find_line first "store" with
+    | Some l -> l.Timing.l_count = 1 && l.Timing.l_p50 = 1.0
+    | None -> false);
   check "flush carries counters" true
-    (List.assoc "view_hit" first.Timing.w_ctrs = 3);
-  let second = Timing.flush w in
+    (List.assoc "view_hit" (Timing.counters first) = 3);
+  let second = absorbed () in
   check "second flush is empty" true
-    (List.for_all (fun (_, vs) -> vs = []) second.Timing.w_stages
-    && second.Timing.w_ctrs = []);
+    (Timing.report second = [] && Timing.counters second = []);
   Timing.record w Timing.Store 9.0;
-  let third = Timing.flush w in
+  let third = absorbed () in
   check "post-flush samples are fresh" true
-    (List.assoc "store" third.Timing.w_stages = [ 9.0 ])
+    (match find_line third "store" with
+    | Some l -> l.Timing.l_count = 1 && l.Timing.l_p50 = 9.0
+    | None -> false)
+
+(* A sink never grows: recording 10^6 samples, or absorbing 10^5
+   per-job flushes, leaves it the size it had after the first 100. *)
+let timing_constant_size () =
+  let ms i = Float.pow 2.0 (float_of_int ((i * 7919) mod 31_000) /. 1000.0 -. 10.0) in
+  let stage i = List.nth Timing.stages (i mod 5) in
+  let sink = Timing.create () in
+  let size_at_100 = ref 0 in
+  for i = 1 to 1_000_000 do
+    Timing.record sink (stage i) (ms i);
+    if i = 100 then size_at_100 := Obj.reachable_words (Obj.repr sink)
+  done;
+  check_int "10^6 samples: size after the first 100" !size_at_100
+    (Obj.reachable_words (Obj.repr sink));
+  let worker = Timing.create () and parent = Timing.create () in
+  for i = 1 to 100_000 do
+    Timing.record worker Timing.Parse (ms i);
+    Timing.record worker Timing.Store (ms (i + 1));
+    Timing.record worker Timing.Verify (ms (i + 2));
+    Timing.set_counter worker "view_hit" (i mod 3);
+    Timing.set_counter worker "minor_words" 1000;
+    Timing.absorb parent (Timing.flush worker);
+    if i = 100 then size_at_100 := Obj.reachable_words (Obj.repr parent)
+  done;
+  check_int "10^5 absorbed flushes: size after the first 100" !size_at_100
+    (Obj.reachable_words (Obj.repr parent));
+  check "every absorbed sample counted" true
+    (match find_line parent "verify" with
+    | Some l -> l.Timing.l_count = 100_000
+    | None -> false)
+
+(* random samples over the bucket range, each with a stage and a shard,
+   and the order the shards are absorbed in *)
+let sharded_samples_arb =
+  let open QCheck.Gen in
+  (* log2 of the duration in ms, stage index, shard *)
+  let sample = triple (float_range (-10.0) 19.99) (int_bound 4) (int_bound 7) in
+  QCheck.make
+    ~print:(fun (xs, order) ->
+      Printf.sprintf "%d samples, shard order %s" (List.length xs)
+        (String.concat "," (List.map string_of_int order)))
+    (pair (list_size (int_range 1 300) sample) (shuffle_l (List.init 8 Fun.id)))
+
+let timing_sharded_property =
+  qcheck ~count:300 "timing: any sharding and absorb order = the whole run"
+    sharded_samples_arb (fun (xs, order) ->
+      let xs =
+        List.map (fun (e, s, shard) -> (Float.pow 2.0 e, List.nth Timing.stages s, shard)) xs
+      in
+      let whole = Timing.create () in
+      let shards = Array.init 8 (fun _ -> Timing.create ()) in
+      List.iter
+        (fun (ms, stage, shard) ->
+          Timing.record whole stage ms;
+          Timing.record shards.(shard) stage ms)
+        xs;
+      let parent = Timing.create () in
+      List.iter (fun i -> Timing.absorb parent (Timing.flush shards.(i))) order;
+      let exact stage q =
+        let of_stage (ms, s, _) = if Timing.stage_name s = stage then Some ms else None in
+        let sorted = Array.of_list (List.sort compare (List.filter_map of_stage xs)) in
+        let n = Array.length sorted in
+        sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+      in
+      Timing.report parent = Timing.report whole
+      && List.for_all
+           (fun l ->
+             within_bound l.Timing.l_p50 (exact l.Timing.l_stage 0.50)
+             && within_bound l.Timing.l_p90 (exact l.Timing.l_stage 0.90)
+             && within_bound l.Timing.l_p99 (exact l.Timing.l_stage 0.99))
+           (Timing.report whole))
 
 (* ---------------------------------------------------------------- *)
 (* end-to-end: a real daemon on a tmp socket                         *)
@@ -517,8 +603,7 @@ let base_cfg ~socket_path ~workers =
     workers;
     queue_cap = 16;
     client_cap = 8;
-    make_engine = (fun ~worker:_ timing -> Engine.create ?timing ());
-    timed = true;
+    make_engine = (fun ~worker:_ timing -> Engine.create ~timing ());
     verbose = false;
     journal_dir = None;
     journal_fsync = `Every 8;
@@ -605,7 +690,7 @@ let daemon_stats_endpoint () =
       check "completed counted" true (contains json "\"completed\":5");
       check "workers reported" true (contains json "\"configured\":2");
       check "queue cap surfaced" true (contains json "\"cap\":16");
-      (* timed=true: worker samples reach the endpoint's percentiles *)
+      (* worker samples reach the endpoint's percentiles *)
       check "stage percentiles present" true
         (contains json "\"stage\":\"prove\"" && contains json "\"p99_ms\":");
       (* ping still answered while idle *)
@@ -621,6 +706,29 @@ let json_int json field =
   match Hashtbl.find_opt (Client.stat_ints json) field with
   | Some v -> v
   | None -> Alcotest.failf "field %s missing from %s" field json
+
+(* a daemon's stats carry its workers' stage histograms and counters
+   with no configuration: every engine times, every Done ships *)
+let daemon_default_stats () =
+  with_temp_dir (fun dir ->
+      let socket_path = Filename.concat dir "d.sock" in
+      let pid = start_server (base_cfg ~socket_path ~workers:2) in
+      let fd = dial socket_path in
+      List.iteri (fun i line -> submit fd i line) jobs_lines;
+      List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
+      let json = stats fd in
+      (* stop the daemon before any check can fail and leave it running *)
+      Unix.close fd;
+      check_int "clean drain" 0 (stop_server pid);
+      let n = List.length jobs_lines in
+      check "a verify stage with one sample per job" true
+        (contains json (Printf.sprintf "{\"stage\":\"verify\",\"count\":%d," n));
+      List.iter
+        (fun name ->
+          check (name ^ " counter present") true
+            (contains json (Printf.sprintf "\"%s\":" name)))
+        [ "view_hit"; "lanes_fallback"; "minor_words" ];
+      check "minor words counted" true (json_int json "minor_words" > 0))
 
 let daemon_crash_respawn () =
   with_temp_dir (fun dir ->
@@ -643,7 +751,7 @@ let daemon_crash_respawn () =
                  record = tmp write + rename), then the process dies on
                  the next store write *)
               let io = fst (Blob.inject ~plan Blob.real) in
-              Engine.create ~cache_dir:cache ~io ?timing ());
+              Engine.create ~cache_dir:cache ~io ~timing ());
         }
       in
       let pid = start_server cfg in
@@ -1213,7 +1321,7 @@ let daemon_store_counters_survive_death () =
         {
           (base_cfg ~socket_path ~workers:1) with
           make_engine =
-            (fun ~worker:_ timing -> Engine.create ~cache_dir:cache ?timing ());
+            (fun ~worker:_ timing -> Engine.create ~cache_dir:cache ~timing ());
         }
       in
       let pid = start_server cfg in
@@ -1879,7 +1987,7 @@ let compare_counters x =
 
 let spawn x s =
   let w = x.ws.(s) in
-  w.h <- Some (Worker.handler ~timed:false ~make_engine:(fun timing -> Engine.create ?timing ()));
+  w.h <- Some (Worker.handler ~make_engine:(fun timing -> Engine.create ~timing ()));
   Queue.clear w.pipe;
   w.said_ready <- false;
   w.delivered <- true;
@@ -2179,6 +2287,8 @@ let suite =
       test "timing: partial-worker merge" timing_partial_worker_merge;
       test "timing: sharded merge = sequential" timing_merge_equals_sequential;
       test "timing: flush ships each sample once" timing_flush_discipline;
+      test "timing: a sink's size is fixed" timing_constant_size;
+      timing_sharded_property;
       model_agrees;
       test "protocol model: every event and action kind exercised" model_covers;
       test "protocol model: parent-made failures are not journaled"
@@ -2186,6 +2296,7 @@ let suite =
       test "daemon output = batch output" daemon_matches_batch;
       test "admission control refuses the excess" daemon_backpressure;
       test "live stats endpoint" daemon_stats_endpoint;
+      test "a default daemon reports stages and counters" daemon_default_stats;
       test "worker crash, respawn, single retry" daemon_crash_respawn;
       test "idle worker killed externally, daemon recovers"
         daemon_idle_worker_death;

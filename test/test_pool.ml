@@ -114,7 +114,7 @@ let make_engine ?plan ~dir () timing =
   let io =
     Option.map (fun p -> fst (Blob_io.inject ~plan:p Blob_io.real)) plan
   in
-  Engine.create ~cache_cap:64 ~cache_dir:dir ?io ?timing ()
+  Engine.create ~cache_cap:64 ~cache_dir:dir ?io ~timing ()
 
 let snapshot dir =
   Store.disk_snapshot (Store.create ~dir ())
@@ -157,7 +157,7 @@ let pool1_matches_sequential () =
   with_dir "seq" @@ fun d_seq ->
   with_dir "one" @@ fun d_one ->
   let jobs = corpus () in
-  let engine = make_engine ~dir:d_seq () None in
+  let engine = make_engine ~dir:d_seq () (Service.Timing.create ()) in
   let seq_reports, seq_summary = Engine.run_jobs engine jobs in
   let reports, out =
     Pool.run ~workers:1 ~make_engine:(make_engine ~dir:d_one ()) jobs

@@ -350,7 +350,7 @@ let counters_pool_sharded () =
         Pool.run ~workers
           ~make_engine:(fun wt ->
             let wd = Filename.concat d (string_of_int (Unix.getpid ())) in
-            Engine.create ~cache_dir:wd ?timing:wt ())
+            Engine.create ~cache_dir:wd ~timing:wt ())
           jobs
       in
       (* per-worker filters are process-private and start empty,
@@ -434,7 +434,7 @@ let stream_matches_batch () =
       let batch_reports, _ =
         Pool.run ~workers:1
           ~make_engine:(fun wt ->
-            Engine.create ~cache_dir:(cache "b") ?timing:wt ())
+            Engine.create ~cache_dir:(cache "b") ~timing:wt ())
           jobs
       in
       let batch_lines = Stats.canonical_lines batch_reports in
@@ -448,7 +448,7 @@ let stream_matches_batch () =
               ~make_engine:(fun wt ->
                 Engine.create
                   ~cache_dir:(cache (string_of_int workers))
-                  ?timing:wt ())
+                  ~timing:wt ())
               (fun feed -> Workload.iter spec ~f:feed)
           in
           check_int
@@ -476,7 +476,7 @@ let sign_off_counters () =
       let _, outcome =
         Pool.run ~timing ~workers:2
           ~make_engine:(fun wt ->
-            Engine.create ~cache_dir:d ~write_batch:4 ?timing:wt ())
+            Engine.create ~cache_dir:d ~write_batch:4 ~timing:wt ())
           jobs
       in
       let parses =
