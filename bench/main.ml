@@ -610,7 +610,7 @@ let service () =
   else
     Printf.printf
       "All checks hold: 100%% warm hit rate, every served bundle locally \
-       re-verified, speedup >= 5x.\n\n"
+       verified by this process, speedup >= 5x.\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* SCALE: E10 — sharded pool speedup + determinism sweep over --jobs N  *)
@@ -2071,12 +2071,12 @@ let e13_incr () =
     "  random single-edge edit streams against live delta sessions: a small\n\
     \  volatile pool of chord edges toggles on and off, so every state stays\n\
     \  connected and certifiable and revisited states are real.  incr = the\n\
-    \  certd session path (content-addressed store; a hit passes the\n\
-    \  verifier before serving, views its verifier accepted before are\n\
-    \  answered from the view memo; misses re-prove on the transplanted\n\
-    \  representation and verify in full).  full = the same session code\n\
-    \  on a storeless engine, so every step is a miss.  Verdicts must\n\
-    \  agree on every step.\n\n";
+    \  certd session path (content-addressed store; a hit on a bundle\n\
+    \  the process accepted under the same ids is served as it is, any\n\
+    \  other hit passes the verifier before serving; misses re-prove on\n\
+    \  the transplanted representation and verify in full).  full = the\n\
+    \  same session code on a storeless engine, so every step is a miss.\n\
+    \  Verdicts must agree on every step.\n\n";
   Printf.printf "  %-12s %6s %7s %6s | %10s %10s %8s | %6s %9s\n" "family"
     "n" "m0" "steps" "full ms/st" "incr ms/st" "speedup" "hit%" "view hit%";
   line ();
@@ -2482,8 +2482,9 @@ let perf () =
      sub-checks are remembered (DESIGN "Group-check memo") *)
   op "verify.pw2_128.memo_on" ~iters:1 ~per:1 verify128;
   (* the very label values again: every view is one the instance has
-     accepted, answered without a check (DESIGN "View memo"), as a
-     delta session's memory-tier hit is *)
+     accepted, answered without a check (DESIGN "View memo"). No job
+     reaches this path any more: a delta session's memory-tier hit is
+     served from the store's accepted marker (ROADMAP item 12) *)
   op "verify.pw2_128.view_hit" ~iters:1 ~per:1 (fun () ->
       ignore (PLS.Scheme.run_edge cfg128 t1_128 labels128));
   (* the cold path a job pays: a fresh Theorem1 instance per call, so
@@ -2530,6 +2531,40 @@ let perf () =
   let decoded128 = Result.get_ok (Bundle.decode ~decode_label g128 bundle128) in
   op "verify.pw2_128.decoded" ~iters:1 ~per:1 (fun () ->
       ignore (PLS.Scheme.run_edge cfg128 t1_128 (fresh_records decoded128)));
+  (* a whole engine job on a stored n = 128 certificate: the hit this
+     process accepted before under the same ids, served from the
+     store's accepted marker with no decode and no verify; and the same
+     job on a fresh engine over the same disk tier, whose reload
+     decodes and verifies in full (DESIGN "Known-accepted hits"). Each
+     run must be served from the store, by the path its name says. *)
+  let module Engine = Lcp_service.Engine in
+  let module Stats = Lcp_service.Stats in
+  let hit_wrong = ref 0 in
+  with_dir "perf_hit" (fun dir ->
+      let job =
+        match
+          Lcp_service.Manifest.parse
+            "id=hit gen=random n=128 gseed=7 property=connected k=2 seed=3"
+        with
+        | Ok [ j ] -> j
+        | _ -> assert false
+      in
+      let run e ~known =
+        let before = e.Engine.hit_known in
+        let r = Engine.run_job e job in
+        if
+          r.Stats.r_status <> Stats.Served_cached
+          || e.Engine.hit_known > before <> known
+        then incr hit_wrong
+      in
+      let warm = Engine.create ~cache_dir:dir () in
+      if (Engine.run_job warm job).Stats.r_status <> Stats.Served_fresh then
+        incr hit_wrong;
+      op "engine.hit.pw2_128" ~iters:50 ~per:1 (fun () -> run warm ~known:true);
+      (* ~4 ms an op: the min over three times the batches of five rides
+         out a slow spell, as for labels.max_bits below *)
+      op "engine.hit.pw2_128.reverify" ~batches:(3 * batches) ~iters:5 ~per:1
+        (fun () -> run (Engine.create ~cache_dir:dir ()) ~known:false));
   (* ~7 ms an op: three batches of five could all land in one slow
      spell of a shared host and trip the ns backstop (one of nine quick
      runs read 17.1 ms against a 6.3 ms baseline); the min over three
@@ -2589,6 +2624,8 @@ let perf () =
   check
     (List.assoc "encode_sharing_speedup_x" derived >= 1.5)
     "sharing encode speedup below the 1.5x floor";
+  check (!hit_wrong = 0)
+    "engine.hit ops: a run was not served from the store by its path";
   (* every engine times every stage, so recording must stay free *)
   check
     (List.exists (fun (n, _, w) -> n = "timing.record" && w = 0.0) ops)

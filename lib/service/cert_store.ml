@@ -44,9 +44,17 @@
 
     Soundness note: the store caches {e bytes}, never trust. The
     checksum defends availability (detect corruption before decode);
-    the engine still decodes and locally re-verifies every bundle it
-    serves from here, so even a checksum collision cannot change a
-    judgement. *)
+    the engine decodes and locally re-verifies every bundle it serves
+    from here unless this process already accepted that very bundle
+    value under the same ids, so even a checksum collision cannot
+    change a judgement. That one exception is the memory tier's
+    {e accepted} marker: each LRU node records the id array under
+    which the engine accepted the node's current bundle ([add_accepted]
+    for a fresh proof that passed the verifier, [accept] for a hit that
+    did). Replacing a node's entry ([add]) resets it, eviction and
+    [remove] drop it with the node, and a node installed from disk or
+    from the dirty set starts without one, so a reload decodes and
+    verifies in full. The marker is never written to disk. *)
 
 module Hash64 = Lcp_util.Hash64
 module Bitenc = Lcp_util.Bitenc
@@ -85,8 +93,16 @@ type entry = {
 (* ---------------------------------------------------------------- *)
 (* LRU list                                                          *)
 
+(* The marker of a node no bundle was accepted on. Ids are
+   non-negative, so it equals no configuration's id array, the empty
+   one included; a static array keeps the miss path allocation-free. *)
+let no_ids = [| -1 |]
+
 type node = {
   mutable entry : entry;
+  mutable accepted : int array;
+      (** the ids under which this process accepted [entry]'s bundle, or
+          [no_ids]: see the soundness note *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -580,14 +596,16 @@ let evict_overflow t =
         t.stats.evictions <- t.stats.evictions + 1
   done
 
-let add t entry =
+(* [add] or [add_accepted]: admit [entry], its node marked [accepted] *)
+let admit t ~accepted entry =
   (match Hashtbl.find_opt t.table entry.e_key.hash with
   | Some node ->
       node.entry <- entry;
+      node.accepted <- accepted;
       unlink t node;
       push_front t node
   | None ->
-      let node = { entry; prev = None; next = None } in
+      let node = { entry; accepted; prev = None; next = None } in
       Hashtbl.replace t.table entry.e_key.hash node;
       push_front t node;
       t.stats.insertions <- t.stats.insertions + 1;
@@ -608,13 +626,23 @@ let add t entry =
       end
   | _ -> ()
 
-let find t key =
+(** Admit [entry], replacing any entry under its key. The node starts
+    unmarked: a replaced entry loses the marker of the one before. *)
+let add t entry = admit t ~accepted:no_ids entry
+
+(** [add] for a bundle the engine's verifier has just accepted under
+    the id array [ids]: the node is marked with [ids] (not copied; a
+    [Config.t]'s ids are never mutated). *)
+let add_accepted t ~ids entry = admit t ~accepted:ids entry
+
+(** [find]'s node: a hit moves it to the front and counts, as [find]. *)
+let probe t key =
   match Hashtbl.find_opt t.table key.hash with
   | Some node when Bytes.equal node.entry.e_key.canon key.canon ->
       unlink t node;
       push_front t node;
       t.stats.hits <- t.stats.hits + 1;
-      Some node.entry
+      Some node
   | Some _ ->
       (* same hash, different instance: a collision behaves as a miss *)
       t.stats.misses <- t.stats.misses + 1;
@@ -622,12 +650,13 @@ let find t key =
   | None -> (
       match t.dir with
       | Some dir when not t.degraded -> (
+          (* a reload is unmarked: its bytes are decoded and verified *)
           let install entry =
-            let node = { entry; prev = None; next = None } in
+            let node = { entry; accepted = no_ids; prev = None; next = None } in
             Hashtbl.replace t.table key.hash node;
             push_front t node;
             evict_overflow t;
-            Some entry
+            Some node
           in
           (* evicted from memory while still awaiting its group commit:
              serve straight from the dirty set, no filesystem touched *)
@@ -669,6 +698,24 @@ let find t key =
       | _ ->
           t.stats.misses <- t.stats.misses + 1;
           None)
+
+let find t key =
+  match probe t key with Some node -> Some node.entry | None -> None
+
+(** Whether this process accepted [node]'s current bundle under ids
+    equal, element by element, to [ids]. *)
+let known node ids =
+  let a = node.accepted in
+  a == ids
+  || Array.length a = Array.length ids
+     &&
+     let rec same i = i < 0 || (a.(i) = ids.(i) && same (i - 1)) in
+     same (Array.length a - 1)
+
+(** Mark [node] as accepted under [ids] if it still holds [bundle]
+    itself ([==]): a hit that verified [bundle] under [ids]. *)
+let accept node bundle ids =
+  if node.entry.e_bundle == bundle then node.accepted <- ids
 
 let remove t key =
   (match Hashtbl.find_opt t.table key.hash with

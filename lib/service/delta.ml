@@ -3,17 +3,19 @@
 
     A session pins one base job (graph source, property, k, id seed)
     and keeps what the engine cannot know across edits: the current
-    graph, its interval representation, the bundle last served, a table
-    of the labelings it decoded or proved, and one [Theorem1.Make]
-    instance whose verifier memo tables stay warm for the session's
-    life. The property's algebra state type is existential (it comes
-    out of [Registry] as a first-class module), so the typed machinery
-    hides behind closures built once in [create].
+    graph, its interval representation, the bundle last served, and one
+    [Theorem1.Make] instance whose verifier memo tables stay warm for
+    the session's life. The property's algebra state type is
+    existential (it comes out of [Registry] as a first-class module),
+    so the typed machinery hides behind closures built once in
+    [create].
 
     A step is an ordinary engine job on the edited graph
-    ([Engine.certify], under [Engine.retrying]): store probe, decode
-    and full verify on a hit; prove, encode, full verify and store on
-    a miss or a rejected hit. What the session adds is its inputs:
+    ([Engine.certify], under [Engine.retrying]): store probe; on a hit,
+    the bundle as it is if this process accepted it under the session's
+    ids, else decode and full verify; prove, encode, full verify and
+    store on a miss or a rejected hit. What the session adds is its
+    inputs:
 
     - the edited graph, the seed-drawn ids of the base (n is invariant
       under edge edits, so these are the ids an engine job on the
@@ -21,15 +23,14 @@
     - a representation hint: the previous representation transplanted
       onto the edited graph, or a fresh one by the engine's policy
       when the edit escapes the old windows (computed once per graph
-      the session visits, so a toggled edge does not recompute it);
-    - a decoder that first looks up the labeling the session already
-      holds for a bundle value, so memory-tier hits skip the decode.
+      the session visits, so a toggled edge does not recompute it).
 
-    Every served labeling passes the verifier at every vertex. A
-    memory-tier hit recalls a labeling the session's verifier instance
-    accepted when it served it before, and the instance answers each
-    view it already passed from its view memo without a check; a new
-    labeling or a disk-tier reload runs every check.
+    Every served labeling passed the verifier at every vertex, in this
+    process, under the session's ids. A toggling stream comes back to
+    graphs whose bundles the session served before: those steps are
+    the engine's accepted-marker hits, with no decode and no verify
+    (DESIGN, "Known-accepted hits"); a disk-tier reload or a replaced
+    entry decodes and runs every check.
 
     Certificates are global (the spine is a shortest path of the
     current graph, pointer labels carry BFS distances), so one edit
@@ -57,8 +58,8 @@ type patch_info = {
       (** [open]: base certification; [patched]: miss on the
           transplanted representation; [rebuilt]: miss on a fresh
           representation; [full]: a miss forced to that tag;
-          [cached]: store hit re-verified and served; [none]: nothing
-          ran (bad delta, retry exhaustion) *)
+          [cached]: store hit served; [none]: nothing ran (bad
+          delta, retry exhaustion) *)
   pi_edits : int;  (** operations in the normalized delta *)
   pi_dirty_windows : int;  (** window-overlap closure of the delta *)
   pi_changed : int;  (** edge labels proved this step: m on a miss *)
@@ -138,26 +139,6 @@ let create ?retry engine (job : Manifest.job) =
           (* one prover and verifier for the session: the verifier's
              memos stay warm across steps *)
           let module T1 = Lcp_cert.Theorem1.Make (Pr.A) in
-          (* memory-tier warm hits skip the bundle decode: the session
-             remembers the labeling it decoded (or proved) for each
-             bundle value it has served, keyed by content hash and
-             guarded by physical identity of the bundle — a disk-tier
-             reload is a fresh value and decodes as usual. A recalled
-             labeling is the one this session's verifier accepted, so
-             its views are answered from the view memo; a decoded one
-             runs every check. *)
-          let decoded : (string, Bundle.t * T1.P.labeling) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let remember key bundle labels =
-            if Hashtbl.length decoded > 512 then Hashtbl.reset decoded;
-            Hashtbl.replace decoded (Cert_store.key_hex key) (bundle, labels)
-          in
-          let recall key bundle =
-            match Hashtbl.find_opt decoded (Cert_store.key_hex key) with
-            | Some (b, labels) when b == bundle -> Some labels
-            | _ -> None
-          in
           (* fresh representations the session computed, by graph. A
              toggling edit stream comes back to the same graphs, and an
              edit that escapes the old windows needs a fresh
@@ -213,14 +194,10 @@ let create ?retry engine (job : Manifest.job) =
                 ~k:job.k ()
             in
             let decode bundle =
-              match recall key bundle with
-              | Some labels -> Ok labels
-              | None ->
-                  Bundle.decode
-                    ~decode_label:
-                      (Lcp_cert.Certificate.decode
-                         ~decode_state:Pr.decode_state)
-                    g1 bundle
+              Bundle.decode
+                ~decode_label:
+                  (Lcp_cert.Certificate.decode ~decode_state:Pr.decode_state)
+                g1 bundle
             in
             let report, outcome =
               Engine.certify engine ~job:step_job ~t0 ~cfg ~key scheme ~decode
@@ -228,9 +205,7 @@ let create ?retry engine (job : Manifest.job) =
             let rep1, transplanted = Lazy.force rep in
             let bundle =
               match outcome with
-              | Engine.Served (labels, bundle) ->
-                  remember key bundle labels;
-                  Some bundle
+              | Engine.Served bundle -> Some bundle
               | Engine.Unserved -> None
             in
             cur_graph := g1;

@@ -3,14 +3,20 @@
     timing each stage.
 
     Cache discipline (the soundness contract): a hit returns {e bytes}.
-    The engine decodes them and runs the full local verifier on the
+    If this process already accepted that very bundle value under ids
+    equal to the job's (the store node's accepted marker, consulted
+    while the verifier memos are on), the engine serves the bytes with
+    no decode and no verify: the verdict is a function of the
+    configuration and the labels, and both are the ones it accepted.
+    Otherwise it decodes them and runs the full local verifier on the
     decoded labeling under the requesting job's configuration before
-    serving; if verification rejects (corrupt entry, stale bundle, or an
-    id assignment the certificate was not proved for), the entry is
+    serving, and marks the node when the verifier accepts; if
+    verification rejects (corrupt entry, stale bundle, or an id
+    assignment the certificate was not proved for), the entry is
     dropped and the job falls through to the fresh prover path. A miss
     runs the prover, locally verifies the fresh bundle, and only then
-    stores and serves it. The cache can therefore change {e latency} but
-    never {e judgements}.
+    stores it, marked, and serves it. The cache can therefore change
+    {e latency} but never {e judgements}.
 
     Availability discipline (the robustness contract): [run_job] is
     total. Bad inputs are [Input_error]s, disk faults are absorbed
@@ -50,6 +56,9 @@ type t = {
   base_dir : string;  (** file= paths in manifests resolve against this *)
   retry : retry_policy;
   timing : Timing.t;  (** every pipeline stage records its duration here *)
+  mutable hit_known : int;
+      (** hits served from the store's accepted marker, with no decode
+          and no verify *)
 }
 
 let create ?(cache_cap = 4096) ?cache_dir ?(cache_disk_cap = 0)
@@ -62,6 +71,7 @@ let create ?(cache_cap = 4096) ?cache_dir ?(cache_disk_cap = 0)
     base_dir;
     retry;
     timing;
+    hit_known = 0;
   }
 
 let store t = t.store
@@ -151,9 +161,10 @@ let fresh_rep g =
 
 let default_rep c = Some (fresh_rep (Config.graph c))
 
-(** [job]'s report with no work recorded yet, on a graph of [n]
-    vertices and [m] edges: [r_total_ms] is the time since [t0]. *)
-let blank_report (job : Manifest.job) ~n ~m ~t0 status =
+(** [job]'s report on a graph of [n] vertices and [m] edges, built in
+    one allocation: [r_total_ms] is the time since [t0]. *)
+let report (job : Manifest.job) ~n ~m ~t0 ~cache_hit ~prove_ms ~verify_ms
+    ~label_bits ~bundle_bits ~reasons status =
   {
     Stats.r_id = job.job_id;
     r_property = job.property;
@@ -161,15 +172,20 @@ let blank_report (job : Manifest.job) ~n ~m ~t0 status =
     r_n = n;
     r_m = m;
     r_status = status;
-    r_cache_hit = false;
-    r_prove_ms = 0.0;
-    r_verify_ms = 0.0;
+    r_cache_hit = cache_hit;
+    r_prove_ms = prove_ms;
+    r_verify_ms = verify_ms;
     r_total_ms = now_ms () -. t0;
-    r_label_bits = 0;
-    r_bundle_bits = 0;
-    r_reject_reasons = [];
+    r_label_bits = label_bits;
+    r_bundle_bits = bundle_bits;
+    r_reject_reasons = reasons;
     r_retries = 0;
   }
+
+(** [job]'s report with no work recorded yet. *)
+let blank_report job ~n ~m ~t0 status =
+  report job ~n ~m ~t0 ~cache_hit:false ~prove_ms:0.0 ~verify_ms:0.0
+    ~label_bits:0 ~bundle_bits:0 ~reasons:[] status
 
 let classify rs =
   List.sort_uniq compare
@@ -183,66 +199,77 @@ let verify_labels t cfg scheme labels =
   in
   (outcome, now_ms () -. tv)
 
-(** What a job served: its labeling and bundle, or nothing. *)
-type 'l served = Unserved | Served of 'l EM.t * Bundle.t
+(** What a job served: its bundle, or nothing. *)
+type served = Unserved | Served of Bundle.t
+
+(* the store probe's outcome: a served hit, or a miss carrying the
+   reasons a rejected hit was dropped for *)
+type probed = Hit of (Stats.job_report * served) | Miss of string list
+
+(* a served hit on [entry], for [job] on a graph of [n] vertices and
+   [m] edges *)
+let hit (job : Manifest.job) ~n ~m ~t0 entry ~verify_ms =
+  let bundle = entry.Cert_store.e_bundle in
+  Hit
+    ( report job ~n ~m ~t0 ~cache_hit:true ~prove_ms:0.0 ~verify_ms
+        ~label_bits:entry.Cert_store.e_label_bits
+        ~bundle_bits:(Bundle.size_bits bundle) ~reasons:[] Stats.Served_cached,
+      Served bundle )
 
 (** The job pipeline from the store probe on, and the one place where
-    a job's steps are ordered: probe the store for [key]; on a hit,
-    [decode] the bundle, verify the labeling in full under [cfg] and
-    serve it; on a miss or a rejected hit (whose entry is dropped),
-    prove with [scheme], encode, verify in full, and only then store
-    and serve. Returns [job]'s report, on the graph of [cfg], and what
-    it served. Engine jobs and delta-session steps both run it, and
-    differ only in [scheme]'s representation and in [decode]. *)
+    a job's steps are ordered: probe the store for [key]; on a hit the
+    store marks as accepted under [cfg]'s ids, serve it as it is; on
+    any other hit, [decode] the bundle, verify the labeling in full
+    under [cfg], mark the node and serve it; on a miss or a rejected
+    hit (whose entry is dropped), prove with [scheme], encode, verify
+    in full, and only then store (marked) and serve. Returns [job]'s
+    report, on the graph of [cfg], and what it served. Engine jobs and
+    delta-session steps both run it, and differ only in [scheme]'s
+    representation. *)
 let certify t ~(job : Manifest.job) ~t0 ~cfg ~key
     (scheme : 'l Scheme.edge_scheme)
     ~(decode : Bundle.t -> ('l EM.t, string) result) :
-    Stats.job_report * 'l served =
+    Stats.job_report * served =
   let g = Config.graph cfg in
   let n = Graph.n g and m = Graph.m g in
-  (* 1. cache tier: decode + re-verify before serving *)
-  let cached =
+  let ids = cfg.Config.ids in
+  (* 1. cache tier: serve an accepted bundle, else decode + re-verify *)
+  let probed =
     match
-      Timing.time t.timing Timing.Store (fun () -> Cert_store.find t.store key)
+      Timing.time t.timing Timing.Store (fun () -> Cert_store.probe t.store key)
     with
-    | None -> None
-    | Some entry -> (
-        match decode entry.Cert_store.e_bundle with
+    | None -> Miss []
+    | Some node when !Lcp_cert.Memo.enabled && Cert_store.known node ids ->
+        t.hit_known <- t.hit_known + 1;
+        hit job ~n ~m ~t0 node.Cert_store.entry ~verify_ms:0.0
+    | Some node -> (
+        let entry = node.Cert_store.entry in
+        let bundle = entry.Cert_store.e_bundle in
+        match decode bundle with
         | Error e ->
             Cert_store.remove t.store key;
-            Some (Error [ "bundle: " ^ e ])
+            Miss [ "bundle: " ^ e ]
         | Ok labels -> (
             match verify_labels t cfg scheme labels with
-            | Scheme.Accepted, verify_ms -> Some (Ok (entry, labels, verify_ms))
+            | Scheme.Accepted, verify_ms ->
+                Cert_store.accept node bundle ids;
+                hit job ~n ~m ~t0 entry ~verify_ms
             | Scheme.Rejected rs, _ ->
                 Cert_store.remove t.store key;
-                Some (Error (classify rs))))
+                Miss (classify rs)))
   in
-  match cached with
-  | Some (Ok (entry, labels, verify_ms)) ->
-      ( {
-          (blank_report job ~n ~m ~t0 Stats.Served_cached) with
-          r_cache_hit = true;
-          r_verify_ms = verify_ms;
-          r_label_bits = entry.Cert_store.e_label_bits;
-          r_bundle_bits = Bundle.size_bits entry.Cert_store.e_bundle;
-        },
-        Served (labels, entry.Cert_store.e_bundle) )
-  | (None | Some (Error _)) as cache_outcome -> (
-      let reject_reasons =
-        match cache_outcome with Some (Error rs) -> rs | _ -> []
-      in
+  match probed with
+  | Hit served -> served
+  | Miss reasons -> (
       (* 2. fresh path: prove, encode, verify, store *)
       let tp = now_ms () in
       match
         Timing.time t.timing Timing.Prove (fun () -> scheme.Scheme.es_prove cfg)
       with
       | None ->
-          ( {
-              (blank_report job ~n ~m ~t0 Stats.Declined) with
-              r_prove_ms = now_ms () -. tp;
-              r_reject_reasons = reject_reasons;
-            },
+          ( report job ~n ~m ~t0 ~cache_hit:false ~prove_ms:(now_ms () -. tp)
+              ~verify_ms:0.0 ~label_bits:0 ~bundle_bits:0 ~reasons
+              Stats.Declined,
             Unserved )
       | Some labels -> (
           let prove_ms = now_ms () -. tp in
@@ -252,40 +279,30 @@ let certify t ~(job : Manifest.job) ~t0 ~cfg ~key
                   labels)
           with
           | Error e ->
-              ( { (blank_report job ~n ~m ~t0 (Stats.Unsound e)) with
-                  r_prove_ms = prove_ms },
+              ( report job ~n ~m ~t0 ~cache_hit:false ~prove_ms ~verify_ms:0.0
+                  ~label_bits:0 ~bundle_bits:0 ~reasons:[] (Stats.Unsound e),
                 Unserved )
           | Ok (bundle, label_bits) -> (
               match verify_labels t cfg scheme labels with
               | Scheme.Rejected rs, verify_ms ->
-                  ( {
-                      (blank_report job ~n ~m ~t0
-                         (Stats.Unsound
-                            (Printf.sprintf "fresh bundle rejected locally: %s"
-                               (String.concat ", " (classify rs)))))
-                      with
-                      r_prove_ms = prove_ms;
-                      r_verify_ms = verify_ms;
-                      r_reject_reasons = reject_reasons;
-                    },
+                  ( report job ~n ~m ~t0 ~cache_hit:false ~prove_ms ~verify_ms
+                      ~label_bits:0 ~bundle_bits:0 ~reasons
+                      (Stats.Unsound
+                         (Printf.sprintf "fresh bundle rejected locally: %s"
+                            (String.concat ", " (classify rs)))),
                     Unserved )
               | Scheme.Accepted, verify_ms ->
                   Timing.time t.timing Timing.Store (fun () ->
-                      Cert_store.add t.store
+                      Cert_store.add_accepted t.store ~ids
                         {
                           Cert_store.e_key = key;
                           e_bundle = bundle;
                           e_label_bits = label_bits;
                         });
-                  ( {
-                      (blank_report job ~n ~m ~t0 Stats.Served_fresh) with
-                      r_prove_ms = prove_ms;
-                      r_verify_ms = verify_ms;
-                      r_label_bits = label_bits;
-                      r_bundle_bits = Bundle.size_bits bundle;
-                      r_reject_reasons = reject_reasons;
-                    },
-                    Served (labels, bundle) ))))
+                  ( report job ~n ~m ~t0 ~cache_hit:false ~prove_ms ~verify_ms
+                      ~label_bits ~bundle_bits:(Bundle.size_bits bundle)
+                      ~reasons Stats.Served_fresh,
+                    Served bundle ))))
 
 let run_once t (job : Manifest.job) : Stats.job_report =
   let t0 = now_ms () in
@@ -334,9 +351,9 @@ let retrying ?retry:retry_override t ~(job : Manifest.job) ~fallback attempt =
   let retry = Option.value retry_override ~default:t.retry in
   match with_retries ~retry ~now:now_ms attempt with
   | Ok ((report, x), retries) ->
-      let report =
-        { report with Stats.r_retries = retries; r_total_ms = now_ms () -. t0 }
-      in
+      (* the report is this attempt's own: complete it in place *)
+      report.Stats.r_retries <- retries;
+      report.Stats.r_total_ms <- now_ms () -. t0;
       (* a success under a demoted store is still a success, but the
          operator must see it in the status *)
       if
@@ -348,23 +365,22 @@ let retrying ?retry:retry_override t ~(job : Manifest.job) ~fallback attempt =
       then ({ report with Stats.r_status = Stats.Served_degraded }, x)
       else (report, x)
   | Error (msg, retries) ->
-      ( {
-          (blank_report job ~n:0 ~m:0 ~t0 (Stats.Failed msg))
-          with
-          Stats.r_retries = retries;
-        },
-        fallback )
+      let report = blank_report job ~n:0 ~m:0 ~t0 (Stats.Failed msg) in
+      report.Stats.r_retries <- retries;
+      (report, fallback)
 
 let run_job ?retry t (job : Manifest.job) : Stats.job_report =
   fst (retrying ?retry t ~job ~fallback:() (fun _ -> (run_once t job, ())))
 
-(* The counters a run reports besides the verifier memos': the
+(* The counters a run reports besides the verifier memos': the hits
+   served from the store's accepted marker ([hit_known]), the
    negative-lookup filter and group-commit traffic, so the certd footer
    and --server-stats can show disk probes saved/paid, and the GC minor
    allocation count. All are cumulative totals of this process. *)
 let process_counters t =
   let s = Cert_store.stats t.store in
   [
+    ("hit_known", t.hit_known);
     ("filter_hit", s.Cert_store.filter_hits);
     ("filter_skip", s.Cert_store.filter_skips);
     ("filter_fp", s.Cert_store.filter_fps);

@@ -4,7 +4,9 @@
 
 type status =
   | Served_fresh  (** proved, locally verified, stored, served *)
-  | Served_cached  (** cache hit; decoded bundle re-verified, then served *)
+  | Served_cached
+      (** cache hit; decoded bundle re-verified, or accepted before by
+          this process under the same ids, then served *)
   | Served_degraded
       (** served (fresh or cached) while the certificate store was
           demoted to memory-only by persistent disk faults *)
@@ -43,13 +45,14 @@ type job_report = {
   r_cache_hit : bool;
   r_prove_ms : float;
   r_verify_ms : float;
-  r_total_ms : float;
+  mutable r_total_ms : float;
+      (** the whole job; [Engine.retrying] sets it, retries included *)
   r_label_bits : int;  (** max bits of one edge label; 0 if none served *)
   r_bundle_bits : int;  (** whole-bundle size; 0 if none served *)
   r_reject_reasons : string list;
       (** classified reasons when a cached bundle was rejected on
           re-verification (the entry is dropped and recomputed) *)
-  r_retries : int;
+  mutable r_retries : int;
       (** attempts beyond the first that the retry policy spent on
           transient faults before this terminal status *)
 }

@@ -597,6 +597,31 @@ let stop_server ?(signal = Sys.sigterm) pid =
   | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
       Alcotest.fail "server killed by signal instead of draining"
 
+(* SIGKILL and reap [pid] unless it is reaped already (then it is no
+   child of ours any more, and is left alone) *)
+let kill_and_reap pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ()
+
+(* [f pid] against a daemon started from [cfg], and the daemon stopped
+   whatever [f] does: when [f] returns, it must drain cleanly on
+   SIGTERM (the [label] check; [~drain:false] when [f] stops it
+   itself); when [f] raises, as a failing assertion does, it is
+   SIGKILLed and reaped before the failure propagates, so no test
+   leaves a daemon running *)
+let with_server ?(label = "clean drain") ?(drain = true) cfg f =
+  let pid = start_server cfg in
+  Fun.protect
+    ~finally:(fun () -> kill_and_reap pid)
+    (fun () ->
+      let v = f pid in
+      if drain then check_int label 0 (stop_server pid);
+      v)
+
 let base_cfg ~socket_path ~workers =
   {
     Server.socket_path;
@@ -633,13 +658,14 @@ let batch_lines lines =
 let daemon_matches_batch () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:2) in
-      (match submit_all socket_path jobs_lines with
-      | Ok reports ->
-          check_str "daemon canonical output = batch canonical output"
-            (batch_lines jobs_lines) (canonical_lines reports)
-      | Error e -> Alcotest.fail (Client.message e));
-      check_int "clean SIGTERM drain" 0 (stop_server pid);
+      with_server ~label:"clean SIGTERM drain"
+        (base_cfg ~socket_path ~workers:2)
+        (fun _ ->
+        (match submit_all socket_path jobs_lines with
+        | Ok reports ->
+            check_str "daemon canonical output = batch canonical output"
+              (batch_lines jobs_lines) (canonical_lines reports)
+        | Error e -> Alcotest.fail (Client.message e)));
       check "socket unlinked after drain" true
         (not (Sys.file_exists socket_path)))
 
@@ -649,57 +675,55 @@ let daemon_backpressure () =
       let cfg =
         { (base_cfg ~socket_path ~workers:1) with queue_cap = 1; client_cap = 1 }
       in
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      (* a burst far over both caps: the excess must be refused with
-         Overloaded, not buffered *)
-      let burst = 10 in
-      for i = 0 to burst - 1 do
-        submit fd i "id=burst gen=tree n=40 gseed=7 property=acyclic k=3 seed=9"
-      done;
-      let reports = ref 0 and refused = ref 0 in
-      for _ = 1 to burst do
-        match read_response fd with
-        | Wire.Report _ -> incr reports
-        | Wire.Overloaded { reason; _ } ->
-            incr refused;
-            check "reason names a cap" true
-              (contains reason "cap" || contains reason "draining")
-        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)
-      done;
-      check "some jobs served" true (!reports >= 1);
-      check "excess refused, not buffered" true (!refused >= 1);
-      check_int "every submission answered" burst (!reports + !refused);
-      (* the stats endpoint must agree *)
-      let json = stats fd in
-      check "stats counts refusals" true
-        (contains json "\"rejected_overload\":"
-        && contains json "\"rejected_quota\":");
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server cfg (fun _ ->
+        let fd = dial socket_path in
+        (* a burst far over both caps: the excess must be refused with
+           Overloaded, not buffered *)
+        let burst = 10 in
+        for i = 0 to burst - 1 do
+          submit fd i "id=burst gen=tree n=40 gseed=7 property=acyclic k=3 seed=9"
+        done;
+        let reports = ref 0 and refused = ref 0 in
+        for _ = 1 to burst do
+          match read_response fd with
+          | Wire.Report _ -> incr reports
+          | Wire.Overloaded { reason; _ } ->
+              incr refused;
+              check "reason names a cap" true
+                (contains reason "cap" || contains reason "draining")
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r)
+        done;
+        check "some jobs served" true (!reports >= 1);
+        check "excess refused, not buffered" true (!refused >= 1);
+        check_int "every submission answered" burst (!reports + !refused);
+        (* the stats endpoint must agree *)
+        let json = stats fd in
+        check "stats counts refusals" true
+          (contains json "\"rejected_overload\":"
+          && contains json "\"rejected_quota\":");
+        Unix.close fd))
 
 let daemon_stats_endpoint () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:2) in
-      let fd = dial socket_path in
-      List.iteri (fun i line -> submit fd i line) jobs_lines;
-      List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
-      let json = stats fd in
-      check "submitted counted" true (contains json "\"submitted\":5");
-      check "completed counted" true (contains json "\"completed\":5");
-      check "workers reported" true (contains json "\"configured\":2");
-      check "queue cap surfaced" true (contains json "\"cap\":16");
-      (* worker samples reach the endpoint's percentiles *)
-      check "stage percentiles present" true
-        (contains json "\"stage\":\"prove\"" && contains json "\"p99_ms\":");
-      (* ping still answered while idle *)
-      Wire.write_frame fd (Wire.encode_request Wire.Ping);
-      (match read_response fd with
-      | Wire.Pong -> ()
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server (base_cfg ~socket_path ~workers:2) (fun _ ->
+        let fd = dial socket_path in
+        List.iteri (fun i line -> submit fd i line) jobs_lines;
+        List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
+        let json = stats fd in
+        check "submitted counted" true (contains json "\"submitted\":5");
+        check "completed counted" true (contains json "\"completed\":5");
+        check "workers reported" true (contains json "\"configured\":2");
+        check "queue cap surfaced" true (contains json "\"cap\":16");
+        (* worker samples reach the endpoint's percentiles *)
+        check "stage percentiles present" true
+          (contains json "\"stage\":\"prove\"" && contains json "\"p99_ms\":");
+        (* ping still answered while idle *)
+        Wire.write_frame fd (Wire.encode_request Wire.Ping);
+        (match read_response fd with
+        | Wire.Pong -> ()
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Unix.close fd))
 
 
 let json_int json field =
@@ -708,26 +732,34 @@ let json_int json field =
   | None -> Alcotest.failf "field %s missing from %s" field json
 
 (* a daemon's stats carry its workers' stage histograms and counters
-   with no configuration: every engine times, every Done ships *)
+   with no configuration: every engine times, every Done ships. The
+   jobs are then replayed: each replay is a hit on a bundle the worker
+   accepted under the same ids, served with no verify. One worker, so
+   that every replay meets its own first run's store. *)
 let daemon_default_stats () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:2) in
-      let fd = dial socket_path in
-      List.iteri (fun i line -> submit fd i line) jobs_lines;
-      List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
-      let json = stats fd in
-      (* stop the daemon before any check can fail and leave it running *)
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid);
+      let json =
+        with_server (base_cfg ~socket_path ~workers:1) (fun _ ->
+            let fd = dial socket_path in
+            let n = List.length jobs_lines in
+            List.iteri (fun i line -> submit fd i line) jobs_lines;
+            List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
+            List.iteri (fun i line -> submit fd (n + i) line) jobs_lines;
+            List.iter (fun _ -> ignore (read_response fd)) jobs_lines;
+            let json = stats fd in
+            Unix.close fd;
+            json)
+      in
       let n = List.length jobs_lines in
-      check "a verify stage with one sample per job" true
+      check "a verify stage with one sample per distinct job" true
         (contains json (Printf.sprintf "{\"stage\":\"verify\",\"count\":%d," n));
       List.iter
         (fun name ->
           check (name ^ " counter present") true
             (contains json (Printf.sprintf "\"%s\":" name)))
-        [ "view_hit"; "lanes_fallback"; "minor_words" ];
+        [ "view_hit"; "lanes_fallback"; "minor_words"; "hit_known" ];
+      check_int "every replay a known hit" n (json_int json "hit_known");
       check "minor words counted" true (json_int json "minor_words" > 0))
 
 let daemon_crash_respawn () =
@@ -754,38 +786,37 @@ let daemon_crash_respawn () =
               Engine.create ~cache_dir:cache ~io ~timing ());
         }
       in
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      (* distinct instances: every job is a cache miss, so each wants a
-         store write and the workers keep crashing and respawning *)
-      let lines =
-        List.init 8 (fun i ->
-            Printf.sprintf
-              "id=c%d gen=path n=%d property=connected k=2 seed=1" i (6 + i))
-      in
-      List.iteri (fun i line -> submit fd i line) lines;
-      let served = ref 0 and failed = ref 0 in
-      List.iter
-        (fun _ ->
-          match read_response fd with
-          | Wire.Report { status; _ } ->
-              if
-                List.mem status
-                  [ "served_fresh"; "served_cached"; "served_degraded" ]
-              then incr served
-              else incr failed
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
-        lines;
-      check_int "every job reached a terminal reply" 8 (!served + !failed);
-      check "most jobs served despite crashes" true (!served >= 6);
-      let json = stats fd in
-      check "workers died and were respawned" true
-        (json_int json "restarts" >= 2);
-      check "crashed jobs were requeued" true (json_int json "requeued" >= 1);
-      check_int "no slot permanently stopped" 0 (json_int json "stopped");
-      check_int "full pool alive after every crash" 2 (json_int json "live");
-      Unix.close fd;
-      check_int "clean drain after crashes" 0 (stop_server pid))
+      with_server ~label:"clean drain after crashes" cfg (fun _ ->
+        let fd = dial socket_path in
+        (* distinct instances: every job is a cache miss, so each wants a
+           store write and the workers keep crashing and respawning *)
+        let lines =
+          List.init 8 (fun i ->
+              Printf.sprintf
+                "id=c%d gen=path n=%d property=connected k=2 seed=1" i (6 + i))
+        in
+        List.iteri (fun i line -> submit fd i line) lines;
+        let served = ref 0 and failed = ref 0 in
+        List.iter
+          (fun _ ->
+            match read_response fd with
+            | Wire.Report { status; _ } ->
+                if
+                  List.mem status
+                    [ "served_fresh"; "served_cached"; "served_degraded" ]
+                then incr served
+                else incr failed
+            | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
+          lines;
+        check_int "every job reached a terminal reply" 8 (!served + !failed);
+        check "most jobs served despite crashes" true (!served >= 6);
+        let json = stats fd in
+        check "workers died and were respawned" true
+          (json_int json "restarts" >= 2);
+        check "crashed jobs were requeued" true (json_int json "requeued" >= 1);
+        check_int "no slot permanently stopped" 0 (json_int json "stopped");
+        check_int "full pool alive after every crash" 2 (json_int json "live");
+        Unix.close fd))
 
 (* the server's worker pids are not on the wire; on Linux /proc names a
    process's children, which is exactly the external-kill (OOM, admin)
@@ -804,186 +835,183 @@ let children_of pid =
 let daemon_idle_worker_death () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      let fd = dial socket_path in
-      (* prove the worker serves, then kill it while it sits idle *)
-      submit fd 0 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Report _ -> ()
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (match children_of pid with
-      | None | Some [] -> () (* no /proc children file: cannot stage it *)
-      | Some kids ->
-          List.iter
-            (fun k ->
-              try Unix.kill k Sys.sigkill with Unix.Unix_error _ -> ())
-            kids;
-          Unix.sleepf 0.05;
-          (* a submission against the dead slot must not wedge dispatch:
-             the daemon has to notice the EOF, respawn, and answer *)
-          submit fd 1 (List.nth jobs_lines 1);
-          (match Unix.select [ fd ] [] [] 30.0 with
-          | [], _, _ ->
-              Alcotest.fail "daemon wedged after an idle worker death"
-          | _ -> ());
-          (match read_response fd with
-          | Wire.Report { serial; _ } ->
-              check_int "answered after respawn" 1 serial
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-          let json = stats fd in
-          check "the death was counted as a restart" true
-            (json_int json "restarts" >= 1));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server (base_cfg ~socket_path ~workers:1) (fun pid ->
+        let fd = dial socket_path in
+        (* prove the worker serves, then kill it while it sits idle *)
+        submit fd 0 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Report _ -> ()
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        (match children_of pid with
+        | None | Some [] -> () (* no /proc children file: cannot stage it *)
+        | Some kids ->
+            List.iter
+              (fun k ->
+                try Unix.kill k Sys.sigkill with Unix.Unix_error _ -> ())
+              kids;
+            Unix.sleepf 0.05;
+            (* a submission against the dead slot must not wedge dispatch:
+               the daemon has to notice the EOF, respawn, and answer *)
+            submit fd 1 (List.nth jobs_lines 1);
+            (match Unix.select [ fd ] [] [] 30.0 with
+            | [], _, _ ->
+                Alcotest.fail "daemon wedged after an idle worker death"
+            | _ -> ());
+            (match read_response fd with
+            | Wire.Report { serial; _ } ->
+                check_int "answered after respawn" 1 serial
+            | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+            let json = stats fd in
+            check "the death was counted as a restart" true
+              (json_int json "restarts" >= 1));
+        Unix.close fd))
 
 let daemon_sigterm_drains_inflight () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      let fd = dial socket_path in
-      (* queue several slow-ish jobs, then fire SIGTERM immediately:
-         every accepted job must still be answered before the close *)
-      let lines =
-        List.init 4 (fun i ->
-            Printf.sprintf
-              "id=drain%d gen=tree n=%d gseed=%d property=acyclic k=3 seed=2" i
-              (30 + i) i)
-      in
-      List.iteri (fun i line -> submit fd i line) lines;
-      Unix.kill pid Sys.sigterm;
-      let answered = ref 0 in
-      List.iter
-        (fun _ ->
-          match read_response fd with
-          | Wire.Report _ -> incr answered
-          | Wire.Overloaded _ ->
-              (* a job that raced the drain gate: refused, not dropped *)
-              incr answered
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
-        lines;
-      check_int "every accepted job answered during drain" 4 !answered;
-      check "connection closed after drain" true (Wire.read_frame fd = None);
-      Unix.close fd;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> ()
-      | _, Unix.WEXITED c -> Alcotest.failf "drain exited %d" c
-      | _ -> Alcotest.fail "server killed by signal");
+      with_server ~drain:false (base_cfg ~socket_path ~workers:1) (fun pid ->
+        let fd = dial socket_path in
+        (* queue several slow-ish jobs, then fire SIGTERM immediately:
+           every accepted job must still be answered before the close *)
+        let lines =
+          List.init 4 (fun i ->
+              Printf.sprintf
+                "id=drain%d gen=tree n=%d gseed=%d property=acyclic k=3 seed=2" i
+                (30 + i) i)
+        in
+        List.iteri (fun i line -> submit fd i line) lines;
+        Unix.kill pid Sys.sigterm;
+        let answered = ref 0 in
+        List.iter
+          (fun _ ->
+            match read_response fd with
+            | Wire.Report _ -> incr answered
+            | Wire.Overloaded _ ->
+                (* a job that raced the drain gate: refused, not dropped *)
+                incr answered
+            | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
+          lines;
+        check_int "every accepted job answered during drain" 4 !answered;
+        check "connection closed after drain" true (Wire.read_frame fd = None);
+        Unix.close fd;
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _, Unix.WEXITED c -> Alcotest.failf "drain exited %d" c
+        | _ -> Alcotest.fail "server killed by signal"));
       check "socket unlinked" true (not (Sys.file_exists socket_path)))
 
 let daemon_rejects_garbage () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      let fd = dial socket_path in
-      Wire.write_frame fd "frobnicate 7";
-      (match read_response fd with
-      | Wire.Err { reason; _ } ->
-          check "names the bad verb" true (contains reason "frobnicate")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (* a bad job line is an Err tied to its serial, and the
-         connection keeps working afterwards *)
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Submit
-              { serial = 3; canonical = false; deadline_ms = 0.0; line = "nonsense" }));
-      (match read_response fd with
-      | Wire.Err { serial; _ } -> check_int "serial echoed" 3 serial
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      submit fd 4 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Report { serial; _ } -> check_int "connection survives" 4 serial
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server (base_cfg ~socket_path ~workers:1) (fun _ ->
+        let fd = dial socket_path in
+        Wire.write_frame fd "frobnicate 7";
+        (match read_response fd with
+        | Wire.Err { reason; _ } ->
+            check "names the bad verb" true (contains reason "frobnicate")
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        (* a bad job line is an Err tied to its serial, and the
+           connection keeps working afterwards *)
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Submit
+                { serial = 3; canonical = false; deadline_ms = 0.0; line = "nonsense" }));
+        (match read_response fd with
+        | Wire.Err { serial; _ } -> check_int "serial echoed" 3 serial
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        submit fd 4 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Report { serial; _ } -> check_int "connection survives" 4 serial
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Unix.close fd))
 
 let daemon_delta_session () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:2) in
-      let fd = dial socket_path in
-      (* an edit before any open is a protocol error, not a crash *)
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Delta_edit
-              { serial = 0; deadline_ms = 0.0; full = false; ops = "add=0-1" }));
-      (match read_response fd with
-      | Wire.Err { serial; reason } ->
-          check_int "serial echoed" 0 serial;
-          check "asks for a dopen" true (contains reason "dopen")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (* open a session, then stream edits: replies must be Dreports in
-         submission order, ids suffixed per edit, patch info attached *)
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Delta_open
-              {
-                serial = 1;
-                deadline_ms = 0.0;
-                sid = "t-dyn";
-                resume = false;
-                line = "id=dyn gen=path n=24 property=connected k=2 seed=7";
-              }));
-      (match read_response fd with
-      | Wire.Dreport { serial; id; status; patch; _ } ->
-          check_int "open serial" 1 serial;
-          check_str "open id" "dyn" id;
-          check_str "open served" "served_fresh" status;
-          check "open patch mode" true (contains patch "\"mode\":\"open\"")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      let edits = [ "del=3-4"; "add=3-4"; "add=0-5 del=5-6"; "" ] in
-      List.iteri
-        (fun i ops ->
-          Wire.write_frame fd
-            (Wire.encode_request
-               (Wire.Delta_edit
-                  { serial = 2 + i; deadline_ms = 0.0; full = false; ops })))
-        edits;
-      List.iteri
-        (fun i _ ->
-          match read_response fd with
-          | Wire.Dreport { serial; id; status; patch; canonical; _ } ->
-              check_int "edit serial in stream order" (2 + i) serial;
-              check_str "edit id suffixed"
-                (Printf.sprintf "dyn#e%04d" (i + 1))
-                id;
-              check "edit reached a verdict" true
-                (status <> "failed" && status <> "input_error");
-              check "patch info is json" true (contains patch "\"mode\":");
-              check "canonical line carries the verdict" true
-                (contains canonical "\"verdict\":")
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
-        edits;
-      (* a malformed edit line is an input error pinned to its serial,
-         and the session survives it *)
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Delta_edit
-              { serial = 6; deadline_ms = 0.0; full = false; ops = "frob=1-2" }));
-      (match read_response fd with
-      | Wire.Dreport { serial; status; _ } ->
-          check_int "bad edit serial" 6 serial;
-          check_str "bad edit is an input error" "input_error" status
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Delta_edit
-              { serial = 7; deadline_ms = 0.0; full = true; ops = "add=3-4" }));
-      (match read_response fd with
-      | Wire.Dreport { serial; patch; _ } ->
-          check_int "session survives a bad edit" 7 serial;
-          check "forced full recompute labelled" true
-            (contains patch "\"mode\":\"full\""
-            || contains patch "\"mode\":\"cached\"")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (* the verifier-memo counters ride the live stats endpoint *)
-      let json = stats fd in
-      check "counters object present" true (contains json "\"counters\":{");
-      check "view misses surfaced" true (json_int json "view_miss" >= 1);
-      check "view hits surfaced" true (json_int json "view_hit" >= 0);
-      check "group misses surfaced" true (json_int json "group_miss" >= 0);
-      check "lane fallbacks surfaced" true (json_int json "lanes_fallback" >= 0);
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server (base_cfg ~socket_path ~workers:2) (fun _ ->
+        let fd = dial socket_path in
+        (* an edit before any open is a protocol error, not a crash *)
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Delta_edit
+                { serial = 0; deadline_ms = 0.0; full = false; ops = "add=0-1" }));
+        (match read_response fd with
+        | Wire.Err { serial; reason } ->
+            check_int "serial echoed" 0 serial;
+            check "asks for a dopen" true (contains reason "dopen")
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        (* open a session, then stream edits: replies must be Dreports in
+           submission order, ids suffixed per edit, patch info attached *)
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Delta_open
+                {
+                  serial = 1;
+                  deadline_ms = 0.0;
+                  sid = "t-dyn";
+                  resume = false;
+                  line = "id=dyn gen=path n=24 property=connected k=2 seed=7";
+                }));
+        (match read_response fd with
+        | Wire.Dreport { serial; id; status; patch; _ } ->
+            check_int "open serial" 1 serial;
+            check_str "open id" "dyn" id;
+            check_str "open served" "served_fresh" status;
+            check "open patch mode" true (contains patch "\"mode\":\"open\"")
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        let edits = [ "del=3-4"; "add=3-4"; "add=0-5 del=5-6"; "" ] in
+        List.iteri
+          (fun i ops ->
+            Wire.write_frame fd
+              (Wire.encode_request
+                 (Wire.Delta_edit
+                    { serial = 2 + i; deadline_ms = 0.0; full = false; ops })))
+          edits;
+        List.iteri
+          (fun i _ ->
+            match read_response fd with
+            | Wire.Dreport { serial; id; status; patch; canonical; _ } ->
+                check_int "edit serial in stream order" (2 + i) serial;
+                check_str "edit id suffixed"
+                  (Printf.sprintf "dyn#e%04d" (i + 1))
+                  id;
+                check "edit reached a verdict" true
+                  (status <> "failed" && status <> "input_error");
+                check "patch info is json" true (contains patch "\"mode\":");
+                check "canonical line carries the verdict" true
+                  (contains canonical "\"verdict\":")
+            | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r))
+          edits;
+        (* a malformed edit line is an input error pinned to its serial,
+           and the session survives it *)
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Delta_edit
+                { serial = 6; deadline_ms = 0.0; full = false; ops = "frob=1-2" }));
+        (match read_response fd with
+        | Wire.Dreport { serial; status; _ } ->
+            check_int "bad edit serial" 6 serial;
+            check_str "bad edit is an input error" "input_error" status
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Delta_edit
+                { serial = 7; deadline_ms = 0.0; full = true; ops = "add=3-4" }));
+        (match read_response fd with
+        | Wire.Dreport { serial; patch; _ } ->
+            check_int "session survives a bad edit" 7 serial;
+            check "forced full recompute labelled" true
+              (contains patch "\"mode\":\"full\""
+              || contains patch "\"mode\":\"cached\"")
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        (* the verifier-memo counters ride the live stats endpoint *)
+        let json = stats fd in
+        check "counters object present" true (contains json "\"counters\":{");
+        check "view misses surfaced" true (json_int json "view_miss" >= 1);
+        check "view hits surfaced" true (json_int json "view_hit" >= 0);
+        check "group misses surfaced" true (json_int json "group_miss" >= 0);
+        check "lane fallbacks surfaced" true (json_int json "lanes_fallback" >= 0);
+        Unix.close fd))
 
 (* the mandatory handshake: a frame before hello — garbage, an honest
    v1 frame, anything — gets one descriptive error naming the expected
@@ -992,49 +1020,48 @@ let daemon_delta_session () =
 let daemon_requires_hello () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      (* an old (protocol-1) client submitting straight away *)
-      let fd = dial_raw socket_path in
-      submit fd 0 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Err { reason; _ } ->
-          check "error names the handshake" true (contains reason "hello");
-          check "error names the server version" true
-            (contains reason (string_of_int Wire.protocol_version))
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      check "connection closed after the error" true (Wire.read_frame fd = None);
-      Unix.close fd;
-      (* a future client speaking a version we do not *)
-      let fd = dial_raw socket_path in
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Hello { version = Wire.protocol_version + 1 }));
-      (match read_response fd with
-      | Wire.Err { reason; _ } ->
-          check "mismatch error names both versions" true
-            (contains reason "mismatch"
-            && contains reason (string_of_int (Wire.protocol_version + 1)))
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      check "mismatched client hung up on" true (Wire.read_frame fd = None);
-      Unix.close fd;
-      (* an undecodable first frame, ditto: the decode error is served,
-         then the connection is cut instead of waiting for more junk *)
-      let fd = dial_raw socket_path in
-      Wire.write_frame fd "frobnicate 7";
-      (match read_response fd with
-      | Wire.Err { reason; _ } ->
-          check "garbage pre-hello named" true (contains reason "frobnicate")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      check "garbage client hung up on" true (Wire.read_frame fd = None);
-      Unix.close fd;
-      (* and none of it hurt a well-behaved client *)
-      let fd = dial socket_path in
-      submit fd 9 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Report { serial; _ } -> check_int "server still serves" 9 serial
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server (base_cfg ~socket_path ~workers:1) (fun _ ->
+        (* an old (protocol-1) client submitting straight away *)
+        let fd = dial_raw socket_path in
+        submit fd 0 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Err { reason; _ } ->
+            check "error names the handshake" true (contains reason "hello");
+            check "error names the server version" true
+              (contains reason (string_of_int Wire.protocol_version))
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        check "connection closed after the error" true (Wire.read_frame fd = None);
+        Unix.close fd;
+        (* a future client speaking a version we do not *)
+        let fd = dial_raw socket_path in
+        Wire.write_frame fd
+          (Wire.encode_request
+             (Wire.Hello { version = Wire.protocol_version + 1 }));
+        (match read_response fd with
+        | Wire.Err { reason; _ } ->
+            check "mismatch error names both versions" true
+              (contains reason "mismatch"
+              && contains reason (string_of_int (Wire.protocol_version + 1)))
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        check "mismatched client hung up on" true (Wire.read_frame fd = None);
+        Unix.close fd;
+        (* an undecodable first frame, ditto: the decode error is served,
+           then the connection is cut instead of waiting for more junk *)
+        let fd = dial_raw socket_path in
+        Wire.write_frame fd "frobnicate 7";
+        (match read_response fd with
+        | Wire.Err { reason; _ } ->
+            check "garbage pre-hello named" true (contains reason "frobnicate")
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        check "garbage client hung up on" true (Wire.read_frame fd = None);
+        Unix.close fd;
+        (* and none of it hurt a well-behaved client *)
+        let fd = dial socket_path in
+        submit fd 9 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Report { serial; _ } -> check_int "server still serves" 9 serial
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Unix.close fd))
 
 (* a second server on a live socket must refuse to start (the pidfile
    lock), and a server started over a SIGKILLed predecessor's leftovers
@@ -1042,44 +1069,45 @@ let daemon_requires_hello () =
 let daemon_pidfile_lock () =
   with_temp_dir (fun dir ->
       let socket_path = Filename.concat dir "d.sock" in
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      (* the contender must lose while the first server holds the lock *)
-      flush stdout;
-      flush stderr;
-      (match Unix.fork () with
-      | 0 ->
-          Unix.close Unix.stderr;
-          (try Server.run (base_cfg ~socket_path ~workers:1)
-           with Sys_error _ -> Unix._exit 2);
-          Unix._exit 0
-      | contender -> (
-          match Unix.waitpid [] contender with
-          | _, Unix.WEXITED 2 -> ()
-          | _, s ->
-              Alcotest.failf "contender did not lose the lock race (%s)"
-                (match s with
-                | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-                | _ -> "signal")));
-      (* the incumbent is unharmed by the contender's attempt *)
-      let fd = dial socket_path in
-      submit fd 0 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Report _ -> ()
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      (* SIGKILL the incumbent: socket + pidfile left behind, lock
-         released by the kernel — a new server must take over *)
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
+      with_server ~drain:false (base_cfg ~socket_path ~workers:1) (fun pid ->
+        (* the contender must lose while the first server holds the lock *)
+        flush stdout;
+        flush stderr;
+        (match Unix.fork () with
+        | 0 ->
+            Unix.close Unix.stderr;
+            (try Server.run (base_cfg ~socket_path ~workers:1)
+             with Sys_error _ -> Unix._exit 2);
+            Unix._exit 0
+        | contender -> (
+            match Unix.waitpid [] contender with
+            | _, Unix.WEXITED 2 -> ()
+            | _, s ->
+                Alcotest.failf "contender did not lose the lock race (%s)"
+                  (match s with
+                  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+                  | _ -> "signal")));
+        (* the incumbent is unharmed by the contender's attempt *)
+        let fd = dial socket_path in
+        submit fd 0 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Report _ -> ()
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Unix.close fd;
+        (* SIGKILL the incumbent: socket + pidfile left behind, lock
+           released by the kernel — a new server must take over *)
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid));
       check "socket left behind by SIGKILL" true (Sys.file_exists socket_path);
-      let pid = start_server (base_cfg ~socket_path ~workers:1) in
-      let fd = dial socket_path in
-      submit fd 1 (List.hd jobs_lines);
-      (match read_response fd with
-      | Wire.Report _ -> ()
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      check_int "takeover server drains cleanly" 0 (stop_server pid))
+      with_server ~label:"takeover server drains cleanly"
+        (base_cfg ~socket_path ~workers:1)
+        (fun _ ->
+        let fd = dial socket_path in
+        submit fd 1 (List.hd jobs_lines);
+        (match read_response fd with
+        | Wire.Report _ -> ()
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        Unix.close fd))
 
 (* the tentpole end-to-end: open a journaled session, apply edits,
    SIGKILL the daemon mid-life, restart it on the same socket+journal,
@@ -1095,118 +1123,116 @@ let daemon_journal_resume () =
           journal_fsync = `Always;
         }
       in
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      let dopen ~resume serial =
-        Wire.write_frame fd
-          (Wire.encode_request
-             (Wire.Delta_open
-                {
-                  serial;
-                  deadline_ms = 0.0;
-                  sid = "t-resume";
-                  resume;
-                  line =
-                    (if resume then ""
-                     else "id=dyn gen=path n=24 property=connected k=2 seed=7");
-                }))
-      in
-      let dedit serial ops =
-        Wire.write_frame fd
-          (Wire.encode_request
-             (Wire.Delta_edit { serial; deadline_ms = 0.0; full = false; ops }))
-      in
-      let dreport what =
-        match read_response fd with
-        | Wire.Dreport { serial; canonical; _ } -> (serial, canonical)
-        | r ->
-            Alcotest.failf "unexpected reply to %s: %s" what
-              (Wire.encode_response r)
-      in
-      dopen ~resume:false 0;
-      let _, open_canonical = dreport "open" in
-      let edits = [ "del=3-4"; "add=3-4"; "add=0-5 del=5-6" ] in
-      let firsts =
-        List.mapi
-          (fun i ops ->
-            dedit (i + 1) ops;
-            dreport "edit")
-          edits
-      in
-      (* die without warning; socket, pidfile, journal all left behind *)
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
-      Unix.close fd;
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      dopen ~resume:true 0;
-      let _, resumed_open = dreport "resumed open" in
-      check_str "resumed open reply is the journaled one byte-for-byte"
-        open_canonical resumed_open;
-      (* a client that never saw its last reply resends it: the journal
-         answers, byte-identical, without recomputing *)
-      dedit 3 "add=0-5 del=5-6";
-      let s, dedup_canonical = dreport "deduplicated resend" in
-      check_int "resent serial echoed" 3 s;
-      check_str "journal-dedup reply byte-identical"
-        (snd (List.nth firsts 2))
-        dedup_canonical;
-      (* ... and the stream continues against the rebuilt graph *)
-      dedit 4 "add=7-9";
-      let s, _ = dreport "post-resume edit" in
-      check_int "stream continues past the crash" 4 s;
-      (* a serial further ahead than the journal is a lost edit: the
-         daemon must refuse it descriptively, not diverge silently *)
-      dedit 9 "add=0-1";
-      (match read_response fd with
-      | Wire.Err { serial; reason } ->
-          check_int "gap serial echoed" 9 serial;
-          check "gap named" true (contains reason "serial gap")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (* resumption is single-writer: a second connection is refused
-         while this one holds the session *)
-      let fd2 = dial socket_path in
-      Wire.write_frame fd2
-        (Wire.encode_request
-           (Wire.Delta_open
-              {
-                serial = 0;
-                deadline_ms = 0.0;
-                sid = "t-resume";
-                resume = true;
-                line = "";
-              }));
-      (match read_response fd2 with
-      | Wire.Err { reason; _ } -> check "busy named" true (contains reason "busy")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd2;
-      (* durability counters ride the stats endpoint *)
-      let json = stats fd in
-      check "resumed counted" true (json_int json "resumed" >= 1);
-      check "rebuilt steps counted" true (json_int json "rebuilt_steps" >= 3);
-      check "no resume mismatches" true (json_int json "resume_mismatch" = 0);
-      check "dedup served counted" true (json_int json "dedup_served" >= 1);
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid);
-      (* an unknown session stays unknown after everything *)
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      Wire.write_frame fd
-        (Wire.encode_request
-           (Wire.Delta_open
-              {
-                serial = 0;
-                deadline_ms = 0.0;
-                sid = "never-opened";
-                resume = true;
-                line = "";
-              }));
-      (match read_response fd with
-      | Wire.Err { reason; _ } ->
-          check "unknown sid named" true (contains reason "never-opened")
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server ~drain:false cfg (fun pid ->
+        let fd = dial socket_path in
+        let dopen ~resume serial =
+          Wire.write_frame fd
+            (Wire.encode_request
+               (Wire.Delta_open
+                  {
+                    serial;
+                    deadline_ms = 0.0;
+                    sid = "t-resume";
+                    resume;
+                    line =
+                      (if resume then ""
+                       else "id=dyn gen=path n=24 property=connected k=2 seed=7");
+                  }))
+        in
+        let dedit serial ops =
+          Wire.write_frame fd
+            (Wire.encode_request
+               (Wire.Delta_edit { serial; deadline_ms = 0.0; full = false; ops }))
+        in
+        let dreport what =
+          match read_response fd with
+          | Wire.Dreport { serial; canonical; _ } -> (serial, canonical)
+          | r ->
+              Alcotest.failf "unexpected reply to %s: %s" what
+                (Wire.encode_response r)
+        in
+        dopen ~resume:false 0;
+        let _, open_canonical = dreport "open" in
+        let edits = [ "del=3-4"; "add=3-4"; "add=0-5 del=5-6" ] in
+        let firsts =
+          List.mapi
+            (fun i ops ->
+              dedit (i + 1) ops;
+              dreport "edit")
+            edits
+        in
+        (* die without warning; socket, pidfile, journal all left behind *)
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Unix.close fd;
+        with_server cfg (fun _ ->
+          let fd = dial socket_path in
+          dopen ~resume:true 0;
+          let _, resumed_open = dreport "resumed open" in
+          check_str "resumed open reply is the journaled one byte-for-byte"
+            open_canonical resumed_open;
+          (* a client that never saw its last reply resends it: the journal
+             answers, byte-identical, without recomputing *)
+          dedit 3 "add=0-5 del=5-6";
+          let s, dedup_canonical = dreport "deduplicated resend" in
+          check_int "resent serial echoed" 3 s;
+          check_str "journal-dedup reply byte-identical"
+            (snd (List.nth firsts 2))
+            dedup_canonical;
+          (* ... and the stream continues against the rebuilt graph *)
+          dedit 4 "add=7-9";
+          let s, _ = dreport "post-resume edit" in
+          check_int "stream continues past the crash" 4 s;
+          (* a serial further ahead than the journal is a lost edit: the
+             daemon must refuse it descriptively, not diverge silently *)
+          dedit 9 "add=0-1";
+          (match read_response fd with
+          | Wire.Err { serial; reason } ->
+              check_int "gap serial echoed" 9 serial;
+              check "gap named" true (contains reason "serial gap")
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+          (* resumption is single-writer: a second connection is refused
+             while this one holds the session *)
+          let fd2 = dial socket_path in
+          Wire.write_frame fd2
+            (Wire.encode_request
+               (Wire.Delta_open
+                  {
+                    serial = 0;
+                    deadline_ms = 0.0;
+                    sid = "t-resume";
+                    resume = true;
+                    line = "";
+                  }));
+          (match read_response fd2 with
+          | Wire.Err { reason; _ } -> check "busy named" true (contains reason "busy")
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+          Unix.close fd2;
+          (* durability counters ride the stats endpoint *)
+          let json = stats fd in
+          check "resumed counted" true (json_int json "resumed" >= 1);
+          check "rebuilt steps counted" true (json_int json "rebuilt_steps" >= 3);
+          check "no resume mismatches" true (json_int json "resume_mismatch" = 0);
+          check "dedup served counted" true (json_int json "dedup_served" >= 1);
+          Unix.close fd);
+        (* an unknown session stays unknown after everything *)
+        with_server cfg (fun _ ->
+          let fd = dial socket_path in
+          Wire.write_frame fd
+            (Wire.encode_request
+               (Wire.Delta_open
+                  {
+                    serial = 0;
+                    deadline_ms = 0.0;
+                    sid = "never-opened";
+                    resume = true;
+                    line = "";
+                  }));
+          (match read_response fd with
+          | Wire.Err { reason; _ } ->
+              check "unknown sid named" true (contains reason "never-opened")
+          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+          Unix.close fd)))
 
 (* every refusal a well-formed request can draw before it is queued:
    one Err per request, echoing its serial, with the exact reason *)
@@ -1236,31 +1262,30 @@ let daemon_refusals () =
               (if journal then Some (Filename.concat dir "journal") else None);
           }
         in
-        let pid = start_server cfg in
-        (* another client holds the session "held" for the whole table *)
-        let holder = dial socket_path in
-        Wire.write_frame holder (Wire.encode_request (dopen 0 "held"));
-        (match read_response holder with
-        | Wire.Dreport _ -> ()
-        | r -> Alcotest.failf "holder's open: %s" (Wire.encode_response r));
-        let fd = dial socket_path in
-        List.iter
-          (fun (what, req, reason) ->
-            Wire.write_frame fd (Wire.encode_request req);
-            match (req, read_response fd) with
-            | ( ( Wire.Submit { serial; _ }
-                | Wire.Delta_open { serial; _ }
-                | Wire.Delta_edit { serial; _ } ),
-                Wire.Err e ) ->
-                check_int (what ^ ": serial echoed") serial e.serial;
-                check_str (what ^ ": reason") reason e.reason
-            | _, r ->
-                Alcotest.failf "%s: unexpected reply %s" what
-                  (Wire.encode_response r))
-          cases;
-        Unix.close fd;
-        Unix.close holder;
-        check_int "clean drain" 0 (stop_server pid)
+        with_server cfg (fun _ ->
+          (* another client holds the session "held" for the whole table *)
+          let holder = dial socket_path in
+          Wire.write_frame holder (Wire.encode_request (dopen 0 "held"));
+          (match read_response holder with
+          | Wire.Dreport _ -> ()
+          | r -> Alcotest.failf "holder's open: %s" (Wire.encode_response r));
+          let fd = dial socket_path in
+          List.iter
+            (fun (what, req, reason) ->
+              Wire.write_frame fd (Wire.encode_request req);
+              match (req, read_response fd) with
+              | ( ( Wire.Submit { serial; _ }
+                  | Wire.Delta_open { serial; _ }
+                  | Wire.Delta_edit { serial; _ } ),
+                  Wire.Err e ) ->
+                  check_int (what ^ ": serial echoed") serial e.serial;
+                  check_str (what ^ ": reason") reason e.reason
+              | _, r ->
+                  Alcotest.failf "%s: unexpected reply %s" what
+                    (Wire.encode_response r))
+            cases;
+          Unix.close fd;
+          Unix.close holder)
       in
       refusals ~journal:false
         [
@@ -1324,32 +1349,31 @@ let daemon_store_counters_survive_death () =
             (fun ~worker:_ timing -> Engine.create ~cache_dir:cache ~timing ());
         }
       in
-      let pid = start_server cfg in
-      let fd = dial socket_path in
-      submit fd 0 line;
-      (match read_response fd with
-      | Wire.Report { status; _ } ->
-          check_str "the corrupt hit is proved afresh" "served_fresh" status
-      | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-      (match children_of pid with
-      | None | Some [] -> () (* no /proc children file: cannot stage it *)
-      | Some kids ->
-          List.iter
-            (fun k -> try Unix.kill k Sys.sigkill with Unix.Unix_error _ -> ())
-            kids;
-          Unix.sleepf 0.05;
-          submit fd 1 (List.nth jobs_lines 1);
-          (match read_response fd with
-          | Wire.Report { serial; _ } ->
-              check_int "the replacement serves" 1 serial
-          | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
-          let json = stats fd in
-          check "the dead worker's corrupt record still counted" true
-            (json_int json "corrupt" >= 1);
-          check "its quarantine still counted" true
-            (json_int json "quarantined" >= 1));
-      Unix.close fd;
-      check_int "clean drain" 0 (stop_server pid))
+      with_server cfg (fun pid ->
+        let fd = dial socket_path in
+        submit fd 0 line;
+        (match read_response fd with
+        | Wire.Report { status; _ } ->
+            check_str "the corrupt hit is proved afresh" "served_fresh" status
+        | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+        (match children_of pid with
+        | None | Some [] -> () (* no /proc children file: cannot stage it *)
+        | Some kids ->
+            List.iter
+              (fun k -> try Unix.kill k Sys.sigkill with Unix.Unix_error _ -> ())
+              kids;
+            Unix.sleepf 0.05;
+            submit fd 1 (List.nth jobs_lines 1);
+            (match read_response fd with
+            | Wire.Report { serial; _ } ->
+                check_int "the replacement serves" 1 serial
+            | r -> Alcotest.failf "unexpected reply %s" (Wire.encode_response r));
+            let json = stats fd in
+            check "the dead worker's corrupt record still counted" true
+              (json_int json "corrupt" >= 1);
+            check "its quarantine still counted" true
+              (json_int json "quarantined" >= 1));
+        Unix.close fd))
 (* ---------------------------------------------------------------- *)
 (* the client's failure paths                                        *)
 
@@ -1454,74 +1478,74 @@ let client_exactly_once_across_kill () =
               "id=k%02d gen=tree n=%d gseed=%d property=acyclic k=3 seed=2" i
               (40 + (i mod 7)) i)
       in
-      let pid = start_server cfg in
-      flush stdout;
-      flush stderr;
-      let helper =
-        match Unix.fork () with
-        | 0 ->
-            let rec until_progress c =
-              match Client.rpc c Wire.Stats_req with
-              | Ok (Wire.Stats_reply j)
-                when Hashtbl.find (Client.stat_ints j) "completed" >= 8 ->
-                  ()
-              | Ok _ ->
-                  Unix.sleepf 0.002;
-                  until_progress c
-              | Error _ -> Unix._exit 3
-            in
-            (match Client.connect socket_path with
-            | Ok c -> until_progress c
-            | Error _ -> Unix._exit 3);
-            Unix.kill pid Sys.sigkill;
-            (* the killed daemon is not this process's child to reap:
-               retry until the kernel has released its instance lock.
-               The replacement's exit status is the helper's. *)
-            let rec replace tries =
-              match Server.spawn cfg with
-              | Ok pid2 -> (
-                  match Unix.waitpid [] pid2 with
-                  | _, Unix.WEXITED c -> c
-                  | _ -> 4)
-              | Error _ when tries < 100 ->
-                  Unix.sleepf 0.01;
-                  replace (tries + 1)
-              | Error _ -> 5
-            in
-            Unix._exit (replace 0)
-        | h -> h
-      in
-      let notices = ref [] and helper_status = ref (Unix.WEXITED 0) in
-      let got =
-        Fun.protect
-          ~finally:(fun () ->
-            ignore (Unix.alarm 0);
-            Sys.set_signal Sys.sigalrm Sys.Signal_default;
-            (* the replacement is the helper's child; its pid is in the
-               pidfile every daemon writes *)
-            (match
-               int_of_string_opt (String.trim (read_file (socket_path ^ ".pid")))
-             with
-            | Some pid2 when pid2 <> pid -> Unix.kill pid2 Sys.sigterm
-            | _ -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
-            ignore (Unix.waitpid [] pid);
-            helper_status := snd (Unix.waitpid [] helper))
-          (fun () ->
-            (* a client that waits forever for a lost reply fails here *)
-            Sys.set_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out));
-            ignore (Unix.alarm 60);
-            submit_all ~log:(fun m -> notices := m :: !notices) socket_path lines)
-      in
-      check "the replacement drained cleanly" true
-        (!helper_status = Unix.WEXITED 0);
-      match got with
-      | Error e -> Alcotest.fail (Client.message e)
-      | Ok reports ->
-          check "the kill landed mid-stream" true
-            (List.exists (fun m -> contains m "resubmit") !notices);
-          check_int "one report per job" 48 (Array.length reports);
-          check_str "canonical lines = the batch driver's" (batch_lines lines)
-            (canonical_lines reports))
+      with_server ~drain:false cfg (fun pid ->
+        flush stdout;
+        flush stderr;
+        let helper =
+          match Unix.fork () with
+          | 0 ->
+              let rec until_progress c =
+                match Client.rpc c Wire.Stats_req with
+                | Ok (Wire.Stats_reply j)
+                  when Hashtbl.find (Client.stat_ints j) "completed" >= 8 ->
+                    ()
+                | Ok _ ->
+                    Unix.sleepf 0.002;
+                    until_progress c
+                | Error _ -> Unix._exit 3
+              in
+              (match Client.connect socket_path with
+              | Ok c -> until_progress c
+              | Error _ -> Unix._exit 3);
+              Unix.kill pid Sys.sigkill;
+              (* the killed daemon is not this process's child to reap:
+                 retry until the kernel has released its instance lock.
+                 The replacement's exit status is the helper's. *)
+              let rec replace tries =
+                match Server.spawn cfg with
+                | Ok pid2 -> (
+                    match Unix.waitpid [] pid2 with
+                    | _, Unix.WEXITED c -> c
+                    | _ -> 4)
+                | Error _ when tries < 100 ->
+                    Unix.sleepf 0.01;
+                    replace (tries + 1)
+                | Error _ -> 5
+              in
+              Unix._exit (replace 0)
+          | h -> h
+        in
+        let notices = ref [] and helper_status = ref (Unix.WEXITED 0) in
+        let got =
+          Fun.protect
+            ~finally:(fun () ->
+              ignore (Unix.alarm 0);
+              Sys.set_signal Sys.sigalrm Sys.Signal_default;
+              (* the replacement is the helper's child; its pid is in the
+                 pidfile every daemon writes *)
+              (match
+                 int_of_string_opt (String.trim (read_file (socket_path ^ ".pid")))
+               with
+              | Some pid2 when pid2 <> pid -> Unix.kill pid2 Sys.sigterm
+              | _ -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()));
+              ignore (Unix.waitpid [] pid);
+              helper_status := snd (Unix.waitpid [] helper))
+            (fun () ->
+              (* a client that waits forever for a lost reply fails here *)
+              Sys.set_signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timed_out));
+              ignore (Unix.alarm 60);
+              submit_all ~log:(fun m -> notices := m :: !notices) socket_path lines)
+        in
+        check "the replacement drained cleanly" true
+          (!helper_status = Unix.WEXITED 0);
+        match got with
+        | Error e -> Alcotest.fail (Client.message e)
+        | Ok reports ->
+            check "the kill landed mid-stream" true
+              (List.exists (fun m -> contains m "resubmit") !notices);
+            check_int "one report per job" 48 (Array.length reports);
+            check_str "canonical lines = the batch driver's" (batch_lines lines)
+              (canonical_lines reports)))
 
 (* ---------------------------------------------------------------- *)
 (* the protocol model: Server_core driven in-process                 *)

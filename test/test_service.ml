@@ -455,6 +455,140 @@ let engine_counters () =
     (2 * List.assoc "view_miss" ctrs)
     (List.assoc "view_miss" (Lcp_service.Timing.counters t2))
 
+(* ---------------------------------------------------------------- *)
+(* engine: hits on bundles this process accepted (the store marker)  *)
+
+module Memo = Lcp_cert.Memo
+module Timing = Lcp_service.Timing
+
+let path_job ?(id = "p") ?(n = 12) seed =
+  {
+    Manifest.job_id = id;
+    source = Manifest.Generated { family = "path"; n; gen_seed = 0 };
+    property = "connected";
+    k = 2;
+    seed;
+  }
+
+let verify_count timing =
+  match
+    List.find_opt
+      (fun l -> l.Timing.l_stage = "verify")
+      (Timing.report timing)
+  with
+  | Some l -> l.Timing.l_count
+  | None -> 0
+
+(* the run-invariant part of a report: everything but the timings *)
+let shape (r : Stats.job_report) =
+  ( Stats.to_canonical_json r,
+    Stats.status_name r.Stats.r_status,
+    r.Stats.r_cache_hit,
+    r.Stats.r_reject_reasons )
+
+let memo_off f =
+  Memo.enabled := false;
+  Fun.protect ~finally:(fun () -> Memo.enabled := true) f
+
+(* a second job on the same graph under another seed hits the entry
+   the first stored, but its ids differ: the hit decodes, verifies, is
+   rejected (the certificate names the first job's ids), is dropped and
+   re-proved, exactly as with the marker out of the picture *)
+let marker_other_ids () =
+  let run () =
+    let timing = Timing.create () in
+    let e = Engine.create ~timing () in
+    ignore (Engine.run_job e (path_job 5));
+    let before = verify_count timing in
+    let r = Engine.run_job e (path_job 6) in
+    check_int "decoded and verified, then the fresh proof verified"
+      (before + 2) (verify_count timing);
+    check_int "no known hit" 0 e.Engine.hit_known;
+    check_int "the rejected entry dropped" 1
+      (Store.stats (Engine.store e)).Store.drops;
+    r
+  in
+  let r = run () in
+  check "re-proved" true (r.Stats.r_status = Stats.Served_fresh);
+  check "the rejection is reported" true (r.Stats.r_reject_reasons <> []);
+  check "report = the report without the marker" true
+    (shape r = shape (memo_off run))
+
+(* a corrupted bundle added under a key this process served replaces
+   the entry and so loses the marker: the next hit decodes it, rejects
+   it, drops it and re-proves *)
+let marker_replaced_entry () =
+  let timing = Timing.create () in
+  let e = Engine.create ~timing () in
+  let job = path_job 5 in
+  let first = Engine.run_job e job in
+  let store = Engine.store e in
+  let key =
+    Store.key ~property:job.Manifest.property ~k:job.Manifest.k (Gen.path 12)
+  in
+  let entry =
+    match Store.find store key with
+    | Some entry -> entry
+    | None -> Alcotest.fail "the fresh proof was not stored"
+  in
+  ignore (Engine.run_job e job);
+  check_int "the stored bundle is a known hit" 1 e.Engine.hit_known;
+  let bytes = Bytes.copy entry.Store.e_bundle.Bundle.bytes in
+  Bytes.set bytes 0 (Char.chr (Char.code (Bytes.get bytes 0) lxor 0xff));
+  Store.add store
+    {
+      entry with
+      Store.e_bundle = { entry.Store.e_bundle with Bundle.bytes };
+    };
+  let before = verify_count timing in
+  let r = Engine.run_job e job in
+  check_int "no known hit on the replaced entry" 1 e.Engine.hit_known;
+  check_int "the corrupt entry dropped" 1 (Store.stats store).Store.drops;
+  check "re-proved" true (r.Stats.r_status = Stats.Served_fresh);
+  check "the rejection is reported" true (r.Stats.r_reject_reasons <> []);
+  check "the fresh proof verified" true (verify_count timing > before);
+  check_str "same canonical report as the first proof"
+    (Stats.to_canonical_json first) (Stats.to_canonical_json r)
+
+(* a memory-tier eviction drops the marker with the node: the reload
+   from disk decodes and verifies, and only then is marked again *)
+let marker_disk_reload () =
+  with_temp_dir (fun dir ->
+      let timing = Timing.create () in
+      let e = Engine.create ~cache_cap:1 ~cache_dir:dir ~timing () in
+      let a = path_job ~id:"a" 5 and b = path_job ~id:"b" ~n:13 5 in
+      ignore (Engine.run_job e a);
+      ignore (Engine.run_job e b);
+      let before = verify_count timing in
+      let r = Engine.run_job e a in
+      check "served from the disk tier" true
+        (r.Stats.r_status = Stats.Served_cached);
+      check_int "one disk load" 1 (Store.stats (Engine.store e)).Store.disk_loads;
+      check_int "the reload verified" (before + 1) (verify_count timing);
+      check_int "no known hit" 0 e.Engine.hit_known;
+      ignore (Engine.run_job e a);
+      check_int "then marked: no verify" (before + 1) (verify_count timing);
+      check_int "a known hit" 1 e.Engine.hit_known)
+
+(* with the memo switch off every hit decodes and verifies; the
+   canonical JSONL is the memo-on run's *)
+let marker_memo_off () =
+  let jobs = List.init 4 (fun i -> path_job ~id:(Printf.sprintf "m%d" i) ~n:(8 + i) i) in
+  let run () =
+    let timing = Timing.create () in
+    let e = Engine.create ~timing () in
+    let cold, _ = Engine.run_jobs e jobs in
+    let warm, _ = Engine.run_jobs e jobs in
+    (Stats.canonical_lines (cold @ warm), verify_count timing, e.Engine.hit_known)
+  in
+  let on, on_verify, on_known = run () in
+  let off, off_verify, off_known = memo_off run in
+  check_int "memo on: every hit known" 4 on_known;
+  check_int "memo on: one verify per job proved" 4 on_verify;
+  check_int "memo off: no known hit" 0 off_known;
+  check_int "memo off: every hit verified" 8 off_verify;
+  check_str "canonical JSONL: memo on = memo off" on off
+
 let engine_rejects_unknowns () =
   let job source property =
     { Manifest.job_id = "x"; source; property; k = 2; seed = 1 }
@@ -567,6 +701,11 @@ let suite =
       test "engine cold/warm" engine_cold_warm;
       test "engine surfaces memo/alloc counters" engine_counters;
       test "engine rejects unknowns" engine_rejects_unknowns;
+      test "a hit under other ids decodes, verifies and re-proves"
+        marker_other_ids;
+      test "a replaced entry loses the accepted marker" marker_replaced_entry;
+      test "a disk reload decodes and verifies" marker_disk_reload;
+      test "memo off: every hit decodes and verifies" marker_memo_off;
       test "prover declines lane partitions wider than k allows"
         wide_representation_declines;
     ] )
